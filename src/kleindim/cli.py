@@ -28,14 +28,13 @@ import sys
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import KleindimError, LoxodromicNotFoundError, UsageError
+from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
-from .geometry import InteriorPoint, origin
-from .group import choose_basepoint, enumerate_orbit
+from .geometry import InteriorPoint
 from .groupio import load_group, save_group
-from .limitset import box_dimension_estimate, neighborhood_volume, sample_limit_set
+from .limitset import box_dimension_estimate, neighborhood_volume
 from .poincare import exponent_estimate, truncated_series
-from .verify import _find_loxodromic, series_chain_report, verify_inequality
+from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
 _METHODS = ("counting_fit", "divergence_scan")
 
@@ -97,23 +96,11 @@ def _parse_point(text, model):
     return InteriorPoint(coords)
 
 
-def _resolve_basepoint(presentation, depth, override):
-    """Axis point of the first loxodromic element; ball center as fallback."""
-    if override is not None:
-        return _parse_point(override, presentation.model)
-    try:
-        h = _find_loxodromic(presentation, depth)
-    except LoxodromicNotFoundError:
-        return origin(presentation.model)
-    return choose_basepoint(h, presentation, min(6, depth))
-
-
-def _sampling_pipeline(presentation, depth):
-    """Limit-set sample through the standard basepoint-on-axis pipeline."""
-    h = _find_loxodromic(presentation, depth)
-    z = choose_basepoint(h, presentation, min(6, depth))
-    orbit = enumerate_orbit(presentation, z, depth)
-    return sample_limit_set(orbit, h)
+def _front_orbit(args, basepoint=None):
+    """Orbit of the pipeline front, mapped to the parsed basepoint when given."""
+    presentation = load_group(args.groupfile)
+    z = None if basepoint is None else _parse_point(basepoint, presentation.model)
+    return pipeline_front(presentation, args.depth, z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +108,14 @@ def _sampling_pipeline(presentation, depth):
 
 
 def _cmd_orbit(args):
-    presentation = load_group(args.groupfile)
-    z = _resolve_basepoint(presentation, args.depth, args.basepoint)
-    orbit = enumerate_orbit(presentation, z, args.depth)
+    orbit = _front_orbit(args, args.basepoint)
     coord_names = ["x", "y", "z"][: orbit.model]
     header = ["word", "word_length", *coord_names, "radial_gap", "shell_index", "displacement"]
     rows = []
-    for i, el in enumerate(orbit.elements):
+    for i, word in enumerate(orbit.ball.words):
         rows.append([
-            word_to_str(el.word),
-            el.word_length,
+            word_to_str(word),
+            len(word),
             *(float(c) for c in orbit.points[i]),
             float(orbit.gaps[i]),
             int(orbit.shells[i]),
@@ -142,9 +127,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_poincare(args):
-    presentation = load_group(args.groupfile)
-    z = _resolve_basepoint(presentation, args.depth, args.basepoint)
-    orbit = enumerate_orbit(presentation, z, args.depth)
+    orbit = _front_orbit(args, args.basepoint)
     grid = _parse_s_grid(args.s_grid)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
@@ -163,9 +146,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_exponent(args):
-    presentation = load_group(args.groupfile)
-    z = _resolve_basepoint(presentation, args.depth, None)
-    orbit = enumerate_orbit(presentation, z, args.depth)
+    orbit = _front_orbit(args)
     est = exponent_estimate(orbit, method=args.method, bin_width=args.bin_width)
     print(f"method={est.method}")
     print(f"delta_est={_fmt(est.delta_est)}")
@@ -189,7 +170,9 @@ def _write_pgm(path, sample, k):
     ys = 1.0 - (np.arange(size) + 0.5) * r
     grid_x, grid_y = np.meshgrid(xs, ys)
     centers = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    dist, _ = cKDTree(sample.points).query(centers, k=1)
+    # the bound is strict, hence nextafter; pixels with no point within r get inf
+    bound = np.nextafter(r, np.inf)
+    dist, _ = cKDTree(sample.points).query(centers, k=1, distance_upper_bound=bound)
     img = np.where(dist.reshape(size, size) <= r, 128, 0).astype(np.uint8)
     cols = np.clip(np.floor((sample.points[:, 0] + 1.0) / r), 0, size - 1).astype(int)
     rows = np.clip(np.floor((1.0 - sample.points[:, 1]) / r), 0, size - 1).astype(int)
@@ -198,8 +181,7 @@ def _write_pgm(path, sample, k):
 
 
 def _cmd_limitset(args):
-    presentation = load_group(args.groupfile)
-    sample = _sampling_pipeline(presentation, args.depth)
+    _, sample = sampling_front(load_group(args.groupfile), args.depth)
     coord_names = ["x", "y", "z"][: sample.model]
     header = [*coord_names, "witness"]
     rows = [
@@ -215,8 +197,7 @@ def _cmd_limitset(args):
 
 
 def _cmd_boxdim(args):
-    presentation = load_group(args.groupfile)
-    sample = _sampling_pipeline(presentation, args.depth)
+    _, sample = sampling_front(load_group(args.groupfile), args.depth)
     est = box_dimension_estimate(sample, k_range=(args.kmin, args.kmax))
     local = dict(est.per_scale_slopes)
     tree = cKDTree(sample.points)

@@ -27,6 +27,7 @@ from .policy import POLICY
 
 _CANON_EPS = 1e-12
 _NORTH = np.array([0.0, 0.0, 1.0])
+_FLIP = np.array([1.0, 1.0, -1.0])  # reflect the height coordinate
 
 
 class MapClass(enum.Enum):
@@ -36,6 +37,9 @@ class MapClass(enum.Enum):
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
     LOXODROMIC = "loxodromic"
+
+
+_CLASSES = np.array(list(MapClass), dtype=object)
 
 
 class InteriorPoint:
@@ -99,15 +103,69 @@ def origin(model):
     return InteriorPoint(np.zeros(int(model)))
 
 
-def _canonical_sign(a, b, c, d):
-    # Fix the +/-M ambiguity: first nonzero entry (row-major) gets a
-    # nonnegative real part, ties broken toward nonnegative imaginary part.
-    for e in (a, b, c, d):
-        if abs(e) > _CANON_EPS:
-            if e.real < -_CANON_EPS or (abs(e.real) <= _CANON_EPS and e.imag < 0.0):
-                return -a, -b, -c, -d
-            return a, b, c, d
-    raise InternalError("zero matrix cannot be canonicalized")
+def _row(g):
+    return g.matrix().reshape(1, 4)
+
+
+def canonical_entries(entries, model):
+    """Sign-canonical copies of rows (a, b, c, d) of unit-determinant matrices.
+
+    Fixes the +/-M ambiguity: the first nonzero entry (row-major) gets a
+    nonnegative real part, ties broken toward nonnegative imaginary part.
+    For the planar model every row must be in disc-preserving form.
+    """
+    e = np.array(entries, dtype=complex).reshape(-1, 4)
+    big = np.abs(e) > _CANON_EPS
+    if not np.all(big.any(axis=1)):
+        raise InternalError("zero matrix cannot be canonicalized")
+    lead = e[np.arange(e.shape[0]), big.argmax(axis=1)]
+    flip = (lead.real < -_CANON_EPS) | ((np.abs(lead.real) <= _CANON_EPS) & (lead.imag < 0.0))
+    e[flip] = -e[flip]
+    if model == 2:
+        a, b, c, d = e.T
+        tol = POLICY.construction_tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if np.any((np.abs(c - np.conj(b)) > tol) | (np.abs(d - np.conj(a)) > tol)):
+            raise UsageError("planar map is not disc preserving: need c = conj(b), d = conj(a)")
+    return e
+
+
+def product_entries(left, right, model):
+    """Sign-canonical rows of the products left_i . right_i (rows broadcast).
+
+    Not renormalized: dividing by sqrt(det) would inject the eps * |a|^2
+    cancellation error of the computed determinant.
+    """
+    la, lb, lc, ld = np.asarray(left).T
+    ra, rb, rc, rd = np.asarray(right).T
+    a, b = la * ra + lb * rc, la * rb + lb * rd
+    c, d = lc * ra + ld * rc, lc * rb + ld * rd
+    det = a * d - b * c
+    if not np.all((np.abs(det) > 1e-12) & np.isfinite(det)):
+        raise UsageError("matrix product is singular or non-finite")
+    return canonical_entries(np.stack([a, b, c, d], axis=1), model)
+
+
+def _identity_rows(entries, tol):
+    a, b, c, d = entries.T
+    return ((np.abs(a - 1.0) <= tol) & (np.abs(d - 1.0) <= tol)
+            & (np.abs(b) <= tol) & (np.abs(c) <= tol))
+
+
+def classify_entries(entries, tol=None):
+    """Conjugacy class per row (a, b, c, d), as an object array of MapClass.
+
+    Identity wins when the canonical matrix is the identity within
+    tolerance; otherwise tau = trace^2 decides: parabolic at tau = 4,
+    elliptic for real tau in [0, 4), loxodromic for everything else.
+    """
+    tol = POLICY.construction_tol if tol is None else tol
+    trace = entries[:, 0] + entries[:, 3]
+    tau = trace * trace
+    codes = np.full(entries.shape[0], 3)  # positions in MapClass, loxodromic last
+    codes[(np.abs(tau.imag) < tol) & (-tol <= tau.real) & (tau.real < 4.0)] = 1
+    codes[np.abs(tau - 4.0) < tol] = 2
+    codes[_identity_rows(entries, tol)] = 0
+    return _CLASSES[codes]
 
 
 class MoebiusMap:
@@ -131,15 +189,16 @@ class MoebiusMap:
         if det != 1.0:
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-        a, b, c, d = _canonical_sign(a, b, c, d)
-        if model == 2:
-            tol = POLICY.construction_tol * max(1.0, abs(a), abs(b))
-            if abs(c - b.conjugate()) > tol or abs(d - a.conjugate()) > tol:
-                raise UsageError(
-                    "planar map is not disc preserving: need c = conj(b), d = conj(a)"
-                )
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.a, self.b, self.c, self.d = canonical_entries([a, b, c, d], model)[0].tolist()
         self.model = model
+
+    @classmethod
+    def from_canonical(cls, entries, model):
+        """Wrap a row (a, b, c, d) from product_entries as is, unchecked."""
+        g = cls.__new__(cls)
+        g.a, g.b, g.c, g.d = (complex(v) for v in entries)
+        g.model = int(model)
+        return g
 
     @classmethod
     def from_matrix(cls, m, model):
@@ -175,10 +234,7 @@ class MoebiusMap:
 
     def is_identity(self, tol=None):
         tol = POLICY.construction_tol if tol is None else tol
-        return (
-            abs(self.a - 1.0) <= tol and abs(self.d - 1.0) <= tol
-            and abs(self.b) <= tol and abs(self.c) <= tol
-        )
+        return bool(_identity_rows(_row(self), tol)[0])
 
     def __repr__(self):
         return (
@@ -195,13 +251,7 @@ def _check_same_model(f, g):
 def compose(f, g):
     """The map z -> f(g(z)), i.e. the matrix product f.g."""
     _check_same_model(f, g)
-    return MoebiusMap(
-        f.a * g.a + f.b * g.c,
-        f.a * g.b + f.b * g.d,
-        f.c * g.a + f.d * g.c,
-        f.c * g.b + f.d * g.d,
-        f.model,
-    )
+    return MoebiusMap.from_canonical(product_entries(_row(f), _row(g), f.model)[0], f.model)
 
 
 def inverse(g):
@@ -210,21 +260,8 @@ def inverse(g):
 
 
 def classify(g, tol=None):
-    """Conjugacy class from the squared trace.
-
-    Identity wins when the canonical matrix is the identity within
-    tolerance; otherwise tau = trace^2 decides: parabolic at tau = 4,
-    elliptic for real tau in [0, 4), loxodromic for everything else.
-    """
-    tol = POLICY.construction_tol if tol is None else tol
-    if g.is_identity(tol):
-        return MapClass.IDENTITY
-    tau = g.trace * g.trace
-    if abs(tau - 4.0) < tol:
-        return MapClass.PARABOLIC
-    if abs(tau.imag) < tol and -tol <= tau.real < 4.0:
-        return MapClass.ELLIPTIC
-    return MapClass.LOXODROMIC
+    """Conjugacy class of one map; see classify_entries."""
+    return classify_entries(_row(g), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +271,22 @@ def classify(g, tol=None):
 # the boundary plane to the sphere, and infinity to the north pole.
 
 
-def _halfspace_to_ball(u):
-    v = np.array([u[0], u[1], -u[2]]) - _NORTH
-    return _NORTH + (2.0 / float(np.dot(v, v))) * v
-
-
 def _ball_to_halfspace(y):
     v = np.asarray(y, dtype=float) - _NORTH
-    nn = float(np.dot(v, v))
-    if nn < 1e-30:
+    nn = np.einsum("...i,...i->...", v, v)
+    if np.any(nn < 1e-30):
         raise InternalError("north pole has no finite half-space image")
-    w = _NORTH + (2.0 / nn) * v
-    return np.array([w[0], w[1], -w[2]])
+    return (_NORTH + (2.0 / nn)[..., None] * v) * _FLIP
 
 
-def _chart_boundary_to_sphere(zeta):
-    """Complex boundary chart value (None means infinity) to a sphere point."""
-    if zeta is None:
-        return _NORTH.copy()
-    x, y = zeta.real, zeta.imag
+def _chart_to_sphere(w, at_infinity):
+    """Complex boundary chart values to sphere points; infinity goes north."""
+    w = np.where(at_infinity, 0.0, w)
+    x, y = w.real, w.imag
     s = x * x + y * y + 1.0
-    return np.array([2.0 * x / s, 2.0 * y / s, (s - 2.0) / s])
+    pts = np.stack([2.0 * x / s, 2.0 * y / s, (s - 2.0) / s], axis=-1)
+    pts[at_infinity] = _NORTH
+    return pts
 
 
 def _sphere_to_chart_boundary(p):
@@ -266,14 +298,74 @@ def _sphere_to_chart_boundary(p):
     return complex(w[0], w[1])
 
 
-def _apply_halfspace(g, zeta, t):
-    """Quaternion evaluation of an SL(2,C) matrix on (zeta, t), t >= 0."""
-    den_c = g.c * zeta + g.d
-    den = abs(den_c) ** 2 + (abs(g.c) ** 2) * t * t
-    if den < 1e-300:
-        raise NumericalOverflowError("half-space evaluation hit the pole")
-    num = (g.a * zeta + g.b) * den_c.conjugate() + g.a * g.c.conjugate() * t * t
-    return num / den, t / den
+def interior_images(entries, points):
+    """Images of ball points under maps given as (N, 4) rows (a, b, c, d).
+
+    Rows of `points`, (N, n) or (n,), broadcast against the maps.  Returns
+    the image coordinates and 1 - |image|^2; the latter comes from exact
+    algebraic identities rather than 1 - |w|, so it keeps full relative
+    precision for deep orbit points.  Raises NumericalOverflowError when an
+    image is within 1e-14 of the sphere, the float-precision cliff.
+    """
+    a, b, c, d = np.asarray(entries).T
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1] == 2:
+        zeta = p[..., 0] + 1j * p[..., 1]
+        den = c * zeta + d
+        if np.any(np.abs(den) < 1e-300):
+            raise NumericalOverflowError("interior evaluation hit a pole")
+        w = (a * zeta + b) / den
+        # |c z + d|^2 - |a z + b|^2 = (|a|^2 - |b|^2)(1 - |z|^2) = 1 - |z|^2
+        one_minus_sq = (1.0 - (p[..., 0] ** 2 + p[..., 1] ** 2)) / np.abs(den) ** 2
+        coords = np.stack([w.real, w.imag], axis=-1)
+    else:
+        # quaternion evaluation of the SL(2,C) matrix in the half-space chart
+        u = _ball_to_halfspace(p)
+        zeta, t = u[..., 0] + 1j * u[..., 1], u[..., 2]
+        den_c = c * zeta + d
+        den = np.abs(den_c) ** 2 + (np.abs(c) ** 2) * t * t
+        if np.any(den < 1e-300):
+            raise NumericalOverflowError("half-space evaluation hit the pole")
+        w_c = ((a * zeta + b) * np.conj(den_c) + a * np.conj(c) * t * t) / den
+        v = np.stack([w_c.real, w_c.imag, t / den], axis=-1) * _FLIP - _NORTH
+        nn = np.einsum("...i,...i->...", v, v)
+        coords = _NORTH + (2.0 / nn)[..., None] * v
+        one_minus_sq = 4.0 * (t / den) / nn
+    if np.any((one_minus_sq <= 0.0) | (1.0 - one_minus_sq >= (1.0 - POLICY.overflow_tol) ** 2)):
+        raise NumericalOverflowError("image point is within 1e-14 of the sphere; reduce the depth")
+    nrm = np.einsum("ij,ij->i", coords, coords)
+    out = nrm >= 1.0
+    # trust the stable gap and pull such points back inside
+    coords[out] *= np.sqrt(np.maximum(1.0 - one_minus_sq[out], 0.0) / nrm[out])[:, None]
+    return coords, one_minus_sq
+
+
+def boundary_images(entries, point):
+    """Unit-sphere images, (N, n), of one boundary point under (N, 4) rows.
+
+    For the planar model the pole guard (|c*zeta + d| < 1e-14) can only
+    trigger on float degeneracies, since the pole lies outside the closed
+    disc; the image of infinity, a/c, stands in.  For the spatial model the
+    pole genuinely sits on the boundary plane and its image is infinity,
+    i.e. the Cayley image (0,0,1).
+    """
+    a, b, c, d = np.asarray(entries).T
+    p = np.asarray(point, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p.size == 2:
+            zeta = complex(p[0], p[1])
+            den = c * zeta + d
+            w = np.where(np.abs(den) < POLICY.pole_tol, a / c, (a * zeta + b) / den)
+            w = w / np.abs(w)
+            return np.stack([w.real, w.imag], axis=-1)
+        zeta = _sphere_to_chart_boundary(p)
+        if zeta is None:
+            at_infinity, w = np.abs(c) < POLICY.pole_tol, a / c
+        else:
+            den = c * zeta + d
+            at_infinity, w = np.abs(den) < POLICY.pole_tol, (a * zeta + b) / den
+        pts = _chart_to_sphere(w, at_infinity)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
 def apply_interior(g, z):
@@ -293,70 +385,18 @@ def apply_interior(g, z):
 
 
 def apply_interior_radial(g, z):
-    """Evaluate at an interior point, also returning 1 - |image|^2.
-
-    The squared-gap is computed from exact algebraic identities rather than
-    1 - |w|, so it keeps full relative precision for deep orbit points.
-    """
+    """Evaluate at an interior point, also returning 1 - |image|^2."""
     if z.model != g.model:
         raise ModelMismatchError(f"point model {z.model} does not match map model {g.model}")
-    if g.model == 2:
-        zeta = complex(z.coords[0], z.coords[1])
-        den = g.c * zeta + g.d
-        if abs(den) < 1e-300:
-            raise NumericalOverflowError("interior evaluation hit a pole")
-        w = (g.a * zeta + g.b) / den
-        # |c z + d|^2 - |a z + b|^2 = (|a|^2 - |b|^2)(1 - |z|^2) = 1 - |z|^2
-        one_minus_sq = (1.0 - (zeta.real ** 2 + zeta.imag ** 2)) / (abs(den) ** 2)
-        coords = np.array([w.real, w.imag])
-    else:
-        u = _ball_to_halfspace(z.coords)
-        zeta, t = complex(u[0], u[1]), u[2]
-        w_c, t2 = _apply_halfspace(g, zeta, t)
-        x = np.array([w_c.real, w_c.imag, t2])
-        coords = _halfspace_to_ball(x)
-        v = np.array([x[0], x[1], -x[2]]) - _NORTH
-        one_minus_sq = 4.0 * t2 / float(np.dot(v, v))
-    if one_minus_sq <= 0.0 or 1.0 - one_minus_sq >= (1.0 - POLICY.overflow_tol) ** 2:
-        raise NumericalOverflowError(
-            "image point is within 1e-14 of the sphere; reduce the depth"
-        )
-    nrm = float(np.dot(coords, coords))
-    if nrm >= 1.0:
-        # trust the stable gap and pull the point back inside
-        coords = coords * math.sqrt(max(1.0 - one_minus_sq, 0.0) / nrm)
-    return InteriorPoint(coords), float(one_minus_sq)
+    coords, one_minus_sq = interior_images(_row(g), z.coords)
+    return InteriorPoint(coords[0]), float(one_minus_sq[0])
 
 
 def apply_boundary(g, x):
-    """Evaluate the boundary extension of the map on the unit sphere.
-
-    For the planar model the pole guard (|c*zeta + d| < 1e-14) can only
-    trigger on float degeneracies, since the pole lies outside the closed
-    disc; the image of infinity, a/c, stands in.  For the spatial model the
-    pole genuinely sits on the boundary plane and its image is infinity,
-    i.e. the Cayley image (0,0,1).
-    """
+    """Evaluate the boundary extension of the map on the unit sphere."""
     if x.model != g.model:
         raise ModelMismatchError(f"point model {x.model} does not match map model {g.model}")
-    if g.model == 2:
-        zeta = complex(x.coords[0], x.coords[1])
-        den = g.c * zeta + g.d
-        if abs(den) < POLICY.pole_tol:
-            w = g.a / g.c
-        else:
-            w = (g.a * zeta + g.b) / den
-        return BoundaryPoint([w.real, w.imag])
-    zeta = _sphere_to_chart_boundary(x.coords)
-    if zeta is None:
-        w = None if abs(g.c) < POLICY.pole_tol else g.a / g.c
-    else:
-        den = g.c * zeta + g.d
-        if abs(den) < POLICY.pole_tol:
-            w = None
-        else:
-            w = (g.a * zeta + g.b) / den
-    return BoundaryPoint(_chart_boundary_to_sphere(w))
+    return BoundaryPoint(boundary_images(_row(g), x.coords)[0])
 
 
 def fixed_points(g):
@@ -389,7 +429,8 @@ def fixed_points(g):
                 raise InternalError("disc-form parabolic or loxodromic cannot fix infinity")
             out.append(BoundaryPoint([r.real, r.imag]))
         return out
-    return [BoundaryPoint(_chart_boundary_to_sphere(r)) for r in roots]
+    w = np.array([0.0 if r is None else r for r in roots], dtype=complex)
+    return [BoundaryPoint(p) for p in _chart_to_sphere(w, np.array([r is None for r in roots]))]
 
 
 def hyperbolic_distance(x, y):
@@ -399,15 +440,7 @@ def hyperbolic_distance(x, y):
     """
     if x.model != y.model:
         raise ModelMismatchError("distance needs points of the same model")
-    return _distance_coords(x.coords, y.coords)
-
-
-def _distance_coords(a, b):
-    diff = a - b
-    qa = 1.0 - float(np.dot(a, a))
-    qb = 1.0 - float(np.dot(b, b))
-    arg = 1.0 + 2.0 * float(np.dot(diff, diff)) / (qa * qb)
-    return math.acosh(max(arg, 1.0))
+    return float(distances_from(x.coords, y.coords[None, :])[0])
 
 
 def distance_to_origin_from_gap(one_minus_sq, norm):

@@ -1,20 +1,21 @@
-"""Finitely generated groups: presentations, orbit enumeration, packing data.
+"""Finitely generated groups: presentations, the group ball, orbits, packing data.
 
-Enumeration is breadth-first over reduced words in the generators and their
-inverses, with matrix-level deduplication, so relations in the group are
-discovered numerically rather than assumed.
+The group ball holds every reduced word in the generators and their inverses
+up to a length, deduplicated as matrices, so relations in the group are
+discovered numerically rather than assumed.  The ball evaluates no point:
+one ball per run is built and then mapped to each basepoint by array code.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from . import geometry
 from .errors import (
     DegenerateBasepointError,
     InternalError,
@@ -27,13 +28,15 @@ from .geometry import (
     InteriorPoint,
     MapClass,
     MoebiusMap,
-    apply_interior_radial,
     classify,
+    classify_entries,
     compose,
+    distances_from,
     fixed_points,
-    hyperbolic_distance,
+    interior_images,
     inverse,
     origin,
+    product_entries,
 )
 from .policy import POLICY
 
@@ -104,88 +107,197 @@ class GroupElement:
         return len(self.word)
 
 
+def _shell_indices(gaps):
+    _, e = np.frexp(gaps)  # gap = m * 2^e with m in [0.5, 1)
+    return np.where(gaps >= 1.0, 0, 1 - e.astype(np.int64))
+
+
 def shell_index_of(gap):
     """Dyadic shell index: the k >= 1 with 2^-k <= gap < 2^-k+1, else None."""
     if not gap > 0.0:
         raise UsageError(f"radial gap must be positive, got {gap:.3g}")
-    if gap >= 1.0:
-        return None
-    m, e = math.frexp(gap)  # gap = m * 2^e with m in [0.5, 1)
-    return 1 - e
+    return int(_shell_indices(gap)) or None
 
 
-class _MatrixBuckets:
-    """Tolerance dedup for canonical matrices without quadratic scans.
+@dataclass(eq=False)
+class GroupBall:
+    """Every reduced word up to max_word_length, deduplicated as a matrix.
 
-    Matrices live as 8 real coordinates on a coarse integer grid; a query
-    touches at most 2 buckets per axis, then checks the exact entrywise
-    complex-modulus distance.
+    Arrays over the elements in breadth-first order, element 0 the identity:
+    `entries`, sign-canonical complex rows (a, b, c, d); `parents`, the
+    element one letter shorter (-1 for the identity); `letters`, the last
+    letter (+i for generator i, -i for its inverse, 0 for the identity).
     """
 
-    _BUCKET = 1e-3
+    presentation: GroupPresentation
+    entries: np.ndarray
+    parents: np.ndarray
+    letters: np.ndarray
+    word_lengths: np.ndarray
+    max_word_length: int
+    dedup_tolerance: float
 
-    def __init__(self, tol):
-        if tol >= self._BUCKET / 2.0:
-            raise UsageError(f"dedup tolerance {tol:.3g} too coarse for the bucket grid")
-        self.tol = tol
-        self._buckets = {}
-        self._maps = []
+    def __len__(self):
+        return self.entries.shape[0]
 
-    def _key(self, vec):
-        return tuple(int(math.floor(v / self._BUCKET)) for v in vec)
+    @cached_property
+    def words(self):
+        """Words of all elements, in ball order, rebuilt from the parent pointers."""
+        words = [()] * len(self)
+        for i, (p, letter) in enumerate(zip(self.parents.tolist(), self.letters.tolist())):
+            if p >= 0:
+                words[i] = words[p] + (letter,)
+        return words
 
-    def contains(self, m):
-        vec = m.entry_vector()
-        ranges = []
-        for v in vec:
-            lo = int(math.floor((v - self.tol) / self._BUCKET))
-            hi = int(math.floor((v + self.tol) / self._BUCKET))
-            ranges.append(range(lo, hi + 1))
-        for key in itertools.product(*ranges):
-            for idx in self._buckets.get(key, ()):
-                if self._maps[idx].entry_distance(m) <= self.tol:
-                    return True
-        return False
+    def map(self, i):
+        """Element i as a MoebiusMap, its entries exactly as stored."""
+        return MoebiusMap.from_canonical(self.entries[i], self.presentation.model)
 
-    def add(self, m):
-        key = self._key(m.entry_vector())
-        self._buckets.setdefault(key, []).append(len(self._maps))
-        self._maps.append(m)
+    def first_loxodromic(self):
+        """Index of the first loxodromic element in ball order, or None."""
+        lox = np.flatnonzero(classify_entries(self.entries) == MapClass.LOXODROMIC)
+        return int(lox[0]) if lox.size else None
+
+    def basepoint_on_axis(self, h, max_word_length):
+        """Point on the axis of a loxodromic element, clear of elliptic fixed points.
+
+        Starts at the point of the axis closest to the ball center and slides
+        along the axis in hyperbolic steps of 0.1 while any elliptic element
+        of word length <= max_word_length fixes the candidate (displacement
+        below 1e-9).
+        """
+        m = h.map if isinstance(h, GroupElement) else h
+        if classify(m) is not MapClass.LOXODROMIC:
+            raise UsageError("basepoint selection needs a loxodromic element")
+        geo = BoundaryGeodesic(*fixed_points(m))
+        head = self.entries[self.word_lengths <= max_word_length]
+        elliptics = head[classify_entries(head) == MapClass.ELLIPTIC]
+        z = geo.apex
+        for step in range(100):
+            images, _ = interior_images(elliptics, z.coords)
+            if not np.any(distances_from(z.coords, images) < 1e-9):
+                return z
+            z = geo.point_at(0.1 * (step + 1))
+        raise InternalError("no elliptic-free point found along the axis after 100 steps")
+
+
+def _fresh(kept, candidates, tol):
+    """Mask of the candidates that duplicate no kept or earlier fresh one.
+
+    A Chebyshev KD-tree query (k doubles until no candidate has k neighbors
+    within tol) finds a superset of the earlier rows within tol entrywise;
+    the exact complex-modulus test decides.  Pairs come ordered by their
+    later row, so duplicates resolve greedily and the first occurrence
+    survives.
+    """
+    rows = np.concatenate([kept, candidates])
+    tree = cKDTree(rows.view(float))
+    k = 4
+    while True:
+        dist, near = tree.query(candidates.view(float), k=k, distance_upper_bound=tol, p=np.inf)
+        if not np.isfinite(dist[:, -1]).any():
+            break
+        k *= 2
+    later = np.repeat(np.arange(kept.shape[0], rows.shape[0]), k)
+    earlier = near.ravel()
+    hit = earlier < later  # drops the candidate itself and missing neighbors
+    hit[hit] = np.abs(rows[earlier[hit]] - rows[later[hit]]).max(axis=1) <= tol
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    for i, j in zip(earlier[hit].tolist(), later[hit].tolist()):
+        if fresh[i]:
+            fresh[j] = False
+    return fresh[kept.shape[0]:]
+
+
+def build_ball(presentation, max_word_length, dedup_tolerance=None, cap=None):
+    """Breadth-first reduced-word enumeration with matrix deduplication.
+
+    Parameters
+    ----------
+    presentation : GroupPresentation
+    max_word_length : int >= 1
+    dedup_tolerance : entrywise matrix distance under which two words are
+        the same element (default POLICY.dedup_tol).
+    cap : kept-element resource limit (default POLICY.orbit_cap), checked
+        after each word length.
+
+    Word order is by length, then by parent order, then by letter with the
+    generator before its inverse (alphabet g1, g1^-1, g2, g2^-1, ...).
+    Words whose matrix duplicates an earlier element are dropped and not
+    expanded; the surviving set of words is closed under prefixes.  Each
+    level is one batch of 2x2 products over frontier x alphabet.
+    """
+    max_word_length = int(max_word_length)
+    if max_word_length < 1:
+        raise UsageError("max_word_length must be at least 1")
+    dedup_tolerance = POLICY.dedup_tol if dedup_tolerance is None else float(dedup_tolerance)
+    cap = POLICY.orbit_cap if cap is None else int(cap)
+
+    rank = len(presentation.generators)
+    alphabet = np.array([sign * i for i in range(1, rank + 1) for sign in (1, -1)])
+    generators = np.array([[m.a, m.b, m.c, m.d]
+                           for g in presentation.generators for m in (g, inverse(g))])
+
+    entries = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)
+    parents, letters, lengths = np.array([-1]), np.array([0]), np.array([0])
+    frontier = np.array([0])
+    for length in range(1, max_word_length + 1):
+        parent = np.repeat(frontier, alphabet.size)
+        k = np.tile(np.arange(alphabet.size), frontier.size)
+        reduced = alphabet[k] != -letters[parent]  # skip immediate cancellation
+        parent, k = parent[reduced], k[reduced]
+        children = product_entries(entries[parent], generators[k], presentation.model)
+        fresh = _fresh(entries, children, dedup_tolerance)
+        frontier = np.arange(entries.shape[0], entries.shape[0] + int(fresh.sum()))
+        if entries.shape[0] + frontier.size > cap:
+            raise ResourceLimitError(
+                f"orbit enumeration exceeded {cap} elements at word length {length}"
+            )
+        entries = np.concatenate([entries, children[fresh]])
+        parents = np.concatenate([parents, parent[fresh]])
+        letters = np.concatenate([letters, alphabet[k[fresh]]])
+        lengths = np.concatenate([lengths, np.full(frontier.size, length)])
+        if not frontier.size:
+            break
+    return GroupBall(presentation, entries, parents, letters, lengths,
+                     max_word_length, dedup_tolerance)
 
 
 class OrbitSet:
-    """Deduplicated orbit of a basepoint under all words up to a length.
+    """A group ball mapped to a basepoint by one vectorized map.
 
-    elements[0] is the identity; the list follows the breadth-first
-    enumeration order.  Flat arrays over the elements (points, gaps, shell
-    indices, displacements, word lengths) are exposed for vectorized math.
+    Flat arrays over the ball's elements, in ball order: points, gaps, shell
+    indices, displacements, word lengths.
     """
 
-    def __init__(self, presentation, basepoint, elements, max_word_length, dedup_tolerance):
-        self.presentation = presentation
+    def __init__(self, ball, basepoint):
+        self.ball = ball
+        self.presentation = ball.presentation
+        self.model = ball.presentation.model
+        if basepoint.model != self.model:
+            raise UsageError("basepoint model does not match the presentation")
         self.basepoint = basepoint
-        self.elements = elements
-        self.max_word_length = int(max_word_length)
-        self.dedup_tolerance = float(dedup_tolerance)
-        n = len(elements)
-        self.points = np.empty((n, presentation.model))
-        self.gaps = np.empty(n)
-        self.shells = np.empty(n, dtype=int)
-        self.displacements = np.empty(n)
-        self.word_lengths = np.empty(n, dtype=int)
-        for i, el in enumerate(elements):
-            self.points[i] = el.orbit_point.coords
-            self.gaps[i] = el.radial_gap
-            self.shells[i] = el.shell_index if el.shell_index is not None else 0
-            self.displacements[i] = el.displacement
-            self.word_lengths[i] = len(el.word)
-
-    @property
-    def model(self):
-        return self.presentation.model
+        self.word_lengths = ball.word_lengths
+        self.max_word_length = ball.max_word_length
+        self.dedup_tolerance = ball.dedup_tolerance
+        self.points, one_minus_sq = interior_images(ball.entries, basepoint.coords)
+        self.gaps = one_minus_sq / (1.0 + np.linalg.norm(self.points, axis=1))
+        self.shells = _shell_indices(self.gaps)
+        self.displacements = distances_from(basepoint.coords, self.points)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ball)
+
+    def element(self, i):
+        """GroupElement view of element i, built from the arrays."""
+        return GroupElement(self.ball.map(i), self.ball.words[i], InteriorPoint(self.points[i]),
+                            float(self.gaps[i]), int(self.shells[i]) or None,
+                            float(self.displacements[i]))
+
+    @property
+    def elements(self):
+        """Read-only per-element view, rebuilt from the arrays on each access."""
+        return tuple(self.element(i) for i in range(len(self)))
 
     def shell_counts(self):
         """Mapping shell index -> element count, shelled elements only."""
@@ -197,79 +309,9 @@ class OrbitSet:
         return self.gaps * (2.0 - self.gaps)
 
 
-def _make_element(m, word, basepoint):
-    pt, one_minus_sq = apply_interior_radial(m, basepoint)
-    gap = one_minus_sq / (1.0 + pt.norm)
-    disp = hyperbolic_distance(basepoint, pt)
-    return GroupElement(
-        map=m,
-        word=word,
-        orbit_point=pt,
-        radial_gap=gap,
-        shell_index=shell_index_of(gap),
-        displacement=disp,
-    )
-
-
 def enumerate_orbit(presentation, basepoint, max_word_length, dedup_tolerance=None, cap=None):
-    """Breadth-first reduced-word enumeration with matrix deduplication.
-
-    Parameters
-    ----------
-    presentation : GroupPresentation
-    basepoint : InteriorPoint
-    max_word_length : int >= 1
-    dedup_tolerance : entrywise matrix distance under which two words are
-        the same element (default POLICY.dedup_tol).
-    cap : kept-element resource limit (default POLICY.orbit_cap).
-
-    Word order is by length, then by parent order, then by letter with the
-    generator before its inverse (alphabet g1, g1^-1, g2, g2^-1, ...).
-    Words whose matrix duplicates an earlier element are dropped and not
-    expanded; the surviving set of words is closed under prefixes.
-    """
-    if basepoint.model != presentation.model:
-        raise UsageError("basepoint model does not match the presentation")
-    max_word_length = int(max_word_length)
-    if max_word_length < 1:
-        raise UsageError("max_word_length must be at least 1")
-    dedup_tolerance = POLICY.dedup_tol if dedup_tolerance is None else float(dedup_tolerance)
-    cap = POLICY.orbit_cap if cap is None else int(cap)
-
-    alphabet = []
-    for i, g in enumerate(presentation.generators, start=1):
-        alphabet.append((i, g))
-        alphabet.append((-i, inverse(g)))
-
-    seen = _MatrixBuckets(dedup_tolerance)
-    identity = MoebiusMap.identity(presentation.model)
-    seen.add(identity)
-    elements = [_make_element(identity, (), basepoint)]
-    frontier = [(identity, ())]
-
-    for length in range(1, max_word_length + 1):
-        next_frontier = []
-        for m, word in frontier:
-            last = word[-1] if word else 0
-            for letter, gen in alphabet:
-                if letter == -last:
-                    continue  # immediate cancellation, word not reduced
-                child = compose(m, gen)
-                if seen.contains(child):
-                    continue
-                seen.add(child)
-                new_word = word + (letter,)
-                elements.append(_make_element(child, new_word, basepoint))
-                if len(elements) > cap:
-                    raise ResourceLimitError(
-                        f"orbit enumeration exceeded {cap} elements at word length {length}"
-                    )
-                next_frontier.append((child, new_word))
-        frontier = next_frontier
-        if not frontier:
-            break
-
-    return OrbitSet(presentation, basepoint, elements, max_word_length, dedup_tolerance)
+    """Orbit of basepoint under the group ball of max_word_length (see build_ball)."""
+    return OrbitSet(build_ball(presentation, max_word_length, dedup_tolerance, cap), basepoint)
 
 
 def find_loxodromic(presentation, search_depth):
@@ -279,36 +321,19 @@ def find_loxodromic(presentation, search_depth):
     group may be elementary (or generated by parabolics and elliptics only),
     or the search may simply need to go deeper.
     """
-    orbit = enumerate_orbit(presentation, origin(presentation.model), search_depth)
-    for el in orbit.elements[1:]:
-        if classify(el.map) is MapClass.LOXODROMIC:
-            return el
-    raise LoxodromicNotFoundError(
-        f"no loxodromic element within word length {search_depth}; "
-        "the group may be elementary, or try a deeper search"
-    )
+    ball = build_ball(presentation, search_depth)
+    i = ball.first_loxodromic()
+    if i is None:
+        raise LoxodromicNotFoundError(
+            f"no loxodromic element within word length {search_depth}; "
+            "the group may be elementary, or try a deeper search"
+        )
+    return OrbitSet(ball, origin(presentation.model)).element(i)
 
 
 def choose_basepoint(h, presentation, search_depth):
-    """Point on the axis of a loxodromic element, clear of elliptic fixed points.
-
-    Starts at the point of the axis closest to the ball center and slides
-    along the axis in hyperbolic steps of 0.1 while any enumerated elliptic
-    element fixes the candidate (displacement below 1e-9).
-    """
-    m = h.map if isinstance(h, GroupElement) else h
-    if classify(m) is not MapClass.LOXODROMIC:
-        raise UsageError("basepoint selection needs a loxodromic element")
-    fps = fixed_points(m)
-    geo = BoundaryGeodesic(fps[0], fps[1])
-    orbit = enumerate_orbit(presentation, origin(presentation.model), search_depth)
-    elliptics = [el.map for el in orbit.elements if classify(el.map) is MapClass.ELLIPTIC]
-    z = geo.apex
-    for step in range(100):
-        if not any(hyperbolic_distance(z, geometry.apply_interior(e, z)) < 1e-9 for e in elliptics):
-            return z
-        z = geo.point_at(0.1 * (step + 1))
-    raise InternalError("no elliptic-free point found along the axis after 100 steps")
+    """GroupBall.basepoint_on_axis on the ball of search_depth."""
+    return build_ball(presentation, search_depth).basepoint_on_axis(h, search_depth)
 
 
 @dataclass

@@ -16,9 +16,8 @@ from scipy import stats
 from scipy.spatial import cKDTree
 
 from .errors import InternalError, ResolutionError, UsageError
-from .geometry import MapClass, apply_boundary, classify, fixed_points
+from .geometry import MapClass, boundary_images, classify, fixed_points
 from .group import GroupElement
-from .policy import POLICY
 
 _LN2 = math.log(2.0)
 
@@ -54,11 +53,11 @@ class LimitSample:
         return self.points.shape[0]
 
 
-def _dedup_points(points, words, tol=1e-9):
+def _first_unique(points, tol=1e-9):
+    """Indices of the first point of each 1e-9 rounding cell, ascending."""
     keys = np.round(points / tol).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
-    first = np.sort(first)
-    return points[first], [words[i] for i in first]
+    return np.sort(first)
 
 
 def sample_limit_set(orbit, h):
@@ -71,55 +70,30 @@ def sample_limit_set(orbit, h):
     m = h.map if isinstance(h, GroupElement) else h
     if classify(m) is not MapClass.LOXODROMIC:
         raise UsageError("sampling needs a loxodromic element")
-    fps = fixed_points(m)
-    n = orbit.model
-    elements = orbit.elements
-    if n == 2:
-        a = np.array([el.map.a for el in elements])
-        b = np.array([el.map.b for el in elements])
-        c = np.array([el.map.c for el in elements])
-        d = np.array([el.map.d for el in elements])
-        pts_list = []
-        for fp in fps:
-            zeta = complex(fp.coords[0], fp.coords[1])
-            den = c * zeta + d
-            num = a * zeta + b
-            pole = np.abs(den) < POLICY.pole_tol
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = num / den
-                alt = a / c
-            w[pole] = alt[pole]
-            w = w / np.abs(w)
-            pts_list.append(np.column_stack([w.real, w.imag]))
-        # interleave so the witness order matches (g, p+), (g, p-) per element
-        points = np.empty((2 * len(elements), 2))
-        points[0::2] = pts_list[0]
-        points[1::2] = pts_list[1]
-    else:
-        rows = []
-        for el in elements:
-            for fp in fps:
-                rows.append(apply_boundary(el.map, fp).coords)
-        points = np.array(rows)
-    words = [w for el in elements for w in (el.word, el.word)]
-    points, words = _dedup_points(points, words)
-    return LimitSample(points=points, witnesses=words, source=SOURCE_CONJUGATE)
+    images = [boundary_images(orbit.ball.entries, fp.coords) for fp in fixed_points(m)]
+    # interleave so the witness order matches (g, p+), (g, p-) per element
+    points = np.stack(images, axis=1).reshape(-1, orbit.model)
+    keep = _first_unique(points)
+    words = orbit.ball.words
+    return LimitSample(points=points[keep], witnesses=[words[i // 2] for i in keep],
+                       source=SOURCE_CONJUGATE)
 
 
 def deep_orbit_sample(orbit, min_word_length=None):
     """Radial projections of the deepest orbit points, as a cross-check."""
     cut = orbit.max_word_length if min_word_length is None else int(min_word_length)
-    mask = orbit.word_lengths >= cut
-    if not np.any(mask):
+    deep = np.flatnonzero(orbit.word_lengths >= cut)
+    if deep.size == 0:
         raise UsageError(f"no orbit elements at word length >= {cut}")
-    pts = orbit.points[mask]
+    pts = orbit.points[deep]
     norms = np.linalg.norm(pts, axis=1)
     if np.any(norms < 1e-12):
         raise UsageError("orbit point at the ball center has no radial projection")
     pts = pts / norms[:, None]
-    words = [el.word for el in orbit.elements if len(el.word) >= cut]
-    pts, words = _dedup_points(pts, words)
-    return LimitSample(points=pts, witnesses=words, source=SOURCE_DEEP_ORBIT)
+    keep = _first_unique(pts)
+    words = orbit.ball.words
+    return LimitSample(points=pts[keep], witnesses=[words[deep[i]] for i in keep],
+                       source=SOURCE_DEEP_ORBIT)
 
 
 @dataclass

@@ -14,8 +14,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import InsufficientDataError, UsageError
-from .geometry import apply_interior_radial, hyperbolic_distance, translation_to_origin
-from .group import enumerate_orbit
+from .geometry import hyperbolic_distance, interior_images, translation_to_origin
+from .group import OrbitSet, build_ball
 
 _LN2 = math.log(2.0)
 
@@ -47,14 +47,11 @@ def _series_terms(orbit, s, reference=None):
     """
     if reference is None:
         gaps = orbit.gaps
-        return (gaps / (2.0 - gaps)) ** s
-    mover = translation_to_origin(reference)
-    terms = np.empty(len(orbit))
-    for i, el in enumerate(orbit.elements):
-        pt, one_minus_sq = apply_interior_radial(mover, el.orbit_point)
-        gap = one_minus_sq / (1.0 + pt.norm)
-        terms[i] = (gap / (2.0 - gap)) ** s
-    return terms
+    else:
+        mover = translation_to_origin(reference).matrix().reshape(1, 4)
+        pts, one_minus_sq = interior_images(mover, orbit.points)
+        gaps = one_minus_sq / (1.0 + np.linalg.norm(pts, axis=1))
+    return (gaps / (2.0 - gaps)) ** s
 
 
 def truncated_series(orbit, s, reference=None):
@@ -110,13 +107,10 @@ def counting_function(orbit, bin_width=0.5):
     if bin_width <= 0.0:
         raise UsageError("bin width must be positive")
     disp = np.sort(orbit.displacements)
-    t_max = float(disp[-1])
-    n_bins = int(math.ceil(t_max / bin_width))
-    counts = []
-    for i in range(n_bins + 1):
-        t = i * bin_width
-        counts.append((t, int(np.searchsorted(disp, t, side="right"))))
-    return CountingFunction(bin_width=bin_width, counts=counts)
+    n_bins = int(math.ceil(float(disp[-1]) / bin_width))
+    ts = np.arange(n_bins + 1) * bin_width
+    ns = np.searchsorted(disp, ts, side="right")
+    return CountingFunction(bin_width=bin_width, counts=list(zip(ts.tolist(), ns.tolist())))
 
 
 @dataclass
@@ -259,7 +253,7 @@ class BasepointIndependenceReport:
     The triangle inequality forces every term ratio
     exp(-d(0, g z1)) / exp(-d(0, g z2)) into [exp(-d12), exp(+d12)] where
     d12 = d(z1, z2); within_bounds records that check across all elements
-    enumerated from both basepoints.
+    of the group ball.
     """
 
     estimate_1: ExponentEstimate
@@ -275,26 +269,16 @@ class BasepointIndependenceReport:
 def basepoint_independence_check(presentation, z1, z2, depth, method="counting_fit"):
     """Run the exponent pipeline from two basepoints and compare.
 
-    Enumerates the group twice (dedup is matrix-level, so the element sets
-    coincide), estimates the exponent from each orbit, and checks the
-    termwise triangle-inequality ratio bound element by element.
+    Maps one group ball to both basepoints, estimates the exponent from each
+    orbit, and checks the termwise triangle-inequality ratio bound element
+    by element.
     """
-    orbit1 = enumerate_orbit(presentation, z1, depth)
-    orbit2 = enumerate_orbit(presentation, z2, depth)
+    ball = build_ball(presentation, depth)
+    orbit1, orbit2 = OrbitSet(ball, z1), OrbitSet(ball, z2)
     est1 = exponent_estimate(orbit1, method)
     est2 = exponent_estimate(orbit2, method)
-
-    words1 = {el.word: i for i, el in enumerate(orbit1.elements)}
-    common = [(i, j) for j, el in enumerate(orbit2.elements)
-              if (i := words1.get(el.word)) is not None]
-    if not common:
-        raise UsageError("enumerations share no words; inconsistent inputs")
-    idx1 = np.array([i for i, _ in common])
-    idx2 = np.array([j for _, j in common])
     # exp(-d(0, w)) = gap / (2 - gap) in the radial form
-    r1 = orbit1.gaps[idx1] / (2.0 - orbit1.gaps[idx1])
-    r2 = orbit2.gaps[idx2] / (2.0 - orbit2.gaps[idx2])
-    ratios = r1 / r2
+    ratios = (orbit1.gaps / (2.0 - orbit1.gaps)) / (orbit2.gaps / (2.0 - orbit2.gaps))
     separation = hyperbolic_distance(z1, z2)
     bound = math.exp(separation)
     slack = 1.0 + 1e-12
@@ -307,5 +291,5 @@ def basepoint_independence_check(presentation, z1, z2, depth, method="counting_f
         ratio_low=float(ratios.min()),
         ratio_high=float(ratios.max()),
         within_bounds=within,
-        n_elements=len(common),
+        n_elements=len(ball),
     )

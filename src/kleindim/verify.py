@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from scipy.spatial import cKDTree
 
 from .errors import KleindimError, LoxodromicNotFoundError, StageFailure, UsageError
-from .group import choose_basepoint, enumerate_orbit, find_loxodromic, packing_radius
+from .geometry import origin
+from .group import OrbitSet, build_ball, packing_radius
 from .limitset import (
     BoxDimensionEstimate,
     ball_containment_check,
@@ -50,35 +51,40 @@ def _stage(name):
         raise StageFailure(name, err) from err
 
 
-def _find_loxodromic(presentation, depth):
-    """Shallow search first, full depth second, with an elementary-input hint."""
-    shallow = min(6, depth)
-    try:
-        return find_loxodromic(presentation, shallow)
-    except LoxodromicNotFoundError:
-        pass
-    if depth > shallow:
-        try:
-            return find_loxodromic(presentation, depth)
-        except LoxodromicNotFoundError as err:
-            raise LoxodromicNotFoundError(f"possibly elementary input: {err}") from None
-    raise LoxodromicNotFoundError(
-        f"possibly elementary input: no loxodromic element within word length {shallow}"
-    )
+def pipeline_front(presentation, depth, basepoint=None):
+    """Stages shared by the verifier, the chain report and the CLI.
 
-
-def _pipeline_front(presentation, depth):
-    """Stages shared by the verifier and the chain report."""
-    shallow = min(6, depth)
-    with _stage("loxodromic_search"):
-        h = _find_loxodromic(presentation, depth)
-    with _stage("basepoint_selection"):
-        z = choose_basepoint(h, presentation, shallow)
+    One group ball at `depth`, mapped to `basepoint`, else to a point on the
+    axis of h clear of the elliptic elements of word length <= min(6, depth),
+    else to the ball center.  Returns (h, orbit); h is the first loxodromic
+    element in ball order (None if none), which is also the first of any
+    shallower ball, since breadth-first levels do not depend on the horizon.
+    """
     with _stage("orbit_enumeration"):
-        orbit = enumerate_orbit(presentation, z, depth)
+        ball = build_ball(presentation, depth)
+    with _stage("loxodromic_search"):
+        i = ball.first_loxodromic()
+        h = None if i is None else ball.map(i)
+    if basepoint is None and h is not None:
+        with _stage("basepoint_selection"):
+            basepoint = ball.basepoint_on_axis(h, min(6, depth))
+    with _stage("orbit_enumeration"):
+        orbit = OrbitSet(ball, origin(presentation.model) if basepoint is None else basepoint)
+    return h, orbit
+
+
+def sampling_front(presentation, depth):
+    """pipeline_front plus the limit-set sample, which needs a loxodromic h."""
+    h, orbit = pipeline_front(presentation, depth)
+    with _stage("loxodromic_search"):
+        if h is None:
+            raise LoxodromicNotFoundError(
+                f"possibly elementary input: no loxodromic element within word length {depth}; "
+                "the group may be elementary, or try a deeper search"
+            )
     with _stage("limit_set_sample"):
         sample = sample_limit_set(orbit, h)
-    return h, orbit, sample
+    return orbit, sample
 
 
 @dataclass
@@ -108,11 +114,12 @@ def verify_inequality(presentation, depth, tolerance=0.1,
                       exponent_method="counting_fit", k_range=(3, 9)):
     """Estimate both sides of delta <= upper box dimension and compare.
 
-    Pipeline: find a loxodromic element, take a basepoint on its axis clear
-    of elliptic fixed points, enumerate the orbit to `depth`, estimate the
-    growth exponent, sample the limit set through conjugate fixed points,
-    estimate its box dimension.  Each stage failure is re-raised as a
-    StageFailure naming the stage.  Deterministic given the inputs.
+    Pipeline: build the group ball to `depth`, find a loxodromic element in
+    it, map the ball to a basepoint on its axis clear of elliptic fixed
+    points, estimate the growth exponent, sample the limit set through
+    conjugate fixed points, estimate its box dimension.  Each stage failure
+    is re-raised as a StageFailure naming the stage.  Deterministic given
+    the inputs.
     """
     depth = int(depth)
     if depth < 6:
@@ -120,7 +127,7 @@ def verify_inequality(presentation, depth, tolerance=0.1,
     tolerance = float(tolerance)
     if tolerance <= 0.0:
         raise UsageError("tolerance must be positive")
-    _, orbit, sample = _pipeline_front(presentation, depth)
+    orbit, sample = sampling_front(presentation, depth)
     with _stage("exponent_estimate"):
         delta = exponent_estimate(orbit, method=exponent_method)
     with _stage("box_dimension"):
@@ -195,7 +202,7 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
     if depth < 8:
         raise UsageError(f"chain report depth must be at least 8, got {depth}")
     s, t = float(s), float(t)
-    h, orbit, sample = _pipeline_front(presentation, depth)
+    orbit, sample = sampling_front(presentation, depth)
     with _stage("packing_radius"):
         pack = packing_radius(orbit)
     with _stage("box_dimension"):

@@ -4,19 +4,29 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from kleindim import (
+    InteriorPoint,
     MapClass,
     UsageError,
+    basepoint_independence_check,
+    build_ball,
     classify,
+    enumerate_orbit,
+    find_loxodromic,
     load_group,
+    origin,
+    sample_limit_set,
     save_group,
     schottky_f2,
+    series_chain_report,
+    verify_inequality,
 )
-from kleindim.cli import main
+from kleindim.cli import _write_pgm, main
 from kleindim.geometry import MoebiusMap
 from kleindim.group import GroupPresentation
 
@@ -120,6 +130,66 @@ def test_limitset_csv_and_image(tmp_path, schottky_file):
     payload = raw.split(b"\n", 1)[1]
     assert len(payload) == 128 * 128
     assert payload.count(255) > 0
+
+
+def test_pgm_matches_brute_force_distances(tmp_path):
+    G = schottky_f2()
+    sample = sample_limit_set(enumerate_orbit(G, origin(2), 3), find_loxodromic(G, 2))
+    k = 6
+    path = tmp_path / "sample.pgm"
+    _write_pgm(str(path), sample, k)
+    r = 2.0 ** -k
+    size = 128
+    xs = -1.0 + (np.arange(size) + 0.5) * r
+    ys = 1.0 - (np.arange(size) + 0.5) * r
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    centers = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    diff = centers[:, None, :] - sample.points[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
+    expected = np.where(dist.reshape(size, size) <= r, 128, 0).astype(np.uint8)
+    cols = np.floor((sample.points[:, 0] + 1.0) / r).astype(int)
+    rows = np.floor((1.0 - sample.points[:, 1]) / r).astype(int)
+    expected[np.clip(rows, 0, size - 1), np.clip(cols, 0, size - 1)] = 255
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    assert payload == expected.tobytes()
+    assert 0 < expected.tobytes().count(128) < size * size
+
+
+@pytest.fixture()
+def ball_builds(monkeypatch):
+    """Calls to build_ball, counted at every module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_ball(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleindim") and getattr(module, "build_ball", None) is build_ball:
+            monkeypatch.setattr(module, "build_ball", counted)
+    return calls
+
+
+def test_one_ball_per_run(tmp_path, schottky_file, ball_builds, capsys):
+    G = schottky_f2()
+    out = str(tmp_path / "out.csv")
+    runs = {
+        "verify_inequality": lambda: verify_inequality(G, 6),
+        "series_chain_report": lambda: series_chain_report(G, 8, 1.06, 0.86),
+        "basepoint_independence_check": lambda: basepoint_independence_check(
+            G, origin(2), InteriorPoint([0.1, 0.0]), 6),
+        "orbit": lambda: main(["orbit", schottky_file, "--depth", "4", "--out", out]),
+        "poincare": lambda: main(["poincare", schottky_file, "--depth", "6",
+                                  "--s-grid", "1:1:1", "--out", out]),
+        "exponent": lambda: main(["exponent", schottky_file, "--depth", "6"]),
+        "limitset": lambda: main(["limitset", schottky_file, "--depth", "5", "--out", out]),
+        "boxdim": lambda: main(["boxdim", schottky_file, "--depth", "6", "--out", out]),
+    }
+    for name, run in runs.items():
+        ball_builds.clear()
+        assert run() not in (1, 2), name
+        assert len(ball_builds) == 1, name
+    capsys.readouterr()
 
 
 def test_boxdim_csv(tmp_path, schottky_file, capsys):

@@ -10,16 +10,19 @@ import pytest
 from scipy.spatial import cKDTree
 
 from kleindim import (
+    GroupBall,
     GroupElement,
     GroupPresentation,
     InteriorPoint,
     LoxodromicNotFoundError,
     MapClass,
     MoebiusMap,
+    POLICY,
     OrbitSet,
     ResourceLimitError,
     UsageError,
     apply_interior,
+    build_ball,
     check_packing_disjoint,
     choose_basepoint,
     classify,
@@ -58,8 +61,9 @@ def _pi_rotation_about(center):
 
 def _identity_only_orbit(model=2):
     pres = GroupPresentation([_boost(0.5, model) if model == 2 else _boost(0.5, 3)], model=model)
-    ge = GroupElement(MoebiusMap.identity(model), (), origin(model), 1.0, None, 0.0)
-    return OrbitSet(pres, origin(model), [ge], 1, 1e-6)
+    ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
+                     np.array([-1]), np.array([0]), np.array([0]), 1, 1e-6)
+    return OrbitSet(ball, origin(model))
 
 
 def test_presentation_validation():
@@ -142,6 +146,56 @@ def test_dedup_soundness_pairwise():
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             assert np.abs(vecs[i] - vecs[j]).max() > orbit.dedup_tolerance
+
+
+def _sequential_reference(G, depth):
+    """Naive enumeration: one compose per child, pairwise dedup, first kept."""
+    alphabet = []
+    for i, g in enumerate(G.generators, start=1):
+        alphabet += [(i, g), (-i, inverse(g))]
+    words = [()]
+    maps = [MoebiusMap.identity(G.model)]
+    frontier = [0]
+    for _ in range(depth):
+        next_frontier = []
+        for idx in frontier:
+            for letter, gen in alphabet:
+                if words[idx] and letter == -words[idx][-1]:
+                    continue
+                child = compose(maps[idx], gen)
+                if any(child.entry_distance(m) <= POLICY.dedup_tol for m in maps):
+                    continue
+                next_frontier.append(len(maps))
+                words.append(words[idx] + (letter,))
+                maps.append(child)
+        frontier = next_frontier
+    return words, np.array([[m.a, m.b, m.c, m.d] for m in maps])
+
+
+def test_ball_matches_sequential_reference():
+    g1 = MoebiusMap(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0, model=3)
+    g2 = MoebiusMap(5.0 / 3.0, 4.0j / 3.0, -4.0j / 3.0, 5.0 / 3.0, model=3)
+    cases = [
+        (fuchsian_lattice(), 8),
+        (GroupPresentation([g1, g2], model=3), 4),
+        (GroupPresentation([_pi_rotation_about([0.0, 0.0]), _pi_rotation_about([0.5, 0.0])],
+                           model=2), 4),
+    ]
+    for G, depth in cases:
+        ball = build_ball(G, depth)
+        words, entries = _sequential_reference(G, depth)
+        assert ball.words == words
+        err = np.abs(ball.entries - entries).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(entries).max(axis=1))
+
+
+def test_cyclic_gaps_match_closed_form_at_depth():
+    # exp(-d(0, h^n 0)) = 9^-|n|; renormalizing each product by sqrt(det)
+    # would cost ~1e-3 here, from the eps |a|^2 error of the determinant
+    orbit = enumerate_orbit(cyclic_loxodromic(), origin(2), 14)
+    ratio = orbit.gaps / (2.0 - orbit.gaps)
+    expected = 9.0 ** -orbit.word_lengths.astype(float)
+    assert np.abs(ratio / expected - 1.0).max() <= 1e-10
 
 
 def test_resource_cap():

@@ -10,6 +10,7 @@ import pytest
 from kleindim import (
     apply_interior,
     translation_to_origin,
+    GroupBall,
     GroupElement,
     GroupPresentation,
     InsufficientDataError,
@@ -36,8 +37,9 @@ def _boost(t):
 
 def _identity_only_orbit():
     pres = GroupPresentation([_boost(0.5)], model=2)
-    ge = GroupElement(MoebiusMap.identity(2), (), origin(2), 1.0, None, 0.0)
-    return OrbitSet(pres, origin(2), [ge], 1, 1e-6)
+    ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
+                     np.array([-1]), np.array([0]), np.array([0]), 1, 1e-6)
+    return OrbitSet(ball, origin(2))
 
 
 def test_series_at_zero_counts_elements(schottky_orbit8):
