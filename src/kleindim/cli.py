@@ -32,7 +32,7 @@ from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
 from .groupio import load_group, save_group
-from .limitset import box_dimension_estimate, neighborhood_volume
+from .limitset import box_dimension_estimate
 from .poincare import exponent_estimate, truncated_series
 from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
@@ -200,12 +200,10 @@ def _cmd_boxdim(args):
     _, sample = sampling_front(load_group(args.groupfile), args.depth)
     est = box_dimension_estimate(sample, k_range=(args.kmin, args.kmax))
     local = dict(est.per_scale_slopes)
-    tree = cKDTree(sample.points)
     header = ["k", "r", "cell_count", "volume", "local_slope"]
     rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        rec = neighborhood_volume(sample, 2.0 ** -k, _tree=tree)
-        slope = local.get(k)
+    for rec in est.records:
+        slope = local.get(rec.k)
         rows.append([rec.k, rec.r, rec.cell_count, rec.volume,
                      "" if slope is None else _fmt(slope)])
     _write_csv(args.out, header, rows)
@@ -262,7 +260,7 @@ def _cmd_chain(args):
     print(f"C1={_fmt(report.c1)} C2={_fmt(report.c2)} C3={_fmt(report.c3)}")
     print(
         f"radial_ok={report.radial_ok} volume_ok={report.volume_ok} "
-        f"tail_ok={report.tail_ok}"
+        f"tail_ok={report.tail_ok} packing_ok={report.packing_ok}"
     )
     print(
         f"tail_partial_sum={_fmt(report.tail_partial_sum)} "

@@ -8,6 +8,7 @@ one ball per run is built and then mapped to each basepoint by array code.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -283,7 +284,7 @@ class OrbitSet:
         self.points, one_minus_sq = interior_images(ball.entries, basepoint.coords)
         self.gaps = one_minus_sq / (1.0 + np.linalg.norm(self.points, axis=1))
         self.shells = _shell_indices(self.gaps)
-        self.displacements = distances_from(basepoint.coords, self.points)
+        self.displacements = distances_from(basepoint.coords, self.points, self.gaps_squared())
 
     def __len__(self):
         return len(self.ball)
@@ -379,35 +380,50 @@ class PackingCheck:
     distance: float | None = None
 
 
-def check_packing_disjoint(orbit, radius, chunk=256):
+def check_packing_disjoint(orbit, radius, chunk=4096):
     """Verify d(g_i z, g_j z) > 2*radius for all pairs of orbit points.
 
-    Brute force over pairs in enumeration order, chunked so the distance
-    matrix never materializes whole.  Returns the first violating pair of
-    element indices when the balls are not disjoint.
+    Returns the lexicographically first violating pair of element indices,
+    with its distance, when the balls are not disjoint: the verdict, pair and
+    distance of the exhaustive pairwise scan, found from KD-tree candidates.
+
+    With q = 1 - |.|^2 from the stable gaps, a pair violates when
+    1 + 2|x - y|^2 / (q_x q_y) <= cosh 2a, which gives
+    |x - y| <= sqrt((cosh 2a - 1) / 2) * max(q_x, q_y).  So a query from the
+    endpoint with the larger q, at that radius padded by 1e-9, finds every
+    violating pair; the exact test decides on the candidates.  q grows with
+    the gap, so the other endpoint is in no shallower dyadic shell; points at
+    hyperbolic distance D have q within a factor e^D of each other, so it is
+    at most 2a/ln 2 + 2 shells deeper.  Each shell queries a tree of that
+    window of shells only, `chunk` rows at a time, which keeps the candidates
+    near-linear in the orbit size.
     """
     pts = orbit.points
-    n = pts.shape[0]
-    if n < 2:
-        return PackingCheck(ok=True)
     qa = orbit.gaps_squared()
     thresh = math.cosh(2.0 * radius)
-    for start in range(0, n - 1, chunk):
-        stop = min(start + chunk, n - 1)
-        block = pts[start:stop]  # rows i, compared against all j > i
-        diff = block[:, None, :] - pts[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        carg = 1.0 + 2.0 * sq / (qa[start:stop, None] * qa[None, :])
-        cols = np.arange(n)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        bad = (carg <= thresh) & (cols > rows)
-        if np.any(bad):
-            i_loc, j = np.argwhere(bad)[0]
-            i = start + int(i_loc)
-            j = int(j)
-            return PackingCheck(
-                ok=False,
-                pair=(i, j),
-                distance=float(np.arccosh(max(carg[i_loc, j], 1.0))),
-            )
-    return PackingCheck(ok=True)
+    reach = qa * (math.sqrt(0.5 * (thresh - 1.0)) * (1.0 + 1e-9))
+    span = int(math.ceil(2.0 * abs(radius) / math.log(2.0))) + 2
+    shells = orbit.shells
+    best = None
+    for k in np.unique(shells).tolist():
+        rows = np.flatnonzero(shells == k)
+        cols = np.flatnonzero((shells >= k) & (shells <= k + span))
+        tree = cKDTree(pts[cols])
+        for start in range(0, rows.size, chunk):
+            i = rows[start:start + chunk]
+            near = tree.query_ball_point(pts[i], reach[i], return_sorted=False)
+            i = np.repeat(i, np.fromiter(map(len, near), dtype=np.intp, count=i.size))
+            j = cols[np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=i.size)]
+            keep = (qa[j] <= qa[i]) & (i != j)
+            i, j = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+            diff = pts[i] - pts[j]
+            carg = 1.0 + 2.0 * np.einsum("ij,ij->i", diff, diff) / (qa[i] * qa[j])
+            bad = np.flatnonzero(carg <= thresh)
+            if bad.size:
+                b = bad[np.lexsort((j[bad], i[bad]))[0]]
+                if best is None or (i[b], j[b]) < best[:2]:
+                    best = (int(i[b]), int(j[b]), float(carg[b]))
+    if best is None:
+        return PackingCheck(ok=True)
+    i, j, carg = best
+    return PackingCheck(ok=False, pair=(i, j), distance=float(np.arccosh(max(carg, 1.0))))

@@ -53,11 +53,25 @@ class LimitSample:
         return self.points.shape[0]
 
 
+def _sorted_runs(rows, width):
+    """Stable lexicographic sort of integer rows, the first column most significant.
+
+    Returns (order, ordered, starts): ordered = rows[order], and starts marks
+    the ordered rows whose first `width` columns differ from the row before.
+    Equal rows keep their input order, so each run starts at its first occurrence.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[1:, :width] != ordered[:-1, :width]).any(axis=1)
+    return order, ordered, starts
+
+
 def _first_unique(points, tol=1e-9):
     """Indices of the first point of each 1e-9 rounding cell, ascending."""
     keys = np.round(points / tol).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return np.sort(first)
+    order, _, starts = _sorted_runs(keys, keys.shape[1])
+    return np.sort(order[starts])
 
 
 def sample_limit_set(orbit, h):
@@ -106,27 +120,48 @@ class DyadicScaleRecord:
     volume: float
 
 
+def _dilate_last_axis(cells, h):
+    """Integer rows within h steps along the last axis of some row of `cells`, each once.
+
+    Sorted with the last axis least significant, the rows of one line (equal
+    leading columns) come in order of their last entry; stencils [v - h, v + h]
+    that overlap or touch merge into one interval, written out cell by cell.
+    """
+    _, ordered, start = _sorted_runs(cells, cells.shape[1] - 1)
+    start[1:] |= np.diff(ordered[:, -1]) > 2 * h + 1
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], ordered.shape[0]) - 1
+    lo = ordered[first, -1] - h
+    lengths = ordered[last, -1] + h + 1 - lo
+    ends = np.cumsum(lengths)
+    out = np.repeat(ordered[first], lengths, axis=0)
+    out[:, -1] = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+    return out
+
+
 def _grid_cell_count(points, radius, cell, tree=None):
     """Count origin-anchored grid cells near a point set.
 
     A cell of side `cell` with index vector i covers [i*cell, (i+1)*cell)
     per axis; it counts when its center is within radius + (sqrt(n)/2)*cell
-    of some point.  Candidates come from a stencil around the occupied base
-    cells; the exact center test runs on a KD-tree of the points.
+    of some point.  Candidates are the cells within h = ceil(reach/cell) + 1
+    index steps of an occupied cell on every axis.  That box is separable, so
+    it grows one axis at a time: each pass dilates the last column and rolls
+    it to the front, which restores the column order after n passes.  The
+    exact center test runs on a KD-tree of the points.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[1]
     reach = radius + 0.5 * math.sqrt(n) * cell
-    base = np.unique(np.floor(points / cell).astype(np.int64), axis=0)
     h = int(math.ceil(reach / cell)) + 1
-    axes = [np.arange(-h, h + 1, dtype=np.int64)] * n
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    cand = (base[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    cand = np.unique(cand, axis=0)
-    centers = (cand.astype(float) + 0.5) * cell
+    cells = np.floor(points / cell).astype(np.int64)
+    for _ in range(n):
+        cells = np.roll(_dilate_last_axis(cells, h), 1, axis=1)
+    centers = (cells + 0.5) * cell
     if tree is None:
         tree = cKDTree(points)
-    dist, _ = tree.query(centers, k=1)
+    # the bound is strict, hence nextafter; cells with no point within reach get inf
+    dist, _ = tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
     return int(np.count_nonzero(dist <= reach))
 
 
@@ -158,6 +193,7 @@ class BoxDimensionEstimate:
 
     dim_est: float
     per_scale_slopes: list  # (k, local slope between scales k and k+1)
+    records: list           # one DyadicScaleRecord per k in the fit window
     fit_window: tuple
     method_note: str
 
@@ -212,6 +248,7 @@ def box_dimension_estimate(sample, k_range=(3, 9), require_resolved=False):
     return BoxDimensionEstimate(
         dim_est=dim,
         per_scale_slopes=local,
+        records=records,
         fit_window=(k_min, k_max),
         method_note="; ".join(note_bits),
     )

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .errors import KleindimError, LoxodromicNotFoundError, StageFailure, UsageError
 from .geometry import origin
-from .group import OrbitSet, build_ball, packing_radius
+from .group import OrbitSet, build_ball, check_packing_disjoint, packing_radius
 from .limitset import (
     BoxDimensionEstimate,
     ball_containment_check,
@@ -166,9 +166,11 @@ class SeriesChainReport:
     radial_ok: lhs sits inside [series_partial, 2^s * series_partial] on
     every shell (termwise algebra, must hold to rounding).  volume_ok: the
     packed balls of each shell fit inside the measured neighborhood volume
-    with quantization slack 2^n.  tail_ok: the tail partial sum matches the
-    geometric closed form within 1e-9.  chain_ok requires all three plus
-    finite constants.
+    with quantization slack 2^n.  packing_ok: the balls of packing_radius
+    about all enumerated orbit points are pairwise disjoint, which volume_ok
+    presumes when it adds their volumes.  tail_ok: the tail partial sum
+    matches the geometric closed form within 1e-9.  chain_ok requires all
+    four plus finite constants.
     """
 
     group_name: str
@@ -185,6 +187,7 @@ class SeriesChainReport:
     c3: float
     radial_ok: bool
     volume_ok: bool
+    packing_ok: bool
     tail_partial_sum: float
     tail_closed_form: float
     tail_ok: bool
@@ -205,6 +208,8 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
     orbit, sample = sampling_front(presentation, depth)
     with _stage("packing_radius"):
         pack = packing_radius(orbit)
+    with _stage("packing_check"):
+        packing = check_packing_disjoint(orbit, pack.radius)
     with _stage("box_dimension"):
         dim = box_dimension_estimate(sample, k_range=k_range)
     if not s > t > dim.dim_est:
@@ -266,8 +271,9 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
         c3=c3,
         radial_ok=radial_ok,
         volume_ok=volume_ok,
+        packing_ok=packing.ok,
         tail_partial_sum=tail_partial,
         tail_closed_form=tail_closed,
         tail_ok=tail_ok,
-        chain_ok=bool(radial_ok and volume_ok and tail_ok and finite),
+        chain_ok=bool(radial_ok and volume_ok and packing.ok and tail_ok and finite),
     )

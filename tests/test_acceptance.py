@@ -143,7 +143,7 @@ def test_packing_disjointness_and_negative_control():
     ok = True
     for G in (cyclic_loxodromic(), schottky_f2(), fuchsian_lattice()):
         bp = choose_basepoint(find_loxodromic(G, 6), G, 6)
-        orbit = enumerate_orbit(G, bp, 8)
+        orbit = enumerate_orbit(G, bp, 10)
         pk = packing_radius(orbit)
         result = check_packing_disjoint(orbit, pk.radius)
         ok = ok and result.ok
@@ -156,7 +156,7 @@ def test_packing_disjointness_and_negative_control():
     violated = check_packing_disjoint(orbit, doubled)
     ok = ok and not violated.ok
     parts.append(f"cyclic doubled a={doubled:.4f} disjoint={violated.ok}")
-    _report("orbit balls at computed radius are disjoint at depth 8; doubled radius overlaps",
+    _report("orbit balls at computed radius are disjoint at depth 10; doubled radius overlaps",
             ok, "; ".join(parts))
 
 
@@ -199,7 +199,8 @@ def test_series_chain_finiteness(chain_schottky10):
                     and abs(rep.t - (dim + 0.2)) < 1e-12)
     constants = (rep.c1, rep.c2, rep.c3, rep.c_hat)
     finite = all(math.isfinite(c) and c > 0.0 for c in constants)
-    flags = rep.radial_ok and rep.volume_ok and rep.tail_ok and rep.chain_ok
+    flags = (rep.radial_ok and rep.volume_ok and rep.packing_ok and rep.tail_ok
+             and rep.chain_ok)
     tail_err = abs(rep.tail_partial_sum - rep.tail_closed_form)
     bound = 1.0 / (2.0 ** (rep.s - rep.t) - 1.0) + 1.0
     ok = (exponents_ok and finite and flags

@@ -26,6 +26,7 @@ from kleindim import (
     series_chain_report,
     verify_inequality,
 )
+from kleindim import limitset
 from kleindim.cli import _write_pgm, main
 from kleindim.geometry import MoebiusMap
 from kleindim.group import GroupPresentation
@@ -206,6 +207,36 @@ def test_boxdim_csv(tmp_path, schottky_file, capsys):
     assert dim_line and 0.0 <= float(dim_line[0].split("=")[1]) <= 2.0
 
 
+BOXDIM_SCHOTTKY_DEPTH7 = """\
+k,r,cell_count,volume,local_slope
+3,0.125,112,1.75,0.440572591
+4,0.0625,152,0.59375,0.796466606
+5,0.03125,264,0.2578125,0.669851398
+6,0.015625,420,0.102539062,0.660793914
+7,0.0078125,664,0.0405273438,0.647328382
+8,0.00390625,1040,0.0158691406,0.617877123
+9,0.001953125,1596,0.00608825684,
+"""
+
+
+def test_boxdim_writes_the_estimate_records(tmp_path, schottky_file, monkeypatch, capsys):
+    calls = []
+    volume = limitset.neighborhood_volume
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return volume(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleindim") and getattr(module, "neighborhood_volume", None) is volume:
+            monkeypatch.setattr(module, "neighborhood_volume", counted)
+    out = tmp_path / "scales.csv"
+    assert main(["boxdim", schottky_file, "--depth", "7", "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == BOXDIM_SCHOTTKY_DEPTH7
+    assert len(calls) == 7  # one grid count per scale, made by the estimate
+    capsys.readouterr()
+
+
 def test_verify_exit_codes(tmp_path, schottky_file, cyclic_file, capsys):
     report = tmp_path / "report.csv"
     assert main(["verify", schottky_file, "--depth", "6", "--out", str(report)]) == 0
@@ -229,6 +260,7 @@ def test_chain_exit_codes(tmp_path, schottky_file, capsys):
                  "--t", "0.86", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "result=PASS" in stdout
+    assert "packing_ok=True" in stdout
     header, rows = _read_csv(out)
     assert header == ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
     assert rows

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+from oracles import packing_brute_force
 from scipy.spatial import cKDTree
 
 from kleindim import (
@@ -198,6 +202,14 @@ def test_cyclic_gaps_match_closed_form_at_depth():
     assert np.abs(ratio / expected - 1.0).max() <= 1e-10
 
 
+def test_cyclic_displacements_match_closed_form_at_depth():
+    # d(0, h^n 0) = |n| ln 9; taking 1 - |w|^2 from the coordinates instead
+    # of the stable gaps costs ~3e-3 here
+    orbit = enumerate_orbit(cyclic_loxodromic(), origin(2), 14)
+    err = np.abs(orbit.displacements - orbit.word_lengths * LN9)
+    assert err.max() <= 1e-10
+
+
 def test_resource_cap():
     G = schottky_f2()
     with pytest.raises(ResourceLimitError) as exc:
@@ -335,3 +347,66 @@ def test_two_generator_warning_quiet_on_fixtures():
         GroupPresentation([_pi_rotation_about([0.0, 0.0]), _pi_rotation_about([0.5, 0.0])],
                           model=2)
     assert caught == []
+
+
+def _ball_schottky():
+    g1 = MoebiusMap(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0, model=3)
+    g2 = MoebiusMap(5.0 / 3.0, 4.0j / 3.0, -4.0j / 3.0, 5.0 / 3.0, model=3)
+    return GroupPresentation([g1, g2], model=3, name="schottky_ball")
+
+
+PACKING_GROUPS = {
+    "cyclic_loxodromic": cyclic_loxodromic,
+    "schottky_f2": schottky_f2,
+    "fuchsian_lattice": fuchsian_lattice,
+    "schottky_ball": _ball_schottky,
+}
+NAMED_RADII = {
+    "radius": lambda pk: pk.radius,
+    "min_displacement": lambda pk: pk.min_displacement,
+    "1.5 radius": lambda pk: 1.5 * pk.radius,
+    # the closest pair sits exactly on the threshold, up to rounding
+    "half min_displacement": lambda pk: 0.5 * pk.min_displacement,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _packing_orbit(name, depth, offset):
+    """Orbit at the pipeline's axis basepoint (offset None) or at `offset`."""
+    G = PACKING_GROUPS[name]()
+    if offset is None:
+        z = choose_basepoint(find_loxodromic(G, 6), G, 6)
+    else:
+        z = InteriorPoint(offset[:G.model])
+    return enumerate_orbit(G, z, depth)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_packing(name, depth, offset, radius):
+    return packing_brute_force(_packing_orbit(name, depth, offset), radius)
+
+
+def _with_depth8_cases(test):
+    """Every fixture at depth 8 on its axis basepoint, at the named radii."""
+    for name in PACKING_GROUPS:
+        for which in NAMED_RADII:
+            test = example(name=name, depth=8, offset=None, which=which)(test)
+    return test
+
+
+@_with_depth8_cases
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(PACKING_GROUPS)),
+    depth=st.integers(1, 6),
+    offset=st.none() | st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    which=st.sampled_from(sorted(NAMED_RADII)) | st.floats(0.25, 3.0),
+)
+def test_packing_matches_brute_force_oracle(name, depth, offset, which):
+    orbit = _packing_orbit(name, depth, offset)
+    try:
+        pk = packing_radius(orbit)
+    except DegenerateBasepointError:
+        reject()  # a random basepoint on an elliptic fixed point
+    radius = NAMED_RADII[which](pk) if isinstance(which, str) else which * pk.radius
+    assert check_packing_disjoint(orbit, radius) == _brute_packing(name, depth, offset, radius)

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import first_unique_np, grid_cell_count_stencil
 from scipy import stats
 from scipy.spatial import cKDTree
 
@@ -32,6 +35,7 @@ from kleindim import (
     schottky_f2,
     volume_ratio_report,
 )
+from kleindim.limitset import _first_unique, _grid_cell_count
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -244,3 +248,34 @@ def test_containment_negative_control(schottky_orbit10):
     cs = np.asarray([c for _, _, c in report.records])
     slope = stats.linregress(ks, np.log2(cs)).slope
     assert 0.9 <= slope <= 1.1  # c_k doubles per shell: containment has failed
+
+
+def _sphere_points(seed, count, n, clusters):
+    """Unit vectors, spread out or bunched around a few random directions."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(count, n))
+    if clusters:
+        centers = rng.normal(size=(clusters, n))
+        pts = centers[rng.integers(clusters, size=count)] + 0.02 * pts
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    count=st.integers(1, 150),
+    clusters=st.integers(0, 4),
+    k=st.integers(1, 12),
+    factor=st.sampled_from([0.5, 1.0, 2.0, 2.66, 5.43]) | st.floats(0.05, 6.0),
+)
+@example(n=2, seed=0, count=150, clusters=0, k=12, factor=2.66)
+@example(n=3, seed=1, count=150, clusters=2, k=9, factor=2.66)
+def test_grid_count_matches_stencil_oracle(n, seed, count, clusters, k, factor):
+    pts = _sphere_points(seed, count, n, clusters)
+    cell = 2.0 ** -k
+    assert _grid_cell_count(pts, factor * cell, cell) == grid_cell_count_stencil(
+        pts, factor * cell, cell)
+    # the same sort helper dedups samples, keeping first occurrences
+    repeated = np.concatenate([pts, pts[::-2], pts[1::3]])
+    np.testing.assert_array_equal(_first_unique(repeated), first_unique_np(repeated))

@@ -9,11 +9,13 @@ import pytest
 from kleindim import (
     GroupPresentation,
     MoebiusMap,
+    PackingCheck,
     StageFailure,
     UsageError,
     series_chain_report,
     verify_inequality,
 )
+from kleindim import verify
 
 
 def _ball_schottky():
@@ -88,7 +90,7 @@ def test_verify_stage_failure_names_stage():
 def test_chain_schottky(chain_schottky10):
     rep = chain_schottky10
     assert rep.chain_ok
-    assert rep.radial_ok and rep.volume_ok and rep.tail_ok
+    assert rep.radial_ok and rep.volume_ok and rep.packing_ok and rep.tail_ok
     for c in (rep.c1, rep.c2, rep.c3):
         assert math.isfinite(c) and c > 0.0
     # quantization slack on the volume comparison is the cell-count factor 2^n
@@ -125,6 +127,14 @@ def test_chain_cyclic_two_per_shell(cyclic):
         assert row.count <= 2
         predicted = 2.0 * 2.0 ** (-row.k * rep.s)
         assert 0.5 * predicted <= row.lhs <= 2.5 * predicted
+
+
+def test_chain_fails_when_balls_overlap(schottky, monkeypatch):
+    overlap = PackingCheck(ok=False, pair=(0, 1), distance=0.0)
+    monkeypatch.setattr(verify, "check_packing_disjoint", lambda orbit, radius: overlap)
+    rep = series_chain_report(schottky, 8, 1.06, 0.86)
+    assert rep.radial_ok and rep.volume_ok and rep.tail_ok
+    assert not rep.packing_ok and not rep.chain_ok
 
 
 def test_chain_usage_errors(schottky, cyclic):
