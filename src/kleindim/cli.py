@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
-from .groupio import load_group, save_group
-from .limitset import box_dimension_estimate
+from .groupio import atomic_write_bytes, load_group, save_group
+from .limitset import K_RANGE, box_dimension_estimate
 from .poincare import exponent_estimate, truncated_series
 from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
@@ -46,18 +44,11 @@ def _fmt(v):
     return str(v)
 
 
-def _atomic_write_bytes(path, data):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def word_to_str(word):
@@ -172,12 +163,12 @@ def _write_pgm(path, sample, k):
     centers = np.column_stack([grid_x.ravel(), grid_y.ravel()])
     # the bound is strict, hence nextafter; pixels with no point within r get inf
     bound = np.nextafter(r, np.inf)
-    dist, _ = cKDTree(sample.points).query(centers, k=1, distance_upper_bound=bound)
+    dist, _ = sample.tree.query(centers, k=1, distance_upper_bound=bound)
     img = np.where(dist.reshape(size, size) <= r, 128, 0).astype(np.uint8)
     cols = np.clip(np.floor((sample.points[:, 0] + 1.0) / r), 0, size - 1).astype(int)
     rows = np.clip(np.floor((1.0 - sample.points[:, 1]) / r), 0, size - 1).astype(int)
     img[rows, cols] = 255
-    _atomic_write_bytes(path, f"P5 {size} {size} 255\n".encode("ascii") + img.tobytes())
+    atomic_write_bytes(path, f"P5 {size} {size} 255\n".encode("ascii") + img.tobytes())
 
 
 def _cmd_limitset(args):
@@ -344,8 +335,8 @@ def build_parser():
     p.set_defaults(func=_cmd_limitset)
 
     p = _add_group_command(sub, "boxdim", "dyadic scale series and dimension")
-    p.add_argument("--kmin", type=int, default=3)
-    p.add_argument("--kmax", type=int, default=9)
+    p.add_argument("--kmin", type=int, default=K_RANGE[0])
+    p.add_argument("--kmax", type=int, default=K_RANGE[1])
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_boxdim)
 

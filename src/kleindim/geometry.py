@@ -23,8 +23,10 @@ from .errors import (
     NumericalOverflowError,
     UsageError,
 )
-from .policy import POLICY
 
+CONSTRUCTION_TOL = 1e-9  # matrix validation and classification
+POLE_TOL = 1e-14         # boundary evaluation pole guard
+OVERFLOW_TOL = 1e-14     # interior images this close to the sphere overflow
 _CANON_EPS = 1e-12
 _NORTH = np.array([0.0, 0.0, 1.0])
 _FLIP = np.array([1.0, 1.0, -1.0])  # reflect the height coordinate
@@ -123,7 +125,7 @@ def canonical_entries(entries, model):
     e[flip] = -e[flip]
     if model == 2:
         a, b, c, d = e.T
-        tol = POLICY.construction_tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        tol = CONSTRUCTION_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if np.any((np.abs(c - np.conj(b)) > tol) | (np.abs(d - np.conj(a)) > tol)):
             raise UsageError("planar map is not disc preserving: need c = conj(b), d = conj(a)")
     return e
@@ -145,26 +147,27 @@ def product_entries(left, right, model):
     return canonical_entries(np.stack([a, b, c, d], axis=1), model)
 
 
-def _identity_rows(entries, tol):
+def _identity_rows(entries):
     a, b, c, d = entries.T
+    tol = CONSTRUCTION_TOL
     return ((np.abs(a - 1.0) <= tol) & (np.abs(d - 1.0) <= tol)
             & (np.abs(b) <= tol) & (np.abs(c) <= tol))
 
 
-def classify_entries(entries, tol=None):
+def classify_entries(entries):
     """Conjugacy class per row (a, b, c, d), as an object array of MapClass.
 
     Identity wins when the canonical matrix is the identity within
     tolerance; otherwise tau = trace^2 decides: parabolic at tau = 4,
     elliptic for real tau in [0, 4), loxodromic for everything else.
     """
-    tol = POLICY.construction_tol if tol is None else tol
+    tol = CONSTRUCTION_TOL
     trace = entries[:, 0] + entries[:, 3]
     tau = trace * trace
     codes = np.full(entries.shape[0], 3)  # positions in MapClass, loxodromic last
     codes[(np.abs(tau.imag) < tol) & (-tol <= tau.real) & (tau.real < 4.0)] = 1
     codes[np.abs(tau - 4.0) < tol] = 2
-    codes[_identity_rows(entries, tol)] = 0
+    codes[_identity_rows(entries)] = 0
     return _CLASSES[codes]
 
 
@@ -232,9 +235,8 @@ class MoebiusMap:
             abs(self.c - other.c), abs(self.d - other.d),
         )
 
-    def is_identity(self, tol=None):
-        tol = POLICY.construction_tol if tol is None else tol
-        return bool(_identity_rows(_row(self), tol)[0])
+    def is_identity(self):
+        return bool(_identity_rows(_row(self))[0])
 
     def __repr__(self):
         return (
@@ -259,9 +261,9 @@ def inverse(g):
     return MoebiusMap(g.d, -g.b, -g.c, g.a, g.model)
 
 
-def classify(g, tol=None):
+def classify(g):
     """Conjugacy class of one map; see classify_entries."""
-    return classify_entries(_row(g), tol)[0]
+    return classify_entries(_row(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,7 @@ def interior_images(entries, points):
         nn = np.einsum("...i,...i->...", v, v)
         coords = _NORTH + (2.0 / nn)[..., None] * v
         one_minus_sq = 4.0 * (t / den) / nn
-    if np.any((one_minus_sq <= 0.0) | (1.0 - one_minus_sq >= (1.0 - POLICY.overflow_tol) ** 2)):
+    if np.any((one_minus_sq <= 0.0) | (1.0 - one_minus_sq >= (1.0 - OVERFLOW_TOL) ** 2)):
         raise NumericalOverflowError("image point is within 1e-14 of the sphere; reduce the depth")
     nrm = np.einsum("ij,ij->i", coords, coords)
     out = nrm >= 1.0
@@ -355,15 +357,15 @@ def boundary_images(entries, point):
         if p.size == 2:
             zeta = complex(p[0], p[1])
             den = c * zeta + d
-            w = np.where(np.abs(den) < POLICY.pole_tol, a / c, (a * zeta + b) / den)
+            w = np.where(np.abs(den) < POLE_TOL, a / c, (a * zeta + b) / den)
             w = w / np.abs(w)
             return np.stack([w.real, w.imag], axis=-1)
         zeta = _sphere_to_chart_boundary(p)
         if zeta is None:
-            at_infinity, w = np.abs(c) < POLICY.pole_tol, a / c
+            at_infinity, w = np.abs(c) < POLE_TOL, a / c
         else:
             den = c * zeta + d
-            at_infinity, w = np.abs(den) < POLICY.pole_tol, (a * zeta + b) / den
+            at_infinity, w = np.abs(den) < POLE_TOL, (a * zeta + b) / den
         pts = _chart_to_sphere(w, at_infinity)
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
@@ -441,12 +443,6 @@ def hyperbolic_distance(x, y):
     if x.model != y.model:
         raise ModelMismatchError("distance needs points of the same model")
     return float(distances_from(x.coords, y.coords[None, :])[0])
-
-
-def distance_to_origin_from_gap(one_minus_sq, norm):
-    """log((1+|w|)/(1-|w|)) computed from a stable 1-|w|^2."""
-    gap = one_minus_sq / (1.0 + norm)
-    return math.log((1.0 + norm) / gap) if gap > 0.0 else math.inf
 
 
 def distances_from(point_coords, points, gaps_sq=None):

@@ -25,6 +25,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import (
+    CONSTRUCTION_TOL,
     BoundaryGeodesic,
     InteriorPoint,
     MapClass,
@@ -39,7 +40,11 @@ from .geometry import (
     origin,
     product_entries,
 )
-from .policy import POLICY
+
+DEDUP_TOL = 1e-6       # entrywise matrix distance under which two words are one element
+ORBIT_CAP = 5_000_000  # enumeration resource limit, elements kept
+PACKING_SAFETY = 0.98  # the packing radius is this share of half the least displacement
+_PACKING_CHUNK = 4096  # query rows per KD-tree call of the packing check
 
 
 class GroupPresentation:
@@ -65,7 +70,7 @@ class GroupPresentation:
                 raise UsageError("identity generators are not allowed")
         for i, g in enumerate(self.generators):
             for h in self.generators[i + 1:]:
-                if g.entry_distance(h) <= POLICY.construction_tol:
+                if g.entry_distance(h) <= CONSTRUCTION_TOL:
                     raise UsageError("duplicate generators (after canonicalization)")
         if len(self.generators) == 2:
             self._trace_inequality_warning()
@@ -136,7 +141,6 @@ class GroupBall:
     letters: np.ndarray
     word_lengths: np.ndarray
     max_word_length: int
-    dedup_tolerance: float
 
     def __len__(self):
         return self.entries.shape[0]
@@ -182,27 +186,28 @@ class GroupBall:
         raise InternalError("no elliptic-free point found along the axis after 100 steps")
 
 
-def _fresh(kept, candidates, tol):
+def _fresh(kept, candidates):
     """Mask of the candidates that duplicate no kept or earlier fresh one.
 
     A Chebyshev KD-tree query (k doubles until no candidate has k neighbors
-    within tol) finds a superset of the earlier rows within tol entrywise;
-    the exact complex-modulus test decides.  Pairs come ordered by their
-    later row, so duplicates resolve greedily and the first occurrence
+    within DEDUP_TOL) finds a superset of the earlier rows within DEDUP_TOL
+    entrywise; the exact complex-modulus test decides.  Pairs come ordered by
+    their later row, so duplicates resolve greedily and the first occurrence
     survives.
     """
     rows = np.concatenate([kept, candidates])
     tree = cKDTree(rows.view(float))
     k = 4
     while True:
-        dist, near = tree.query(candidates.view(float), k=k, distance_upper_bound=tol, p=np.inf)
+        dist, near = tree.query(candidates.view(float), k=k,
+                                distance_upper_bound=DEDUP_TOL, p=np.inf)
         if not np.isfinite(dist[:, -1]).any():
             break
         k *= 2
     later = np.repeat(np.arange(kept.shape[0], rows.shape[0]), k)
     earlier = near.ravel()
     hit = earlier < later  # drops the candidate itself and missing neighbors
-    hit[hit] = np.abs(rows[earlier[hit]] - rows[later[hit]]).max(axis=1) <= tol
+    hit[hit] = np.abs(rows[earlier[hit]] - rows[later[hit]]).max(axis=1) <= DEDUP_TOL
     fresh = np.ones(rows.shape[0], dtype=bool)
     for i, j in zip(earlier[hit].tolist(), later[hit].tolist()):
         if fresh[i]:
@@ -210,29 +215,26 @@ def _fresh(kept, candidates, tol):
     return fresh[kept.shape[0]:]
 
 
-def build_ball(presentation, max_word_length, dedup_tolerance=None, cap=None):
+def build_ball(presentation, max_word_length, cap=ORBIT_CAP):
     """Breadth-first reduced-word enumeration with matrix deduplication.
 
     Parameters
     ----------
     presentation : GroupPresentation
     max_word_length : int >= 1
-    dedup_tolerance : entrywise matrix distance under which two words are
-        the same element (default POLICY.dedup_tol).
-    cap : kept-element resource limit (default POLICY.orbit_cap), checked
-        after each word length.
+    cap : kept-element resource limit, checked after each word length.
 
     Word order is by length, then by parent order, then by letter with the
     generator before its inverse (alphabet g1, g1^-1, g2, g2^-1, ...).
-    Words whose matrix duplicates an earlier element are dropped and not
-    expanded; the surviving set of words is closed under prefixes.  Each
-    level is one batch of 2x2 products over frontier x alphabet.
+    Words whose matrix lies within DEDUP_TOL entrywise of an earlier element
+    are dropped and not expanded; the surviving set of words is closed under
+    prefixes.  Each level is one batch of 2x2 products over frontier x
+    alphabet.
     """
     max_word_length = int(max_word_length)
     if max_word_length < 1:
         raise UsageError("max_word_length must be at least 1")
-    dedup_tolerance = POLICY.dedup_tol if dedup_tolerance is None else float(dedup_tolerance)
-    cap = POLICY.orbit_cap if cap is None else int(cap)
+    cap = int(cap)
 
     rank = len(presentation.generators)
     alphabet = np.array([sign * i for i in range(1, rank + 1) for sign in (1, -1)])
@@ -248,7 +250,7 @@ def build_ball(presentation, max_word_length, dedup_tolerance=None, cap=None):
         reduced = alphabet[k] != -letters[parent]  # skip immediate cancellation
         parent, k = parent[reduced], k[reduced]
         children = product_entries(entries[parent], generators[k], presentation.model)
-        fresh = _fresh(entries, children, dedup_tolerance)
+        fresh = _fresh(entries, children)
         frontier = np.arange(entries.shape[0], entries.shape[0] + int(fresh.sum()))
         if entries.shape[0] + frontier.size > cap:
             raise ResourceLimitError(
@@ -260,8 +262,7 @@ def build_ball(presentation, max_word_length, dedup_tolerance=None, cap=None):
         lengths = np.concatenate([lengths, np.full(frontier.size, length)])
         if not frontier.size:
             break
-    return GroupBall(presentation, entries, parents, letters, lengths,
-                     max_word_length, dedup_tolerance)
+    return GroupBall(presentation, entries, parents, letters, lengths, max_word_length)
 
 
 class OrbitSet:
@@ -280,7 +281,6 @@ class OrbitSet:
         self.basepoint = basepoint
         self.word_lengths = ball.word_lengths
         self.max_word_length = ball.max_word_length
-        self.dedup_tolerance = ball.dedup_tolerance
         self.points, one_minus_sq = interior_images(ball.entries, basepoint.coords)
         self.gaps = one_minus_sq / (1.0 + np.linalg.norm(self.points, axis=1))
         self.shells = _shell_indices(self.gaps)
@@ -310,9 +310,9 @@ class OrbitSet:
         return self.gaps * (2.0 - self.gaps)
 
 
-def enumerate_orbit(presentation, basepoint, max_word_length, dedup_tolerance=None, cap=None):
+def enumerate_orbit(presentation, basepoint, max_word_length, cap=ORBIT_CAP):
     """Orbit of basepoint under the group ball of max_word_length (see build_ball)."""
-    return OrbitSet(build_ball(presentation, max_word_length, dedup_tolerance, cap), basepoint)
+    return OrbitSet(build_ball(presentation, max_word_length, cap), basepoint)
 
 
 def find_loxodromic(presentation, search_depth):
@@ -353,7 +353,7 @@ class PackingRadius:
     search_depth: int
 
 
-def packing_radius(orbit, safety_factor=0.98):
+def packing_radius(orbit):
     """Packing radius from the smallest nontrivial orbit displacement."""
     disp = orbit.displacements[orbit.word_lengths > 0]
     if disp.size == 0:
@@ -364,9 +364,9 @@ def packing_radius(orbit, safety_factor=0.98):
             f"basepoint is fixed by a nontrivial element (displacement {min_disp:.3g})"
         )
     return PackingRadius(
-        radius=0.5 * safety_factor * min_disp,
+        radius=0.5 * PACKING_SAFETY * min_disp,
         min_displacement=min_disp,
-        safety_factor=safety_factor,
+        safety_factor=PACKING_SAFETY,
         search_depth=orbit.max_word_length,
     )
 
@@ -380,7 +380,7 @@ class PackingCheck:
     distance: float | None = None
 
 
-def check_packing_disjoint(orbit, radius, chunk=4096):
+def check_packing_disjoint(orbit, radius):
     """Verify d(g_i z, g_j z) > 2*radius for all pairs of orbit points.
 
     Returns the lexicographically first violating pair of element indices,
@@ -395,8 +395,8 @@ def check_packing_disjoint(orbit, radius, chunk=4096):
     the gap, so the other endpoint is in no shallower dyadic shell; points at
     hyperbolic distance D have q within a factor e^D of each other, so it is
     at most 2a/ln 2 + 2 shells deeper.  Each shell queries a tree of that
-    window of shells only, `chunk` rows at a time, which keeps the candidates
-    near-linear in the orbit size.
+    window of shells only, _PACKING_CHUNK rows at a time, which keeps the
+    candidates near-linear in the orbit size.
     """
     pts = orbit.points
     qa = orbit.gaps_squared()
@@ -409,8 +409,8 @@ def check_packing_disjoint(orbit, radius, chunk=4096):
         rows = np.flatnonzero(shells == k)
         cols = np.flatnonzero((shells >= k) & (shells <= k + span))
         tree = cKDTree(pts[cols])
-        for start in range(0, rows.size, chunk):
-            i = rows[start:start + chunk]
+        for start in range(0, rows.size, _PACKING_CHUNK):
+            i = rows[start:start + _PACKING_CHUNK]
             near = tree.query_ball_point(pts[i], reach[i], return_sorted=False)
             i = np.repeat(i, np.fromiter(map(len, near), dtype=np.intp, count=i.size))
             j = cols[np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=i.size)]

@@ -44,10 +44,11 @@ def halfplane_to_disc(m):
     return MoebiusMap.from_matrix(out, model=2)
 
 
-def _atomic_write_text(path, text):
+def atomic_write_bytes(path, data):
+    """Write `data` to a temp file beside `path`, then rename it into place."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -62,7 +63,7 @@ def save_group(presentation, path):
         "chart": "disc" if presentation.model == 2 else "halfspace",
         "generators": gens,
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def load_group(path):

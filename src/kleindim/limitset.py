@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -20,6 +21,9 @@ from .geometry import MapClass, boundary_images, classify, fixed_points
 from .group import GroupElement
 
 _LN2 = math.log(2.0)
+_ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
+_MESH_COUNT = 32    # boundary mesh points per ball in the containment check
+K_RANGE = (3, 9)    # dyadic scales 2^-k of the box-dimension fit
 
 SOURCE_CONJUGATE = "conjugate_fixed_points"
 SOURCE_DEEP_ORBIT = "deep_orbit_projection"
@@ -52,6 +56,11 @@ class LimitSample:
     def __len__(self):
         return self.points.shape[0]
 
+    @cached_property
+    def tree(self):
+        """KD-tree of the points, built on first use and shared by every stage."""
+        return cKDTree(self.points)
+
 
 def _sorted_runs(rows, width):
     """Stable lexicographic sort of integer rows, the first column most significant.
@@ -67,9 +76,9 @@ def _sorted_runs(rows, width):
     return order, ordered, starts
 
 
-def _first_unique(points, tol=1e-9):
-    """Indices of the first point of each 1e-9 rounding cell, ascending."""
-    keys = np.round(points / tol).astype(np.int64)
+def _first_unique(points):
+    """Indices of the first point of each _ROUND_TOL rounding cell, ascending."""
+    keys = np.round(points / _ROUND_TOL).astype(np.int64)
     order, _, starts = _sorted_runs(keys, keys.shape[1])
     return np.sort(order[starts])
 
@@ -93,12 +102,11 @@ def sample_limit_set(orbit, h):
                        source=SOURCE_CONJUGATE)
 
 
-def deep_orbit_sample(orbit, min_word_length=None):
-    """Radial projections of the deepest orbit points, as a cross-check."""
-    cut = orbit.max_word_length if min_word_length is None else int(min_word_length)
-    deep = np.flatnonzero(orbit.word_lengths >= cut)
+def deep_orbit_sample(orbit):
+    """Radial projections of the orbit points of the final word length, a cross-check."""
+    deep = np.flatnonzero(orbit.word_lengths == orbit.max_word_length)
     if deep.size == 0:
-        raise UsageError(f"no orbit elements at word length >= {cut}")
+        raise UsageError(f"no orbit elements at word length {orbit.max_word_length}")
     pts = orbit.points[deep]
     norms = np.linalg.norm(pts, axis=1)
     if np.any(norms < 1e-12):
@@ -139,8 +147,8 @@ def _dilate_last_axis(cells, h):
     return out
 
 
-def _grid_cell_count(points, radius, cell, tree=None):
-    """Count origin-anchored grid cells near a point set.
+def _grid_cell_count(sample, radius, cell):
+    """Count origin-anchored grid cells near the sample's points.
 
     A cell of side `cell` with index vector i covers [i*cell, (i+1)*cell)
     per axis; it counts when its center is within radius + (sqrt(n)/2)*cell
@@ -148,9 +156,9 @@ def _grid_cell_count(points, radius, cell, tree=None):
     index steps of an occupied cell on every axis.  That box is separable, so
     it grows one axis at a time: each pass dilates the last column and rolls
     it to the front, which restores the column order after n passes.  The
-    exact center test runs on a KD-tree of the points.
+    exact center test runs on the sample's KD-tree.
     """
-    points = np.asarray(points, dtype=float)
+    points = sample.points
     n = points.shape[1]
     reach = radius + 0.5 * math.sqrt(n) * cell
     h = int(math.ceil(reach / cell)) + 1
@@ -158,14 +166,12 @@ def _grid_cell_count(points, radius, cell, tree=None):
     for _ in range(n):
         cells = np.roll(_dilate_last_axis(cells, h), 1, axis=1)
     centers = (cells + 0.5) * cell
-    if tree is None:
-        tree = cKDTree(points)
     # the bound is strict, hence nextafter; cells with no point within reach get inf
-    dist, _ = tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
+    dist, _ = sample.tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
     return int(np.count_nonzero(dist <= reach))
 
 
-def neighborhood_volume(sample, r, radius=None, _tree=None):
+def neighborhood_volume(sample, r, radius=None):
     """Grid volume of a closed neighborhood of the sample at cell size r = 2^-k.
 
     The neighborhood radius defaults to r itself (the box-counting case);
@@ -181,7 +187,7 @@ def neighborhood_volume(sample, r, radius=None, _tree=None):
         raise UsageError("neighborhood radius must be positive")
     k = 1 - e
     n = sample.model
-    count = _grid_cell_count(sample.points, radius=radius, cell=r, tree=_tree)
+    count = _grid_cell_count(sample, radius, r)
     if count > (2.0 * (1.0 + radius) / r + 2.0) ** n:
         raise InternalError("cell count exceeds the bounding box; sample off the sphere?")
     return DyadicScaleRecord(k=k, r=r, cell_count=count, volume=count * r ** n)
@@ -198,7 +204,7 @@ class BoxDimensionEstimate:
     method_note: str
 
 
-def box_dimension_estimate(sample, k_range=(3, 9), require_resolved=False):
+def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
     """Upper box dimension of the sample across dyadic scales.
 
     Parameters
@@ -216,10 +222,9 @@ def box_dimension_estimate(sample, k_range=(3, 9), require_resolved=False):
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if not (1 <= k_min < k_max <= 24 and k_max - k_min >= 3):
         raise UsageError(f"need 1 <= k_min < k_max <= 24 spanning >= 3, got {k_range}")
-    tree = cKDTree(sample.points)
     spacing = None
     if len(sample) > 1:
-        d2, _ = tree.query(sample.points, k=2)
+        d2, _ = sample.tree.query(sample.points, k=2)
         spacing = float(d2[:, 1].max())
     note_bits = []
     if spacing is not None and spacing > 2.0 ** -k_max:
@@ -230,7 +235,7 @@ def box_dimension_estimate(sample, k_range=(3, 9), require_resolved=False):
         if require_resolved:
             raise ResolutionError(msg)
         note_bits.append(msg)
-    records = [neighborhood_volume(sample, 2.0 ** -k, _tree=tree) for k in range(k_min, k_max + 1)]
+    records = [neighborhood_volume(sample, 2.0 ** -k) for k in range(k_min, k_max + 1)]
     ks = np.arange(k_min, k_max + 1, dtype=float)
     logs = np.log([rec.cell_count for rec in records])
     fit = stats.linregress(ks * _LN2, logs)
@@ -258,24 +263,20 @@ def box_dimension_estimate(sample, k_range=(3, 9), require_resolved=False):
 # Euclidean realizations of hyperbolic balls about orbit points.
 
 
-def euclidean_balls(points, radius, gaps=None):
+def euclidean_balls(points, radius, gaps):
     """Centers and Euclidean radii of hyperbolic balls B(w, radius).
 
     The two diametral points along the radial geodesic through w realize a
     Euclidean diameter of the ball (the realization is a round ball whose
-    center sits on that radius by symmetry).  Passing the stable radial
-    gaps 1-|w| keeps deep balls accurate where recomputing 1-|w| from the
-    coordinates would cancel.
+    center sits on that radius by symmetry).  `gaps` are the stable radial
+    gaps 1-|w|, which keep deep balls accurate where recomputing 1-|w| from
+    the coordinates would cancel.
 
     Returns (centers (N, n), radii (N,)).
     """
     points = np.asarray(points, dtype=float)
-    if gaps is None:
-        norms = np.linalg.norm(points, axis=1)
-        gaps = 1.0 - norms
-    else:
-        gaps = np.asarray(gaps, dtype=float)
-        norms = 1.0 - gaps
+    gaps = np.asarray(gaps, dtype=float)
+    norms = 1.0 - gaps
     d0 = np.log((2.0 - gaps) / gaps)  # distance to the ball center
     t_far = np.tanh(0.5 * (d0 + radius))
     t_near = np.tanh(0.5 * (d0 - radius))
@@ -342,8 +343,9 @@ def volume_ratio_report(orbit, radius):
     )
 
 
-def _sphere_mesh(n, count=32):
-    """Deterministic mesh directions on the unit circle or sphere."""
+def _sphere_mesh(n):
+    """_MESH_COUNT deterministic mesh directions on the unit circle or sphere."""
+    count = _MESH_COUNT
     if n == 2:
         ang = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -373,15 +375,14 @@ class BallContainmentReport:
         return [c for _, _, c in self.records]
 
 
-def ball_containment_check(orbit, radius, sample, k_max=12, mesh_count=32):
+def ball_containment_check(orbit, radius, sample, k_max=12):
     """Measure shell-normalized distances from ball boundaries to the sample."""
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
-    tree = cKDTree(sample.points)
-    mesh = _sphere_mesh(orbit.model, mesh_count)
+    mesh = _sphere_mesh(orbit.model)
     records = []
     skipped = []
     for k in range(1, k_max + 1):
@@ -391,7 +392,7 @@ def ball_containment_check(orbit, radius, sample, k_max=12, mesh_count=32):
             continue
         centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
-        dist, _ = tree.query(pts.reshape(-1, orbit.model), k=1)
+        dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
         worst = float(dist.max())
         records.append((k, worst, worst / (2.0 ** -k)))
     if not records:

@@ -22,8 +22,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from scipy.spatial import cKDTree
-
 from .errors import KleindimError, LoxodromicNotFoundError, StageFailure, UsageError
 from .geometry import origin
 from .group import OrbitSet, build_ball, check_packing_disjoint, packing_radius
@@ -110,8 +108,7 @@ class VerificationReport:
         return self.dim_estimate.dim_est
 
 
-def verify_inequality(presentation, depth, tolerance=0.1,
-                      exponent_method="counting_fit", k_range=(3, 9)):
+def verify_inequality(presentation, depth, tolerance=0.1, exponent_method="counting_fit"):
     """Estimate both sides of delta <= upper box dimension and compare.
 
     Pipeline: build the group ball to `depth`, find a loxodromic element in
@@ -131,7 +128,7 @@ def verify_inequality(presentation, depth, tolerance=0.1,
     with _stage("exponent_estimate"):
         delta = exponent_estimate(orbit, method=exponent_method)
     with _stage("box_dimension"):
-        dim = box_dimension_estimate(sample, k_range=k_range)
+        dim = box_dimension_estimate(sample)
     margin = dim.dim_est - delta.delta_est
     return VerificationReport(
         group_name=presentation.name,
@@ -194,7 +191,7 @@ class SeriesChainReport:
     chain_ok: bool
 
 
-def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
+def series_chain_report(presentation, depth, s, t, k_max=12):
     """Measure every link of the shell-by-shell convergence chain.
 
     Requires s > t > the box-dimension estimate computed in the same run;
@@ -211,7 +208,7 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
     with _stage("packing_check"):
         packing = check_packing_disjoint(orbit, pack.radius)
     with _stage("box_dimension"):
-        dim = box_dimension_estimate(sample, k_range=k_range)
+        dim = box_dimension_estimate(sample)
     if not s > t > dim.dim_est:
         raise UsageError(
             f"requires s > t > box-dimension estimate, got s={s:.6g}, t={t:.6g}, "
@@ -222,7 +219,6 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
     c_hat = containment.c_hat
     n = orbit.model
     series = truncated_series(orbit, s)
-    tree = cKDTree(sample.points)
     rows = []
     for k, _, _ in containment.records:
         mask = orbit.shells == k
@@ -231,7 +227,7 @@ def series_chain_report(presentation, depth, s, t, k_max=12, k_range=(3, 9)):
         _, radii = euclidean_balls(orbit.points[mask], pack.radius, gaps=gaps)
         packed = float(ball_volumes(radii, n).sum())
         scale = 2.0 ** (-k * (s - n))
-        record = neighborhood_volume(sample, 2.0 ** -k, radius=c_hat * 2.0 ** -k, _tree=tree)
+        record = neighborhood_volume(sample, 2.0 ** -k, radius=c_hat * 2.0 ** -k)
         rows.append(ShellChainRow(
             k=int(k),
             count=int(mask.sum()),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def cyclic_file(tmp_path):
 
 
 def _read_csv(path):
-    lines = open(path, "r", encoding="ascii").read().splitlines()
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows

@@ -21,7 +21,6 @@ from kleindim import (
     LoxodromicNotFoundError,
     MapClass,
     MoebiusMap,
-    POLICY,
     OrbitSet,
     ResourceLimitError,
     UsageError,
@@ -45,6 +44,7 @@ from kleindim import (
     translation_to_origin,
 )
 from kleindim.errors import DegenerateBasepointError
+from kleindim.group import DEDUP_TOL
 
 LN9 = math.log(9.0)
 
@@ -66,7 +66,7 @@ def _pi_rotation_about(center):
 def _identity_only_orbit(model=2):
     pres = GroupPresentation([_boost(0.5, model) if model == 2 else _boost(0.5, 3)], model=model)
     ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
-                     np.array([-1]), np.array([0]), np.array([0]), 1, 1e-6)
+                     np.array([-1]), np.array([0]), np.array([0]), 1)
     return OrbitSet(ball, origin(model))
 
 
@@ -149,7 +149,7 @@ def test_dedup_soundness_pairwise():
     vecs = [el.map.entry_vector() for el in orbit.elements]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            assert np.abs(vecs[i] - vecs[j]).max() > orbit.dedup_tolerance
+            assert np.abs(vecs[i] - vecs[j]).max() > DEDUP_TOL
 
 
 def _sequential_reference(G, depth):
@@ -167,7 +167,7 @@ def _sequential_reference(G, depth):
                 if words[idx] and letter == -words[idx][-1]:
                     continue
                 child = compose(maps[idx], gen)
-                if any(child.entry_distance(m) <= POLICY.dedup_tol for m in maps):
+                if any(child.entry_distance(m) <= DEDUP_TOL for m in maps):
                     continue
                 next_frontier.append(len(maps))
                 words.append(words[idx] + (letter,))

@@ -47,7 +47,7 @@ def _boost(t):
 def _identity_only_orbit():
     pres = GroupPresentation([_boost(0.5)], model=2)
     ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
-                     np.array([-1]), np.array([0]), np.array([0]), 1, 1e-6)
+                     np.array([-1]), np.array([0]), np.array([0]), 1)
     return OrbitSet(ball, origin(2))
 
 
@@ -274,7 +274,7 @@ def _sphere_points(seed, count, n, clusters):
 def test_grid_count_matches_stencil_oracle(n, seed, count, clusters, k, factor):
     pts = _sphere_points(seed, count, n, clusters)
     cell = 2.0 ** -k
-    assert _grid_cell_count(pts, factor * cell, cell) == grid_cell_count_stencil(
+    assert _grid_cell_count(_synthetic(pts), factor * cell, cell) == grid_cell_count_stencil(
         pts, factor * cell, cell)
     # the same sort helper dedups samples, keeping first occurrences
     repeated = np.concatenate([pts, pts[::-2], pts[1::3]])

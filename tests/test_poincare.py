@@ -38,7 +38,7 @@ def _boost(t):
 def _identity_only_orbit():
     pres = GroupPresentation([_boost(0.5)], model=2)
     ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
-                     np.array([-1]), np.array([0]), np.array([0]), 1, 1e-6)
+                     np.array([-1]), np.array([0]), np.array([0]), 1)
     return OrbitSet(ball, origin(2))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from kleindim import (
@@ -15,7 +16,7 @@ from kleindim import (
     series_chain_report,
     verify_inequality,
 )
-from kleindim import verify
+from kleindim import cli, group, limitset, verify
 
 
 def _ball_schottky():
@@ -135,6 +136,29 @@ def test_chain_fails_when_balls_overlap(schottky, monkeypatch):
     rep = series_chain_report(schottky, 8, 1.06, 0.86)
     assert rep.radial_ok and rep.volume_ok and rep.tail_ok
     assert not rep.packing_ok and not rep.chain_ok
+
+
+def test_chain_builds_one_sample_tree(schottky, monkeypatch):
+    samples, trees = [], []
+    real_sample = verify.sample_limit_set
+
+    def recording_sample(*args):
+        samples.append(real_sample(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(verify, "sample_limit_set", recording_sample)
+    for module in (cli, group, limitset, verify):
+        real_tree = getattr(module, "cKDTree", None)
+        if real_tree is not None:
+            def recording_tree(data, *args, _real=real_tree, **kwargs):
+                trees.append(np.array(data, dtype=float))
+                return _real(data, *args, **kwargs)
+
+            monkeypatch.setattr(module, "cKDTree", recording_tree)
+    series_chain_report(schottky, 8, 1.06, 0.86)
+    assert len(samples) == 1
+    over_sample = [t for t in trees if np.array_equal(t, samples[0].points)]
+    assert len(over_sample) == 1
 
 
 def test_chain_usage_errors(schottky, cyclic):
