@@ -172,12 +172,13 @@ def _write_pgm(path, sample, k):
 
 
 def _cmd_limitset(args):
-    _, sample = sampling_front(load_group(args.groupfile), args.depth)
+    orbit, sample = sampling_front(load_group(args.groupfile), args.depth)
     coord_names = ["x", "y", "z"][: sample.model]
     header = [*coord_names, "witness"]
+    words = orbit.ball.words
     rows = [
-        [*(float(c) for c in pt), word_to_str(word)]
-        for pt, word in zip(sample.points, sample.witnesses)
+        [*(float(c) for c in pt), word_to_str(words[i])]
+        for pt, i in zip(sample.points, sample.witnesses.tolist())
     ]
     _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} sample points to {args.out} (source {sample.source})")

@@ -3,7 +3,12 @@
 Volumes are measured on the dyadic grid anchored at the origin: a cell of
 side r counts when its center lies within radius + (sqrt(n)/2) * r of some
 sample point, a conservative proxy for "closed cell intersects the closed
-neighborhood".  volume = cell_count * r^n throughout.
+neighborhood".  volume = cell_count * r^n throughout.  The count is exact
+for that rule; a cheap sub-cell prefilter only chooses which cells need
+the exact nearest-point query.
+
+Samples record witnesses as group-ball rows; the words are spelled only
+where they are printed.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .group import GroupElement
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
 _MESH_COUNT = 32    # boundary mesh points per ball in the containment check
+_SUBCELL_BITS = 4   # the grid count's prefilter sub-cells have side cell / 2^4
 K_RANGE = (3, 9)    # dyadic scales 2^-k of the box-dimension fit
 
 SOURCE_CONJUGATE = "conjugate_fixed_points"
@@ -32,10 +38,15 @@ SOURCE_SYNTHETIC = "synthetic_test_set"
 
 @dataclass
 class LimitSample:
-    """A finite sample of sphere points with per-point witness words."""
+    """A finite sample of sphere points with one witness per point.
+
+    The witness of an orbit sample point is the group-ball row of the element
+    that produced it (`GroupBall.words` spells it); synthetic samples carry
+    label words.
+    """
 
     points: np.ndarray   # (N, n) unit rows
-    witnesses: list      # one word tuple per point
+    witnesses: np.ndarray | list  # (N,) ball rows, or one label word per point
     source: str
 
     def __post_init__(self):
@@ -46,7 +57,7 @@ class LimitSample:
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise UsageError("sample points must be unit norm within 1e-9")
         if len(self.witnesses) != pts.shape[0]:
-            raise UsageError("one witness word per sample point")
+            raise UsageError("one witness per sample point")
         self.points = pts
 
     @property
@@ -87,19 +98,17 @@ def sample_limit_set(orbit, h):
     """Orbit images of a loxodromic element's fixed points.
 
     Applies every enumerated element to both fixed points of h and
-    deduplicates at 1e-9.  The witness of a sample point is the word of the
-    first element that produced it.
+    deduplicates at 1e-9.  The witness of a sample point is the ball row of
+    the first element that produced it.
     """
     m = h.map if isinstance(h, GroupElement) else h
     if classify(m) is not MapClass.LOXODROMIC:
         raise UsageError("sampling needs a loxodromic element")
     images = [boundary_images(orbit.ball.entries, fp.coords) for fp in fixed_points(m)]
-    # interleave so the witness order matches (g, p+), (g, p-) per element
+    # interleave: rows 2i and 2i + 1 are element i's images of p+ and p-
     points = np.stack(images, axis=1).reshape(-1, orbit.model)
     keep = _first_unique(points)
-    words = orbit.ball.words
-    return LimitSample(points=points[keep], witnesses=[words[i // 2] for i in keep],
-                       source=SOURCE_CONJUGATE)
+    return LimitSample(points=points[keep], witnesses=keep // 2, source=SOURCE_CONJUGATE)
 
 
 def deep_orbit_sample(orbit):
@@ -113,9 +122,7 @@ def deep_orbit_sample(orbit):
         raise UsageError("orbit point at the ball center has no radial projection")
     pts = pts / norms[:, None]
     keep = _first_unique(pts)
-    words = orbit.ball.words
-    return LimitSample(points=pts[keep], witnesses=[words[deep[i]] for i in keep],
-                       source=SOURCE_DEEP_ORBIT)
+    return LimitSample(points=pts[keep], witnesses=deep[keep], source=SOURCE_DEEP_ORBIT)
 
 
 @dataclass
@@ -151,24 +158,40 @@ def _grid_cell_count(sample, radius, cell):
     """Count origin-anchored grid cells near the sample's points.
 
     A cell of side `cell` with index vector i covers [i*cell, (i+1)*cell)
-    per axis; it counts when its center is within radius + (sqrt(n)/2)*cell
-    of some point.  Candidates are the cells within h = ceil(reach/cell) + 1
-    index steps of an occupied cell on every axis.  That box is separable, so
-    it grows one axis at a time: each pass dilates the last column and rolls
-    it to the front, which restores the column order after n passes.  The
-    exact center test runs on the sample's KD-tree.
+    per axis; it counts when its center is within reach = radius +
+    (sqrt(n)/2)*cell of some point.  `cell` is a power of two, so cell
+    indices and centers are exact, and a point in cell c reaches only the
+    centers of cells with |i - c| <= reach/cell + 1/2 on every axis: the
+    candidates are the cells within h = floor(reach/cell + 1/2) index steps
+    of an occupied cell.  That box is separable, so it grows one axis at a
+    time: each pass dilates the last column and rolls it to the front, which
+    restores the column order after n passes.
+
+    Most candidates are decided by the first point of each sub-cell of side
+    s = cell/2^_SUBCELL_BITS, which lies within s*sqrt(n) of every point of
+    its sub-cell: a representative within reach is a point within reach, and
+    one beyond (reach + s*sqrt(n))(1 + 1e-9) rules out every point.  Only the
+    centers in between run the exact test on the sample's KD-tree.
     """
     points = sample.points
     n = points.shape[1]
     reach = radius + 0.5 * math.sqrt(n) * cell
-    h = int(math.ceil(reach / cell)) + 1
-    cells = np.floor(points / cell).astype(np.int64)
+    sub = cell / (1 << _SUBCELL_BITS)
+    keys = np.floor(points / sub).astype(np.int64)
+    order, ordered, starts = _sorted_runs(keys, n)
+    # floor(p/cell) == floor(p/sub) >> _SUBCELL_BITS exactly: the occupied cells
+    cells = ordered[starts] >> _SUBCELL_BITS
+    h = int(math.floor(reach / cell + 0.5))
     for _ in range(n):
         cells = np.roll(_dilate_last_axis(cells, h), 1, axis=1)
     centers = (cells + 0.5) * cell
-    # the bound is strict, hence nextafter; cells with no point within reach get inf
-    dist, _ = sample.tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
-    return int(np.count_nonzero(dist <= reach))
+    # the bounds are strict: centers with no point below them get inf
+    outer = (reach + sub * math.sqrt(n)) * (1.0 + 1e-9)
+    near, _ = cKDTree(points[order[starts]]).query(centers, k=1, distance_upper_bound=outer)
+    inside = near <= reach
+    band = ~inside & np.isfinite(near)
+    dist, _ = sample.tree.query(centers[band], k=1, distance_upper_bound=np.nextafter(reach, np.inf))
+    return int(np.count_nonzero(inside)) + int(np.count_nonzero(dist <= reach))
 
 
 def neighborhood_volume(sample, r, radius=None):

@@ -11,6 +11,8 @@ import time
 import pytest
 
 from kleindim import (
+    GroupPresentation,
+    MoebiusMap,
     choose_basepoint,
     cyclic_loxodromic,
     enumerate_orbit,
@@ -43,6 +45,14 @@ def cyclic():
 @pytest.fixture(scope="session")
 def lattice():
     return fuchsian_lattice()
+
+
+@pytest.fixture(scope="session")
+def ball_schottky():
+    """The Schottky group of `schottky` carried into the ball model (n = 3)."""
+    g1 = MoebiusMap(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0, model=3)
+    g2 = MoebiusMap(5.0 / 3.0, 4.0j / 3.0, -4.0j / 3.0, 5.0 / 3.0, model=3)
+    return GroupPresentation([g1, g2], model=3, name="schottky_ball")
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,7 @@ from kleindim import (
     deep_orbit_sample,
     enumerate_orbit,
     euclidean_balls,
+    fixed_points,
     neighborhood_volume,
     origin,
     packing_radius,
@@ -35,7 +36,9 @@ from kleindim import (
     schottky_f2,
     volume_ratio_report,
 )
-from kleindim.limitset import _first_unique, _grid_cell_count
+from kleindim.geometry import boundary_images
+from kleindim.limitset import K_RANGE, _SUBCELL_BITS, _first_unique, _grid_cell_count
+from kleindim.verify import sampling_front
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -84,6 +87,14 @@ def test_schottky_sample_basics(schottky_orbit10, schottky_sample10):
     norms = np.linalg.norm(sample.points, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
     assert len(sample.witnesses) == len(sample)
+
+
+def test_witnesses_are_ball_rows(schottky_orbit10, schottky_h, schottky_sample10):
+    sample = schottky_sample10
+    entries = schottky_orbit10.ball.entries[sample.witnesses]
+    images = [boundary_images(entries, fp.coords) for fp in fixed_points(schottky_h.map)]
+    miss = np.minimum(*(np.linalg.norm(im - sample.points, axis=1) for im in images))
+    assert miss.max() < 1e-9
 
 
 def test_sample_points_accumulate(schottky, schottky_orbit8, schottky_orbit10,
@@ -279,3 +290,68 @@ def test_grid_count_matches_stencil_oracle(n, seed, count, clusters, k, factor):
     # the same sort helper dedups samples, keeping first occurrences
     repeated = np.concatenate([pts, pts[::-2], pts[1::3]])
     np.testing.assert_array_equal(_first_unique(repeated), first_unique_np(repeated))
+
+
+def _assert_matches_oracle(pts, radius, cell):
+    assert _grid_cell_count(_synthetic(pts), radius, cell) == grid_cell_count_stencil(
+        pts, radius, cell), (radius, cell)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_count_points_on_cell_faces(n):
+    # every coordinate of +-e_i is a multiple of every dyadic cell side
+    pts = np.concatenate([np.eye(n), -np.eye(n)])
+    for k in range(1, 13):
+        cell = 2.0 ** -k
+        for factor in (0.25, 1.0, 2.66, 5.43):
+            _assert_matches_oracle(pts, factor * cell, cell)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_count_stencil_edge_within_ulps(n):
+    # radii that put reach/cell + 1/2 a few ulps from the integer m, where the
+    # stencil half-width h = floor(reach/cell + 1/2) steps
+    pts = np.concatenate([np.eye(n), -np.eye(n), _sphere_points(7, 20, n, 2)])
+    for k in (3, 9):
+        cell = 2.0 ** -k
+        for m in (2, 3):
+            radius = (m - 0.5 - 0.5 * math.sqrt(n)) * cell
+            for direction in (-np.inf, np.inf):
+                r = radius
+                for _ in range(4):
+                    edge = (r + 0.5 * math.sqrt(n) * cell) / cell + 0.5
+                    assert abs(edge - m) < 1e-14
+                    _assert_matches_oracle(pts, r, cell)
+                    r = np.nextafter(r, direction)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_grid_count_dense_clusters(n, k):
+    # 2,400 points in 300 clusters of 8, each cluster a fraction of a prefilter
+    # sub-cell wide: sub-cells hold several points, and past a cluster's rim
+    # the distance to its representative and to its nearest point differ
+    rng = np.random.default_rng(10 * n + k)
+    cell = 2.0 ** -k
+    pts = np.repeat(rng.normal(size=(300, n)), 8, axis=0)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts += 0.02 * cell * rng.normal(size=pts.shape)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    sub_cells = np.unique(np.floor(pts / (cell / 2 ** _SUBCELL_BITS)), axis=0)
+    assert len(sub_cells) <= len(pts) // 2
+    for factor in (0.25, 1.0, 2.66):
+        _assert_matches_oracle(pts, factor * cell, cell)
+
+
+@pytest.mark.parametrize("group, depth, chain_shells", [
+    ("ball_schottky", 6, 2),  # the n = 3 oracle's full stencil is slow at c_hat ~ 5.4
+    ("lattice", 10, None),
+])
+def test_grid_count_pipeline_samples(request, group, depth, chain_shells):
+    """Box counts over K_RANGE and the chain's c_hat * 2^-k neighborhoods."""
+    orbit, sample = sampling_front(request.getfixturevalue(group), depth)
+    for k in range(K_RANGE[0], K_RANGE[1] + 1):
+        _assert_matches_oracle(sample.points, 2.0 ** -k, 2.0 ** -k)
+    containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample)
+    for k, _, _ in containment.records[:chain_shells]:
+        _assert_matches_oracle(sample.points, containment.c_hat * 2.0 ** -k, 2.0 ** -k)

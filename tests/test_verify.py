@@ -161,6 +161,16 @@ def test_chain_builds_one_sample_tree(schottky, monkeypatch):
     assert len(over_sample) == 1
 
 
+def test_pipeline_spells_no_words(schottky, ball_schottky, monkeypatch):
+    def words(ball):
+        raise AssertionError("GroupBall.words read")
+
+    monkeypatch.setattr(group.GroupBall, "words", property(words))
+    verify_inequality(schottky, 8)
+    verify_inequality(ball_schottky, 6)
+    series_chain_report(schottky, 8, 1.06, 0.86)
+
+
 def test_chain_usage_errors(schottky, cyclic):
     with pytest.raises(UsageError):
         series_chain_report(cyclic, 7, 0.4, 0.2)
