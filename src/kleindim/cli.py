@@ -159,14 +159,20 @@ def _write_pgm(path, sample, k):
     size = int(round(2.0 / r))
     xs = -1.0 + (np.arange(size) + 0.5) * r
     ys = 1.0 - (np.arange(size) + 0.5) * r
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    centers = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    # the bound is strict, hence nextafter; pixels with no point within r get inf
-    bound = np.nextafter(r, np.inf)
-    dist, _ = sample.tree.query(centers, k=1, distance_upper_bound=bound)
-    img = np.where(dist.reshape(size, size) <= r, 128, 0).astype(np.uint8)
-    cols = np.clip(np.floor((sample.points[:, 0] + 1.0) / r), 0, size - 1).astype(int)
-    rows = np.clip(np.floor((1.0 - sample.points[:, 1]) / r), 0, size - 1).astype(int)
+    px, py = sample.points[:, 0], sample.points[:, 1]
+    cols = np.clip(np.floor((px + 1.0) / r), 0, size - 1).astype(int)
+    rows = np.clip(np.floor((1.0 - py) / r), 0, size - 1).astype(int)
+    # a pixel center within r of a point is at most one pixel from the point's
+    # own; the 5 x 5 block also absorbs the clip at the border and floor rounding
+    step = np.arange(-2, 3)
+    block_rows = np.clip(rows[:, None] + step, 0, size - 1)[:, :, None]
+    block_cols = np.clip(cols[:, None] + step, 0, size - 1)[:, None, :]
+    dx = xs[block_cols] - px[:, None, None]
+    dy = ys[block_rows] - py[:, None, None]
+    near = np.sqrt(dx * dx + dy * dy) <= r
+    block_rows, block_cols = np.broadcast_arrays(block_rows, block_cols)
+    img = np.zeros((size, size), dtype=np.uint8)
+    img[block_rows[near], block_cols[near]] = 128
     img[rows, cols] = 255
     atomic_write_bytes(path, f"P5 {size} {size} 255\n".encode("ascii") + img.tobytes())
 

@@ -45,6 +45,7 @@ DEDUP_TOL = 1e-6       # entrywise matrix distance under which two words are one
 ORBIT_CAP = 5_000_000  # enumeration resource limit, elements kept
 PACKING_SAFETY = 0.98  # the packing radius is this share of half the least displacement
 _PACKING_CHUNK = 4096  # query rows per KD-tree call of the packing check
+_DEDUP_WEIGHTS = 0.7549 ** np.arange(8)  # generic weights of the dedup's sort key
 
 
 class GroupPresentation:
@@ -189,29 +190,46 @@ class GroupBall:
 def _fresh(kept, candidates):
     """Mask of the candidates that duplicate no kept or earlier fresh one.
 
-    A Chebyshev KD-tree query (k doubles until no candidate has k neighbors
-    within DEDUP_TOL) finds a superset of the earlier rows within DEDUP_TOL
-    entrywise; the exact complex-modulus test decides.  Pairs come ordered by
-    their later row, so duplicates resolve greedily and the first occurrence
-    survives.
+    Two rows within DEDUP_TOL entrywise (complex modulus) have real parts
+    within DEDUP_TOL, so their projections onto the fixed weights
+    _DEDUP_WEIGHTS differ by at most DEDUP_TOL * |w|_1.  One sort of every
+    row's projection therefore yields all such pairs inside a window of that
+    width, widened by 1e-14 * |w|_1 times the largest real component in
+    absolute value, which bounds the rounding of two 8-term dot products and
+    of the window's own sum.
+    The exact complex-modulus test decides on the pairs whose later row is a
+    candidate.  Duplicates resolve greedily in order of the later row, so the
+    first occurrence survives: a row is dropped when an earlier duplicate
+    survives, which is settled in rounds, each taking the rows whose earlier
+    duplicates are all settled.
     """
     rows = np.concatenate([kept, candidates])
-    tree = cKDTree(rows.view(float))
-    k = 4
-    while True:
-        dist, near = tree.query(candidates.view(float), k=k,
-                                distance_upper_bound=DEDUP_TOL, p=np.inf)
-        if not np.isfinite(dist[:, -1]).any():
-            break
-        k *= 2
-    later = np.repeat(np.arange(kept.shape[0], rows.shape[0]), k)
-    earlier = near.ravel()
-    hit = earlier < later  # drops the candidate itself and missing neighbors
-    hit[hit] = np.abs(rows[earlier[hit]] - rows[later[hit]]).max(axis=1) <= DEDUP_TOL
+    parts = rows.view(float)
+    key = parts @ _DEDUP_WEIGHTS
+    window = (DEDUP_TOL + 1e-14 * max(parts.max(), -parts.min())) * _DEDUP_WEIGHTS.sum()
+    order = np.argsort(key)
+    ordered = key[order]
+    # sorted position p pairs with each later q where ordered[q] <= ordered[p] + window;
+    # only the positions whose successor qualifies have any
+    near = np.flatnonzero(ordered[1:] <= ordered[:-1] + window)
+    counts = np.searchsorted(ordered, ordered[near] + window, side="right") - near - 1
+    first = np.repeat(near, counts)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    earlier = np.minimum(order[first], order[second])
+    later = np.maximum(order[first], order[second])
+    pair = later >= kept.shape[0]
+    earlier, later = earlier[pair], later[pair]
+    hit = np.abs(rows[earlier] - rows[later]).max(axis=1) <= DEDUP_TOL
+    earlier, later = earlier[hit], later[hit]
     fresh = np.ones(rows.shape[0], dtype=bool)
-    for i, j in zip(earlier[hit].tolist(), later[hit].tolist()):
-        if fresh[i]:
-            fresh[j] = False
+    pending = np.zeros(rows.shape[0], dtype=bool)
+    pending[later] = True
+    while later.size:
+        ready = pending.copy()
+        ready[later[pending[earlier]]] = False
+        fresh[later[ready[later] & fresh[earlier]]] = False
+        pending &= ~ready
+        earlier, later = earlier[pending[later]], later[pending[later]]
     return fresh[kept.shape[0]:]
 
 
@@ -229,7 +247,8 @@ def build_ball(presentation, max_word_length, cap=ORBIT_CAP):
     Words whose matrix lies within DEDUP_TOL entrywise of an earlier element
     are dropped and not expanded; the surviving set of words is closed under
     prefixes.  Each level is one batch of 2x2 products over frontier x
-    alphabet.
+    alphabet, deduplicated against every kept element by one sort of a fixed
+    projection of the entries (see _fresh); no search tree is built.
     """
     max_word_length = int(max_word_length)
     if max_word_length < 1:

@@ -399,7 +399,17 @@ class BallContainmentReport:
 
 
 def ball_containment_check(orbit, radius, sample, k_max=12):
-    """Measure shell-normalized distances from ball boundaries to the sample."""
+    """Measure shell-normalized distances from ball boundaries to the sample.
+
+    The worst distance of a shell is the exact maximum over every mesh point
+    of its balls, found without querying every mesh.  A mesh point of ball i
+    lies within its Euclidean radius rho_i of the center, whose distance to
+    the sample d_i is one query, so U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15
+    bounds the computed distance of each of its mesh points; the margins
+    cover the rounding of forming and querying points of the closed unit
+    ball.  Meshes are queried in decreasing U_i, in doubling batches, until
+    the running maximum reaches the next U_i: no later mesh can exceed it.
+    """
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
     k_max = int(k_max)
@@ -414,9 +424,16 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
             skipped.append(k)
             continue
         centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
-        pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
-        dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
-        worst = float(dist.max())
+        center_dist, _ = sample.tree.query(centers, k=1)
+        bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
+        order = np.argsort(-bound)
+        worst, done, batch = -math.inf, 0, 1
+        while done < order.size and worst < bound[order[done]]:
+            i = order[done:done + batch]
+            pts = centers[i, None, :] + radii[i, None, None] * mesh[None, :, :]
+            dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
+            worst = max(worst, float(dist.max()))
+            done, batch = done + batch, 2 * batch
         records.append((k, worst, worst / (2.0 ** -k)))
     if not records:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")

@@ -1,9 +1,11 @@
 """Reference implementations the fast kernels are tested against.
 
-These are the straightforward algorithms the library used before its
-near-linear kernels: a full-stencil grid counter deduplicated by np.unique,
-and the exhaustive pairwise packing scan.  They share no code with the
-library versions and must agree with them exactly.
+These are the straightforward algorithms the library's pruned kernels
+replace: a full-stencil grid counter, the pairwise dedup scan,
+the exhaustive pairwise packing scan, and the exhaustive mesh scan of the
+containment check.  Apart from the containment scan, which maps its balls
+and meshes with the library's own helpers, they share no code with the
+library versions, and all must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from kleindim import PackingCheck
+from kleindim import BallContainmentReport, PackingCheck, UsageError, euclidean_balls
+from kleindim.group import DEDUP_TOL
+from kleindim.limitset import _sphere_mesh
 
 
 def grid_cell_count_stencil(points, radius, cell):
     """Cells whose center is within radius + (sqrt(n)/2)*cell of a point.
 
     Candidates: every occupied base cell plus the full (2h+1)^n box of
-    offsets, deduplicated with np.unique; exact test on a KD-tree.
+    offsets, deduplicated by np.unique over their packed int64 keys; exact
+    test on a KD-tree.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[1]
@@ -29,11 +34,31 @@ def grid_cell_count_stencil(points, radius, cell):
     h = int(math.ceil(reach / cell)) + 1
     axes = [np.arange(-h, h + 1, dtype=np.int64)] * n
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    cand = (base[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    cand = np.unique(cand, axis=0)
+    # keys are linear in the cell index, so a cell's key is its base key plus its offset's
+    lo = base.min(axis=0) - h
+    span = base.max(axis=0) + h + 1 - lo
+    base_keys = np.ravel_multi_index(tuple((base - lo).T), span)
+    shifts = (np.ravel_multi_index(tuple((offsets + h).T), span)
+              - np.ravel_multi_index(tuple(np.full(n, h)), span))
+    keys = np.unique((base_keys[:, None] + shifts[None, :]).ravel())
+    cand = np.column_stack(np.unravel_index(keys, span)) + lo
     centers = (cand.astype(float) + 0.5) * cell
     dist, _ = cKDTree(points).query(centers, k=1)
     return int(np.count_nonzero(dist <= reach))
+
+
+def fresh_pairwise(kept, candidates):
+    """Greedy first-occurrence dedup by a scan of every earlier row.
+
+    A candidate is dropped when some kept or earlier surviving row lies
+    within DEDUP_TOL of it in every entry's complex modulus.
+    """
+    rows = np.concatenate([kept, candidates])
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    for j in range(kept.shape[0], rows.shape[0]):
+        earlier = rows[:j][fresh[:j]]
+        fresh[j] = not np.any(np.abs(earlier - rows[j]).max(axis=1) <= DEDUP_TOL)
+    return fresh[kept.shape[0]:]
 
 
 def first_unique_np(points, tol=1e-9):
@@ -72,3 +97,33 @@ def packing_brute_force(orbit, radius, chunk=256):
                 distance=float(np.arccosh(max(carg[i_loc, j_loc], 1.0))),
             )
     return PackingCheck(ok=True)
+
+
+def containment_exhaustive(orbit, radius, sample, k_max=12):
+    """Every mesh point of every ball queried: the containment check's own definition."""
+    if sample.model != orbit.model:
+        raise UsageError("sample and orbit models differ")
+    k_max = int(k_max)
+    if k_max < 1:
+        raise UsageError("k_max must be at least 1")
+    mesh = _sphere_mesh(orbit.model)
+    records = []
+    skipped = []
+    for k in range(1, k_max + 1):
+        idx = np.nonzero(orbit.shells == k)[0]
+        if idx.size == 0:
+            skipped.append(k)
+            continue
+        centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
+        pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
+        dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
+        worst = float(dist.max())
+        records.append((k, worst, worst / (2.0 ** -k)))
+    if not records:
+        raise UsageError(f"no orbit elements in shells 1..{k_max}")
+    return BallContainmentReport(
+        records=records,
+        c_hat=max(c for _, _, c in records),
+        skipped_shells=skipped,
+        radius=radius,
+    )

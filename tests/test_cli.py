@@ -136,25 +136,24 @@ def test_limitset_csv_and_image(tmp_path, schottky_file):
 
 def test_pgm_matches_brute_force_distances(tmp_path):
     G = schottky_f2()
-    sample = sample_limit_set(enumerate_orbit(G, origin(2), 3), find_loxodromic(G, 2))
-    k = 6
-    path = tmp_path / "sample.pgm"
-    _write_pgm(str(path), sample, k)
-    r = 2.0 ** -k
-    size = 128
-    xs = -1.0 + (np.arange(size) + 0.5) * r
-    ys = 1.0 - (np.arange(size) + 0.5) * r
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    centers = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    diff = centers[:, None, :] - sample.points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
-    expected = np.where(dist.reshape(size, size) <= r, 128, 0).astype(np.uint8)
-    cols = np.floor((sample.points[:, 0] + 1.0) / r).astype(int)
-    rows = np.floor((1.0 - sample.points[:, 1]) / r).astype(int)
-    expected[np.clip(rows, 0, size - 1), np.clip(cols, 0, size - 1)] = 255
-    payload = path.read_bytes().split(b"\n", 1)[1]
-    assert payload == expected.tobytes()
-    assert 0 < expected.tobytes().count(128) < size * size
+    for depth, k in ((3, 6), (7, 7)):
+        sample = sample_limit_set(enumerate_orbit(G, origin(2), depth), find_loxodromic(G, 2))
+        path = tmp_path / f"sample{depth}.pgm"
+        _write_pgm(str(path), sample, k)
+        r = 2.0 ** -k
+        size = 2 ** (k + 1)
+        xs = -1.0 + (np.arange(size) + 0.5) * r
+        ys = 1.0 - (np.arange(size) + 0.5) * r
+        px, py = sample.points[:, 0], sample.points[:, 1]
+        # every pixel center against every sample point, one pixel row at a time
+        dist = np.array([np.sqrt((xs[:, None] - px) ** 2 + (y - py) ** 2).min(axis=1) for y in ys])
+        expected = np.where(dist <= r, 128, 0).astype(np.uint8)
+        cols = np.floor((px + 1.0) / r).astype(int)
+        rows = np.floor((1.0 - py) / r).astype(int)
+        expected[np.clip(rows, 0, size - 1), np.clip(cols, 0, size - 1)] = 255
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        assert payload == expected.tobytes()
+        assert 0 < expected.tobytes().count(128) < size * size
 
 
 @pytest.fixture()

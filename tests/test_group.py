@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import packing_brute_force
+from oracles import containment_exhaustive, fresh_pairwise, packing_brute_force
 from scipy.spatial import cKDTree
 
 from kleindim import (
@@ -25,6 +25,7 @@ from kleindim import (
     ResourceLimitError,
     UsageError,
     apply_interior,
+    ball_containment_check,
     build_ball,
     check_packing_disjoint,
     choose_basepoint,
@@ -39,12 +40,13 @@ from kleindim import (
     inverse,
     origin,
     packing_radius,
+    sample_limit_set,
     schottky_f2,
     shell_index_of,
     translation_to_origin,
 )
 from kleindim.errors import DegenerateBasepointError
-from kleindim.group import DEDUP_TOL
+from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh
 
 LN9 = math.log(9.0)
 
@@ -87,6 +89,32 @@ def test_free_group_counts_per_word_length(schottky_orbit8):
     for m in range(1, 9):
         assert int((lengths == m).sum()) == 4 * 3 ** (m - 1)
     assert len(schottky_orbit8) == _free_count(8)
+
+
+def _rotation(angle):
+    return MoebiusMap(np.exp(0.5j * angle), 0.0, 0.0, np.exp(-0.5j * angle), model=2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    rank=st.integers(2, 3),
+    depth=st.integers(1, 5),
+    angles=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+    lengths=st.tuples(*[st.floats(1.8, 2.5)] * 3),
+)
+def test_random_free_group_level_counts(rank, depth, angles, lengths):
+    # boosts along diameters pi/rank apart, jittered by at most 0.05 rad; the
+    # pairing disks of a boost with cosh(t) on the diagonal span atan(1/sinh t)
+    # < 0.33 rad about each end for t >= 1.8, so the 2 * rank disks are
+    # disjoint and the group is a free Schottky group
+    gens = []
+    for i in range(rank):
+        turn = _rotation(i * math.pi / rank + angles[i])
+        gens.append(compose(compose(turn, _boost(lengths[i])), inverse(turn)))
+    ball = build_ball(GroupPresentation(gens, model=2), depth)
+    levels = np.bincount(ball.word_lengths, minlength=depth + 1)
+    expected = [1] + [2 * rank * (2 * rank - 1) ** (m - 1) for m in range(1, depth + 1)]
+    assert levels.tolist() == expected
 
 
 def test_cyclic_counts():
@@ -150,6 +178,54 @@ def test_dedup_soundness_pairwise():
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             assert np.abs(vecs[i] - vecs[j]).max() > DEDUP_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kept=st.integers(1, 30),
+    spread=st.integers(0, 30),
+    planted=st.integers(0, 30),
+    chains=st.integers(0, 4),
+    level=st.integers(0, 12),
+    scale=st.sampled_from([1.0, 1e2, 1e4]) | st.floats(0.5, 1e4),
+)
+@example(seed=0, kept=10, spread=10, planted=30, chains=4, level=12, scale=1e4)
+@example(seed=1, kept=1, spread=0, planted=0, chains=0, level=12, scale=1.0)
+def test_fresh_matches_pairwise_oracle(seed, kept, spread, planted, chains, level, scale):
+    rng = np.random.default_rng(seed)
+    base = scale * (rng.normal(size=(kept + spread, 4)) + 1j * rng.normal(size=(kept + spread, 4)))
+
+    def phase(size):
+        return np.exp(2j * np.pi * rng.random(size))
+
+    # near-duplicates: every entry moved by under 0.9 DEDUP_TOL, then one
+    # entry moved by exactly (1 -+ 1e-3) DEDUP_TOL instead
+    src = base[rng.integers(base.shape[0], size=planted)]
+    near = src + 0.9 * DEDUP_TOL * rng.random((planted, 4)) * phase((planted, 4))
+    row, col = np.arange(planted), rng.integers(4, size=planted)
+    factor = 1.0 + 1e-3 * rng.choice([-1.0, 1.0], size=planted)
+    near[row, col] = src[row, col] + factor * DEDUP_TOL * phase(planted)
+    # every entry moved by (1 -+ 1e-3) DEDUP_TOL along its pair of weights:
+    # the largest change of sort key that a duplicate can have
+    toward = _DEDUP_WEIGHTS[0::2] + 1j * _DEDUP_WEIGHTS[1::2]
+    far = base[rng.integers(base.shape[0], size=planted)]
+    far += factor[:, None] * DEDUP_TOL * toward / np.abs(toward)
+    # chains: steps of 0.6 DEDUP_TOL, so neighbors are duplicates and rows two apart are not
+    steps = np.arange(5)[None, :, None] * (0.6 * DEDUP_TOL * phase((chains, 1, 4)))
+    chain = (base[rng.integers(base.shape[0], size=chains)][:, None, :] + steps).reshape(-1, 4)
+    # equal sort key, different entries: a move along w_j e_i - w_i e_j of the real parts
+    flat = base[rng.integers(base.shape[0], size=level)].copy()
+    parts = flat.view(float)
+    for r, size in zip(parts, rng.choice([0.5, 0.99, 1.01, 3.0, 1e3], size=level)):
+        i, j = rng.choice(8, size=2, replace=False)
+        t = size * DEDUP_TOL / max(_DEDUP_WEIGHTS[i], _DEDUP_WEIGHTS[j])
+        r[i] += t * _DEDUP_WEIGHTS[j]
+        r[j] -= t * _DEDUP_WEIGHTS[i]
+    candidates = np.concatenate([base[kept:], near, far, chain, flat])
+    candidates = candidates[rng.permutation(candidates.shape[0])]
+    np.testing.assert_array_equal(_fresh(base[:kept], candidates),
+                                  fresh_pairwise(base[:kept], candidates))
 
 
 def _sequential_reference(G, depth):
@@ -410,3 +486,45 @@ def test_packing_matches_brute_force_oracle(name, depth, offset, which):
         reject()  # a random basepoint on an elliptic fixed point
     radius = NAMED_RADII[which](pk) if isinstance(which, str) else which * pk.radius
     assert check_packing_disjoint(orbit, radius) == _brute_packing(name, depth, offset, radius)
+
+
+@functools.lru_cache(maxsize=None)
+def _containment_sample(name, depth, offset):
+    G = PACKING_GROUPS[name]()
+    return sample_limit_set(_packing_orbit(name, depth, offset), find_loxodromic(G, 6))
+
+
+def _with_containment_cases(test):
+    """Every fixture at depth 8, the lattice at 14 and n = 3 at 6, on the axis basepoint."""
+    cases = [(name, 8) for name in PACKING_GROUPS] + [("fuchsian_lattice", 14), ("schottky_ball", 6)]
+    for name, depth in cases:
+        for factor in (0.5, 1.0, 2.0):
+            test = example(name=name, depth=depth, offset=None, factor=factor)(test)
+    return test
+
+
+@_with_containment_cases
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(PACKING_GROUPS)),
+    depth=st.integers(1, 6),
+    offset=st.none() | st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    factor=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0),
+)
+def test_containment_matches_exhaustive_oracle(name, depth, offset, factor):
+    orbit = _packing_orbit(name, depth, offset)
+    try:
+        radius = factor * packing_radius(orbit).radius
+    except DegenerateBasepointError:
+        reject()
+    sample = _containment_sample(name, depth, offset)
+    try:
+        expected = containment_exhaustive(orbit, radius, sample)
+    except UsageError:
+        with pytest.raises(UsageError):
+            ball_containment_check(orbit, radius, sample)
+        return
+    report = ball_containment_check(orbit, radius, sample)
+    assert report.records == expected.records
+    assert report.c_hat == expected.c_hat
+    assert report.skipped_shells == expected.skipped_shells
