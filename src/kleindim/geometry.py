@@ -221,13 +221,6 @@ class MoebiusMap:
     def trace(self):
         return self.a + self.d
 
-    def entry_vector(self):
-        """The 8 real coordinates (re, im interleaved) used for dedup."""
-        return np.array([
-            self.a.real, self.a.imag, self.b.real, self.b.imag,
-            self.c.real, self.c.imag, self.d.real, self.d.imag,
-        ])
-
     def entry_distance(self, other):
         """Entrywise max complex-modulus distance between canonical forms."""
         return max(
@@ -383,15 +376,10 @@ def apply_interior(g, z):
     InteriorPoint.  Raises NumericalOverflowError when the image is within
     1e-14 of the sphere, the float-precision cliff.
     """
-    return apply_interior_radial(g, z)[0]
-
-
-def apply_interior_radial(g, z):
-    """Evaluate at an interior point, also returning 1 - |image|^2."""
     if z.model != g.model:
         raise ModelMismatchError(f"point model {z.model} does not match map model {g.model}")
-    coords, one_minus_sq = interior_images(_row(g), z.coords)
-    return InteriorPoint(coords[0]), float(one_minus_sq[0])
+    coords, _ = interior_images(_row(g), z.coords)
+    return InteriorPoint(coords[0])
 
 
 def apply_boundary(g, x):

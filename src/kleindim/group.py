@@ -27,7 +27,6 @@ from .errors import (
 from .geometry import (
     CONSTRUCTION_TOL,
     BoundaryGeodesic,
-    InteriorPoint,
     MapClass,
     MoebiusMap,
     classify,
@@ -37,7 +36,6 @@ from .geometry import (
     fixed_points,
     interior_images,
     inverse,
-    origin,
     product_entries,
 )
 
@@ -93,37 +91,10 @@ class GroupPresentation:
         return f"GroupPresentation(name={self.name!r}, model={self.model}, k={len(self.generators)})"
 
 
-@dataclass
-class GroupElement:
-    """One enumerated group element with cached orbit data.
-
-    shell_index is the dyadic shell k with 2^-k <= 1-|g(z)| < 2^-k+1, or
-    None when the orbit point is the ball center (gap 1).  displacement is
-    the hyperbolic distance from the basepoint to the orbit point.
-    """
-
-    map: MoebiusMap
-    word: tuple
-    orbit_point: InteriorPoint
-    radial_gap: float
-    shell_index: int | None
-    displacement: float
-
-    @property
-    def word_length(self):
-        return len(self.word)
-
-
 def _shell_indices(gaps):
+    """Dyadic shell index per gap: the k >= 1 with 2^-k <= gap < 2^-k+1, or 0 at gap 1."""
     _, e = np.frexp(gaps)  # gap = m * 2^e with m in [0.5, 1)
     return np.where(gaps >= 1.0, 0, 1 - e.astype(np.int64))
-
-
-def shell_index_of(gap):
-    """Dyadic shell index: the k >= 1 with 2^-k <= gap < 2^-k+1, else None."""
-    if not gap > 0.0:
-        raise UsageError(f"radial gap must be positive, got {gap:.3g}")
-    return int(_shell_indices(gap)) or None
 
 
 @dataclass(eq=False)
@@ -172,10 +143,9 @@ class GroupBall:
         of word length <= max_word_length fixes the candidate (displacement
         below 1e-9).
         """
-        m = h.map if isinstance(h, GroupElement) else h
-        if classify(m) is not MapClass.LOXODROMIC:
+        if classify(h) is not MapClass.LOXODROMIC:
             raise UsageError("basepoint selection needs a loxodromic element")
-        geo = BoundaryGeodesic(*fixed_points(m))
+        geo = BoundaryGeodesic(*fixed_points(h))
         head = self.entries[self.word_lengths <= max_word_length]
         elliptics = head[classify_entries(head) == MapClass.ELLIPTIC]
         z = geo.apex
@@ -308,17 +278,6 @@ class OrbitSet:
     def __len__(self):
         return len(self.ball)
 
-    def element(self, i):
-        """GroupElement view of element i, built from the arrays."""
-        return GroupElement(self.ball.map(i), self.ball.words[i], InteriorPoint(self.points[i]),
-                            float(self.gaps[i]), int(self.shells[i]) or None,
-                            float(self.displacements[i]))
-
-    @property
-    def elements(self):
-        """Read-only per-element view, rebuilt from the arrays on each access."""
-        return tuple(self.element(i) for i in range(len(self)))
-
     def shell_counts(self):
         """Mapping shell index -> element count, shelled elements only."""
         ks, counts = np.unique(self.shells[self.shells > 0], return_counts=True)
@@ -330,16 +289,16 @@ class OrbitSet:
 
 
 def enumerate_orbit(presentation, basepoint, max_word_length, cap=ORBIT_CAP):
-    """Orbit of basepoint under the group ball of max_word_length (see build_ball)."""
+    """Orbit of basepoint under a new ball of max_word_length; the benchmark harness calls it."""
     return OrbitSet(build_ball(presentation, max_word_length, cap), basepoint)
 
 
 def find_loxodromic(presentation, search_depth):
-    """First loxodromic element in enumeration order, up to search_depth.
+    """First loxodromic element in enumeration order, up to search_depth, as a MoebiusMap.
 
     Raises LoxodromicNotFoundError when none exists at that depth; the
     group may be elementary (or generated by parabolics and elliptics only),
-    or the search may simply need to go deeper.
+    or the search may simply need to go deeper.  The benchmark harness calls it.
     """
     ball = build_ball(presentation, search_depth)
     i = ball.first_loxodromic()
@@ -348,11 +307,11 @@ def find_loxodromic(presentation, search_depth):
             f"no loxodromic element within word length {search_depth}; "
             "the group may be elementary, or try a deeper search"
         )
-    return OrbitSet(ball, origin(presentation.model)).element(i)
+    return ball.map(i)
 
 
 def choose_basepoint(h, presentation, search_depth):
-    """GroupBall.basepoint_on_axis on the ball of search_depth."""
+    """GroupBall.basepoint_on_axis on a new ball of search_depth; the benchmark harness calls it."""
     return build_ball(presentation, search_depth).basepoint_on_axis(h, search_depth)
 
 

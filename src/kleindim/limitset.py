@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 from scipy.spatial import cKDTree
 
 from .errors import InternalError, ResolutionError, UsageError
 from .geometry import MapClass, boundary_images, classify, fixed_points
-from .group import GroupElement
 
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
@@ -101,10 +99,9 @@ def sample_limit_set(orbit, h):
     deduplicates at 1e-9.  The witness of a sample point is the ball row of
     the first element that produced it.
     """
-    m = h.map if isinstance(h, GroupElement) else h
-    if classify(m) is not MapClass.LOXODROMIC:
+    if classify(h) is not MapClass.LOXODROMIC:
         raise UsageError("sampling needs a loxodromic element")
-    images = [boundary_images(orbit.ball.entries, fp.coords) for fp in fixed_points(m)]
+    images = [boundary_images(orbit.ball.entries, fp.coords) for fp in fixed_points(h)]
     # interleave: rows 2i and 2i + 1 are element i's images of p+ and p-
     points = np.stack(images, axis=1).reshape(-1, orbit.model)
     keep = _first_unique(points)
@@ -216,6 +213,23 @@ def neighborhood_volume(sample, r, radius=None):
     return DyadicScaleRecord(k=k, r=r, cell_count=count, volume=count * r ** n)
 
 
+def _linear_fit(x, y):
+    """Least-squares line through (x, y), n >= 3: (slope, intercept, r, slope stderr).
+
+    The formulas of scipy.stats.linregress, so the four values are the same bit
+    for bit, without importing scipy.stats.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0.0 else 0.0
+    else:
+        r = min(max(ssxym / math.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = math.sqrt((1 - r ** 2) * ssym / ssxm / (x.size - 2))
+    return slope, y.mean() - slope * x.mean(), r, stderr
+
+
 @dataclass
 class BoxDimensionEstimate:
     """Box dimension from a least-squares fit of log counts across scales."""
@@ -261,8 +275,7 @@ def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
     records = [neighborhood_volume(sample, 2.0 ** -k) for k in range(k_min, k_max + 1)]
     ks = np.arange(k_min, k_max + 1, dtype=float)
     logs = np.log([rec.cell_count for rec in records])
-    fit = stats.linregress(ks * _LN2, logs)
-    slope = float(fit.slope)
+    slope = float(_linear_fit(ks * _LN2, logs)[0])
     n = sample.model
     dim = min(max(slope, 0.0), float(n))
     if dim != slope:
@@ -317,53 +330,6 @@ def ball_volumes(radii, n):
     if n == 2:
         return math.pi * radii ** 2
     return (4.0 / 3.0) * math.pi * radii ** 3
-
-
-@dataclass
-class VolumeRatioReport:
-    """Euclidean ball volumes against radial gaps, elementwise.
-
-    ratio = volume(B(g z, radius)) / (1 - |g z|)^n; the spread between
-    min_ratio and max_ratio measures how sharply the gap stands in for the
-    ball volume across the whole orbit.
-    """
-
-    radius: float
-    word_lengths: np.ndarray
-    radial_gaps: np.ndarray
-    ball_diameters: np.ndarray
-    ball_volumes: np.ndarray
-    ratios: np.ndarray
-    min_ratio: float
-    max_ratio: float
-
-    def rows(self):
-        return list(zip(
-            self.word_lengths.tolist(),
-            self.radial_gaps.tolist(),
-            self.ball_diameters.tolist(),
-            self.ball_volumes.tolist(),
-            self.ratios.tolist(),
-        ))
-
-
-def volume_ratio_report(orbit, radius):
-    """Compare each orbit ball's Euclidean volume with its radial gap power."""
-    if radius <= 0.0:
-        raise UsageError("ball radius must be positive")
-    centers, radii = euclidean_balls(orbit.points, radius, gaps=orbit.gaps)
-    vols = ball_volumes(radii, orbit.model)
-    ratios = vols / orbit.gaps ** orbit.model
-    return VolumeRatioReport(
-        radius=radius,
-        word_lengths=orbit.word_lengths.copy(),
-        radial_gaps=orbit.gaps.copy(),
-        ball_diameters=2.0 * radii,
-        ball_volumes=vols,
-        ratios=ratios,
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
-    )
 
 
 def _sphere_mesh(n):

@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import InsufficientDataError, UsageError
-from .geometry import hyperbolic_distance, interior_images, translation_to_origin
+from .geometry import hyperbolic_distance
 from .group import OrbitSet, build_ball
+from .limitset import _linear_fit
 
 _LN2 = math.log(2.0)
 
@@ -37,31 +37,13 @@ class SeriesEvaluation:
         return 0.0
 
 
-def _series_terms(orbit, s, reference=None):
-    """Per-element series terms, optionally referenced to a point z'.
-
-    With no reference the radial form uses the stored stable gaps.  With a
-    reference point the orbit is pushed through the isometry sending the
-    reference to the ball center first, so the terms equal
-    exp(-s * d(z', g(z))) without touching the distance formula.
-    """
-    if reference is None:
-        gaps = orbit.gaps
-    else:
-        mover = translation_to_origin(reference).matrix().reshape(1, 4)
-        pts, one_minus_sq = interior_images(mover, orbit.points)
-        gaps = one_minus_sq / (1.0 + np.linalg.norm(pts, axis=1))
-    return (gaps / (2.0 - gaps)) ** s
-
-
-def truncated_series(orbit, s, reference=None):
-    """Exact truncated series over the enumerated elements.
+def truncated_series(orbit, s):
+    """Exact truncated series over the enumerated elements, about the ball center.
 
     Parameters
     ----------
     orbit : OrbitSet
     s : exponent, s >= 0.
-    reference : optional InteriorPoint; default is the ball center.
 
     Returns
     -------
@@ -72,7 +54,7 @@ def truncated_series(orbit, s, reference=None):
     s = float(s)
     if s < 0.0:
         raise UsageError(f"series exponent must be nonnegative, got {s}")
-    terms = _series_terms(orbit, s, reference)
+    terms = (orbit.gaps / (2.0 - orbit.gaps)) ** s
     shells = orbit.shells
     partials = []
     for k in np.unique(shells[shells > 0]):
@@ -145,18 +127,18 @@ def _counting_fit(orbit, bin_width):
         raise InsufficientDataError(
             f"counting fit window [{lo:.3g}, {hi:.3g}] holds {int(mask.sum())} bins; need 5"
         )
-    fit = stats.linregress(ts[mask], np.log(ns[mask]))
+    slope, intercept, r, stderr = _linear_fit(ts[mask], np.log(ns[mask]))
     diagnostics = {
         "t_max": t_max,
         "bins_used": int(mask.sum()),
-        "r_value": float(fit.rvalue),
-        "intercept": float(fit.intercept),
+        "r_value": float(r),
+        "intercept": float(intercept),
     }
-    delta = _clamp_delta(float(fit.slope), orbit.model, diagnostics)
+    delta = _clamp_delta(float(slope), orbit.model, diagnostics)
     return ExponentEstimate(
         delta_est=delta,
         fit_window=(lo, hi),
-        slope_stderr=float(fit.stderr),
+        slope_stderr=float(stderr),
         method="counting_fit",
         diagnostics=diagnostics,
     )
@@ -167,25 +149,25 @@ def _available_shells(orbit, diagnostics):
 
     Elements at the final word length mark the horizon: shells dyadically
     deeper than the shallowest of them are incompletely enumerated and
-    would masquerade as convergence.
+    would masquerade as convergence, so fewer than 5 shells within the cut
+    raise InsufficientDataError.
     """
     counts = orbit.shell_counts()
     if not counts:
         raise InsufficientDataError("orbit has no shelled elements")
-    all_ks = sorted(counts)
+    ks = sorted(counts)
+    cut = ""
     at_horizon = orbit.word_lengths == orbit.max_word_length
     if np.any(at_horizon):
         gap_horizon = float(orbit.gaps[at_horizon].max())
         d_horizon = math.log((2.0 - gap_horizon) / gap_horizon)
         k_cut = int(math.floor(d_horizon / _LN2)) - 1
-        ks = [k for k in all_ks if k <= k_cut]
-        if len(ks) >= 5:
-            diagnostics["horizon_shell_cut"] = k_cut
-            return ks
-        diagnostics["horizon_fallback"] = True
-    if len(all_ks) < 5:
-        raise InsufficientDataError(f"{len(all_ks)} nonempty shells; need 5")
-    return all_ks
+        ks = [k for k in ks if k <= k_cut]
+        diagnostics["horizon_shell_cut"] = k_cut
+        cut = f" within the horizon cut k <= {k_cut}"
+    if len(ks) < 5:
+        raise InsufficientDataError(f"{len(ks)} nonempty shells{cut}; need 5")
+    return ks
 
 
 def _diverges(orbit, s, shells_ks):

@@ -6,13 +6,17 @@ suite from re-enumerating the same orbits in every module.
 
 from __future__ import annotations
 
+import math
 import time
 
+import numpy as np
 import pytest
 
 from kleindim import (
+    GroupBall,
     GroupPresentation,
     MoebiusMap,
+    OrbitSet,
     choose_basepoint,
     cyclic_loxodromic,
     enumerate_orbit,
@@ -24,6 +28,16 @@ from kleindim import (
     series_chain_report,
     verify_inequality,
 )
+
+
+def identity_only_orbit(model=2):
+    """An orbit of the identity alone: a one-row ball of a cyclic group, at the center."""
+    t = 0.5
+    boost = MoebiusMap(math.cosh(t), math.sinh(t), math.sinh(t), math.cosh(t), model=model)
+    ball = GroupBall(GroupPresentation([boost], model=model),
+                     np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
+                     np.array([-1]), np.array([0]), np.array([0]), 1)
+    return OrbitSet(ball, origin(model))
 
 
 def _timed(fn, *args, **kwargs):

@@ -21,6 +21,7 @@ from kleindim import (
     MoebiusMap,
     apply_interior,
     ball_containment_check,
+    ball_volumes,
     basepoint_independence_check,
     box_dimension_estimate,
     cantor_test,
@@ -28,6 +29,7 @@ from kleindim import (
     choose_basepoint,
     cyclic_loxodromic,
     enumerate_orbit,
+    euclidean_balls,
     find_loxodromic,
     fuchsian_lattice,
     hyperbolic_distance,
@@ -161,12 +163,13 @@ def test_packing_disjointness_and_negative_control():
 
 
 def test_volume_ratio_constancy(schottky_orbit8, schottky_orbit10):
-    from kleindim import volume_ratio_report
-
-    rep8 = volume_ratio_report(schottky_orbit8, packing_radius(schottky_orbit8).radius)
-    rep10 = volume_ratio_report(schottky_orbit10, packing_radius(schottky_orbit10).radius)
-    spread8 = rep8.max_ratio / rep8.min_ratio
-    spread10 = rep10.max_ratio / rep10.min_ratio
+    spreads = []
+    for orbit in (schottky_orbit8, schottky_orbit10):
+        # ball volume over gap^n, elementwise, at the packing radius
+        _, radii = euclidean_balls(orbit.points, packing_radius(orbit).radius, orbit.gaps)
+        ratios = ball_volumes(radii, orbit.model) / orbit.gaps ** orbit.model
+        spreads.append(ratios.max() / ratios.min())
+    spread8, spread10 = spreads
     ok = spread10 <= 100.0 and spread10 < 2.0 * spread8
     _report("ball-volume/gap^n ratio spread <= 100 and stable from depth 8 to 10",
             ok, f"spread8={spread8:.3f} spread10={spread10:.3f}")

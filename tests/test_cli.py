@@ -254,6 +254,17 @@ def test_verify_exit_codes(tmp_path, schottky_file, cyclic_file, capsys):
                  "--method", "divergence_scan"]) == 0
 
 
+def test_verify_divergence_scan_too_few_shells_fails(tmp_path, capsys):
+    lattice_file = tmp_path / "lattice.json"
+    assert main(["fixtures", "--emit", "fuchsian_lattice", str(lattice_file)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(lattice_file), "--depth", "10",
+                 "--method", "divergence_scan"]) == 1
+    captured = capsys.readouterr()
+    assert "result=PASS" not in captured.out
+    assert "stage exponent_estimate" in captured.err
+
+
 def test_chain_exit_codes(tmp_path, schottky_file, capsys):
     out = tmp_path / "chain.csv"
     assert main(["chain", schottky_file, "--depth", "8", "--s", "1.06",

@@ -8,20 +8,18 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import identity_only_orbit
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from oracles import containment_exhaustive, fresh_pairwise, packing_brute_force
 from scipy.spatial import cKDTree
 
 from kleindim import (
-    GroupBall,
-    GroupElement,
     GroupPresentation,
     InteriorPoint,
     LoxodromicNotFoundError,
     MapClass,
     MoebiusMap,
-    OrbitSet,
     ResourceLimitError,
     UsageError,
     apply_interior,
@@ -42,11 +40,10 @@ from kleindim import (
     packing_radius,
     sample_limit_set,
     schottky_f2,
-    shell_index_of,
     translation_to_origin,
 )
 from kleindim.errors import DegenerateBasepointError
-from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh
+from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh, _shell_indices
 
 LN9 = math.log(9.0)
 
@@ -63,13 +60,6 @@ def _pi_rotation_about(center):
     rot = MoebiusMap(1j, 0.0, 0.0, -1j, model=2)
     t = translation_to_origin(InteriorPoint(center))
     return compose(compose(inverse(t), rot), t)
-
-
-def _identity_only_orbit(model=2):
-    pres = GroupPresentation([_boost(0.5, model) if model == 2 else _boost(0.5, 3)], model=model)
-    ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
-                     np.array([-1]), np.array([0]), np.array([0]), 1)
-    return OrbitSet(ball, origin(model))
 
 
 def test_presentation_validation():
@@ -139,10 +129,10 @@ def test_breadth_first_order_and_prefix_closure():
     orbit = enumerate_orbit(G, origin(2), 4)
     lengths = orbit.word_lengths
     assert np.all(np.diff(lengths) >= 0)
-    words = {el.word for el in orbit.elements}
-    for el in orbit.elements:
-        if el.word:
-            assert el.word[:-1] in words
+    words = set(orbit.ball.words)
+    for word in orbit.ball.words:
+        if word:
+            assert word[:-1] in words
 
 
 def test_word_matrix_consistency():
@@ -150,11 +140,11 @@ def test_word_matrix_consistency():
     orbit = enumerate_orbit(G, origin(2), 3)
     gens = {1: G.generators[0], 2: G.generators[1],
             -1: inverse(G.generators[0]), -2: inverse(G.generators[1])}
-    for el in orbit.elements:
+    for i, word in enumerate(orbit.ball.words):
         m = MoebiusMap.identity(2)
-        for letter in el.word:
+        for letter in word:
             m = compose(m, gens[letter])
-        assert m.entry_distance(el.map) < 1e-9
+        assert m.entry_distance(orbit.ball.map(i)) < 1e-9
 
 
 def test_shell_index_law(schottky_orbit8):
@@ -165,16 +155,14 @@ def test_shell_index_law(schottky_orbit8):
     assert np.all(gaps < 2.0 ** (-ks.astype(float) + 1))
     # identity sits in no shell
     assert schottky_orbit8.shells[0] == 0
-    assert shell_index_of(1.0) is None
-    assert shell_index_of(0.25) == 2
-    with pytest.raises(UsageError):
-        shell_index_of(0.0)
+    # gap 1 is the ball center (no shell); 2^-k itself opens shell k
+    gaps = np.array([1.0, 0.25, 0.5, np.nextafter(0.5, 0.0)])
+    assert _shell_indices(gaps).tolist() == [0, 2, 1, 2]
 
 
 def test_dedup_soundness_pairwise():
     G = schottky_f2()
-    orbit = enumerate_orbit(G, origin(2), 3)
-    vecs = [el.map.entry_vector() for el in orbit.elements]
+    vecs = build_ball(G, 3).entries.view(float)  # re, im interleaved: 8 reals per element
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             assert np.abs(vecs[i] - vecs[j]).max() > DEDUP_TOL
@@ -294,8 +282,11 @@ def test_resource_cap():
 
 
 def test_find_loxodromic_schottky(schottky, schottky_h):
-    assert schottky_h.word == (1,)
-    assert classify(schottky_h.map) is MapClass.LOXODROMIC
+    ball = build_ball(schottky, 6)
+    i = ball.first_loxodromic()
+    assert ball.words[i] == (1,)
+    assert ball.map(i).entry_distance(schottky_h) == 0.0
+    assert classify(schottky_h) is MapClass.LOXODROMIC
 
 
 def test_find_loxodromic_elliptic_pair():
@@ -303,9 +294,12 @@ def test_find_loxodromic_elliptic_pair():
                           model=2, name="elliptic_pair")
     for g in G.generators:
         assert classify(g) is MapClass.ELLIPTIC
+    ball = build_ball(G, 4)
+    i = ball.first_loxodromic()
+    assert len(ball.words[i]) == 2
     h = find_loxodromic(G, 4)
-    assert h.word_length == 2
-    assert classify(h.map) is MapClass.LOXODROMIC
+    assert h.entry_distance(ball.map(i)) == 0.0
+    assert classify(h) is MapClass.LOXODROMIC
 
 
 def test_find_loxodromic_parabolic_only():
@@ -318,7 +312,7 @@ def test_find_loxodromic_parabolic_only():
 def test_choose_basepoint_axis_apex():
     G = cyclic_loxodromic()
     h = find_loxodromic(G, 2)
-    pts = fixed_points(h.map)
+    pts = fixed_points(h)
     xs = sorted(p.coords[0] for p in pts)
     assert abs(xs[0] + 1.0) < 1e-9 and abs(xs[1] - 1.0) < 1e-9
     bp = choose_basepoint(h, G, 2)
@@ -386,7 +380,7 @@ def test_packing_negative_control():
 
 
 def test_packing_singleton_vacuous():
-    orbit = _identity_only_orbit()
+    orbit = identity_only_orbit()
     result = check_packing_disjoint(orbit, 1.0)
     assert result.ok and result.pair is None
 

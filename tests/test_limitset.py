@@ -6,19 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import identity_only_orbit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import first_unique_np, grid_cell_count_stencil
 from scipy import stats
-from scipy.spatial import cKDTree
 
 from kleindim import (
-    GroupBall,
-    GroupElement,
-    GroupPresentation,
     LimitSample,
-    MoebiusMap,
-    OrbitSet,
     ResolutionError,
     UsageError,
     ball_containment_check,
@@ -33,25 +28,18 @@ from kleindim import (
     origin,
     packing_radius,
     sample_limit_set,
-    schottky_f2,
-    volume_ratio_report,
 )
 from kleindim.geometry import boundary_images
-from kleindim.limitset import K_RANGE, _SUBCELL_BITS, _first_unique, _grid_cell_count
+from kleindim.limitset import (
+    K_RANGE,
+    _SUBCELL_BITS,
+    _first_unique,
+    _grid_cell_count,
+    _linear_fit,
+)
 from kleindim.verify import sampling_front
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
-
-
-def _boost(t):
-    return MoebiusMap(math.cosh(t), math.sinh(t), math.sinh(t), math.cosh(t), model=2)
-
-
-def _identity_only_orbit():
-    pres = GroupPresentation([_boost(0.5)], model=2)
-    ball = GroupBall(pres, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
-                     np.array([-1]), np.array([0]), np.array([0]), 1)
-    return OrbitSet(ball, origin(2))
 
 
 def _synthetic(points):
@@ -92,7 +80,7 @@ def test_schottky_sample_basics(schottky_orbit10, schottky_sample10):
 def test_witnesses_are_ball_rows(schottky_orbit10, schottky_h, schottky_sample10):
     sample = schottky_sample10
     entries = schottky_orbit10.ball.entries[sample.witnesses]
-    images = [boundary_images(entries, fp.coords) for fp in fixed_points(schottky_h.map)]
+    images = [boundary_images(entries, fp.coords) for fp in fixed_points(schottky_h)]
     miss = np.minimum(*(np.linalg.norm(im - sample.points, axis=1) for im in images))
     assert miss.max() < 1e-9
 
@@ -192,6 +180,36 @@ def test_box_dimension_usage_errors():
         box_dimension_estimate(sample, k_range=(3, 9), require_resolved=True)
 
 
+@st.composite
+def _fit_inputs(draw):
+    """Distinct x on a scaled integer grid; y noisy, constant, or exactly linear in x."""
+    n = draw(st.integers(4, 40))
+    grid = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
+    x = draw(st.floats(1e-3, 1e3)) * np.array(grid, dtype=float) + draw(st.floats(-1e3, 1e3))
+    kind = draw(st.sampled_from(["noisy", "constant", "linear"]))
+    if kind == "noisy":
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    elif kind == "constant":
+        y = np.full(n, draw(st.floats(-1e3, 1e3)))
+    else:
+        y = draw(st.floats(-10.0, 10.0)) * x + draw(st.floats(-1e3, 1e3))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_fit_inputs())
+@example((np.arange(3, 10) * math.log(2.0), np.log([10.0, 21, 40, 83, 170, 331, 660])))
+@example((np.arange(5.0), np.full(5, 0.1)))
+@example((np.arange(5.0), 2.0 * np.arange(5.0) + 1.0))
+def test_linear_fit_matches_linregress(xy):
+    x, y = xy
+    ref = stats.linregress(x, y)
+    got = _linear_fit(x, y)
+    expected = (ref.slope, ref.intercept, ref.rvalue, ref.stderr)
+    # nan == nan: a constant y has no correlation in either
+    assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
+
+
 def test_euclidean_ball_at_origin():
     centers, radii = euclidean_balls(np.array([[0.0, 0.0]]), 1.0, gaps=np.array([1.0]))
     assert np.linalg.norm(centers[0]) < 1e-12
@@ -207,17 +225,21 @@ def test_ball_volumes_formulas():
 
 
 def test_volume_ratio_identity_example():
-    rep = volume_ratio_report(_identity_only_orbit(), 1.0)
+    orbit = identity_only_orbit()
+    _, radii = euclidean_balls(orbit.points, 1.0, orbit.gaps)
+    ratios = ball_volumes(radii, orbit.model) / orbit.gaps ** orbit.model
     expected = math.pi * math.tanh(0.5) ** 2
-    assert abs(rep.min_ratio - expected) < 1e-9
-    assert abs(rep.max_ratio - expected) < 1e-9
+    assert abs(ratios.min() - expected) < 1e-9
+    assert abs(ratios.max() - expected) < 1e-9
 
 
 def test_volume_ratio_spread_stable(schottky_orbit8, schottky_orbit10):
-    rep8 = volume_ratio_report(schottky_orbit8, packing_radius(schottky_orbit8).radius)
-    rep10 = volume_ratio_report(schottky_orbit10, packing_radius(schottky_orbit10).radius)
-    spread8 = rep8.max_ratio / rep8.min_ratio
-    spread10 = rep10.max_ratio / rep10.min_ratio
+    spreads = []
+    for orbit in (schottky_orbit8, schottky_orbit10):
+        _, radii = euclidean_balls(orbit.points, packing_radius(orbit).radius, orbit.gaps)
+        ratios = ball_volumes(radii, orbit.model) / orbit.gaps ** orbit.model
+        spreads.append(ratios.max() / ratios.min())
+    spread8, spread10 = spreads
     assert spread10 <= 100.0
     assert spread10 <= 2.0 * spread8
 

@@ -9,6 +9,7 @@ import pytest
 
 from kleindim import (
     GroupPresentation,
+    InsufficientDataError,
     MoebiusMap,
     PackingCheck,
     StageFailure,
@@ -86,6 +87,16 @@ def test_verify_stage_failure_names_stage():
     msg = str(exc.value)
     assert "loxodromic_search" in msg
     assert "elementary" in msg
+
+
+def test_divergence_scan_raises_when_the_horizon_leaves_too_few_shells(lattice):
+    # at depth 10 only shells 1..4 of the lattice lie within the horizon cut;
+    # summing the cut-off shells reads as convergence at s = 0, a false PASS
+    with pytest.raises(StageFailure) as exc:
+        verify_inequality(lattice, 10, exponent_method="divergence_scan")
+    assert exc.value.stage == "exponent_estimate"
+    assert isinstance(exc.value.original, InsufficientDataError)
+    assert "horizon cut k <= 4" in str(exc.value)
 
 
 def test_chain_schottky(chain_schottky10):
