@@ -7,6 +7,15 @@ neighborhood".  volume = cell_count * r^n throughout.  The count is exact
 for that rule; a cheap sub-cell prefilter only chooses which cells need
 the exact nearest-point query.
 
+Every sample sorts its points once, into a dyadic index built on first
+use.  Its keys floor((p + 2) * 2^28) resolve the sub-cells of the finest
+scale 2^-24, and it orders them along the Z curve, so the points of one
+cell are consecutive at every scale.  The parting level of two neighboring
+rows is the bit length of the OR over axes of their keys' XOR; after a
+shift s they lie in different cells exactly when it exceeds s.  Every grid
+count reads its occupied cells and sub-cells from the parting levels, and
+the spacing check queries only the points alone in their cell.
+
 Samples record witnesses as group-ball rows; the words are spelled only
 where they are printed.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +37,10 @@ _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
 _MESH_COUNT = 32    # boundary mesh points per ball in the containment check
 _SUBCELL_BITS = 4   # the grid count's prefilter sub-cells have side cell / 2^4
+_INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
+# coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
+# floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
+_KEY_BITS = _INDEX_BITS + 2
 K_RANGE = (3, 9)    # dyadic scales 2^-k of the box-dimension fit
 
 SOURCE_CONJUGATE = "conjugate_fixed_points"
@@ -40,7 +54,9 @@ class LimitSample:
 
     The witness of an orbit sample point is the group-ball row of the element
     that produced it (`GroupBall.words` spells it); synthetic samples carry
-    label words.
+    label words.  Two structures are built on first use and shared by every
+    stage: `tree`, the KD-tree of the points, and `dyadic_index`, the one
+    sort of the points that every grid count and the spacing check read.
     """
 
     points: np.ndarray   # (N, n) unit rows
@@ -69,6 +85,63 @@ class LimitSample:
     def tree(self):
         """KD-tree of the points, built on first use and shared by every stage."""
         return cKDTree(self.points)
+
+    @cached_property
+    def dyadic_index(self):
+        """The points sorted once for every dyadic grid (see DyadicIndex)."""
+        keys = np.floor(self.points * 2.0 ** _INDEX_BITS).astype(np.int64) + (2 << _INDEX_BITS)
+        order = _z_order(keys)
+        keys = np.take(keys, order, axis=0)
+        parting = np.full(len(keys), _KEY_BITS)
+        xor = np.zeros(len(keys) - 1, dtype=np.int64)
+        for axis in keys.T:
+            xor |= axis[1:] ^ axis[:-1]
+        # xor < 2^_KEY_BITS < 2^53, so frexp's exponent is its exact bit length
+        parting[1:] = np.frexp(xor.astype(float))[1]
+        return DyadicIndex(order=order, keys=keys, parting=parting)
+
+
+class DyadicIndex(NamedTuple):
+    """A sample's points in one sort that holds every dyadic grid down to 2^-24.
+
+    Row i is sample point order[i], with integer key keys[i] = floor((p + 2) *
+    2^F) per axis, F = _INDEX_BITS; keys >> s is then floor(p * 2^(F - s)) +
+    2^(F + 1 - s), the cell of side 2^(s - F) shifted by an exact offset.  The
+    rows follow the Z curve, so each such cell is a run of rows.
+    parting[i] is the bit length of the OR over axes of keys[i - 1] ^
+    keys[i] (_KEY_BITS for row 0): rows i - 1 and i lie in different cells
+    after a shift s exactly when parting[i] > s.
+    """
+
+    order: np.ndarray    # (N,) sample rows in Z order
+    keys: np.ndarray     # (N, n) non-negative keys, in that order
+    parting: np.ndarray  # (N,) parting level of each row and the row before
+
+
+def _z_order(keys):
+    """Row order of non-negative integer rows below 2^_KEY_BITS along the Z curve.
+
+    Each row's code interleaves the bits of its axes from the top, one bit of
+    every axis per level, so sorting the codes keeps the rows of each cell of
+    keys >> s together for every s.  A code is cut into uint64 words of 8 // n
+    key bytes each, spread through a byte table, and np.lexsort sorts the
+    words with the highest last.
+    """
+    n = keys.shape[1]
+    byte = np.arange(256, dtype=np.uint64)
+    spread = np.zeros(256, dtype=np.uint64)
+    for b in range(8):
+        spread |= ((byte >> np.uint64(b)) & np.uint64(1)) << np.uint64(n * b)
+    step = 8 * (8 // n)  # key bits per word
+    words = []
+    for low in range(0, _KEY_BITS, step):
+        word = np.zeros(len(keys), dtype=np.uint64)
+        for b in range(low, low + step, 8):
+            for axis in range(n):
+                at = np.uint64(n * (b - low) + n - 1 - axis)
+                word |= spread[(keys[:, axis] >> b) & 255] << at
+        words.append(word)
+    return np.lexsort(words)
 
 
 def _sorted_runs(rows, width):
@@ -164,27 +237,32 @@ def _grid_cell_count(sample, radius, cell):
     time: each pass dilates the last column and rolls it to the front, which
     restores the column order after n passes.
 
-    Most candidates are decided by the first point of each sub-cell of side
-    s = cell/2^_SUBCELL_BITS, which lies within s*sqrt(n) of every point of
-    its sub-cell: a representative within reach is a point within reach, and
+    The occupied cells, and the sub-cells of side s = cell/2^_SUBCELL_BITS,
+    are the runs of the sample's dyadic index at their shift; no point is
+    sorted again.  Most candidates are decided by each sub-cell's first
+    point in index order, which lies within s*sqrt(n) of every point of its
+    sub-cell: a representative within reach is a point within reach, and
     one beyond (reach + s*sqrt(n))(1 + 1e-9) rules out every point.  Only the
-    centers in between run the exact test on the sample's KD-tree.
+    centers in between run the exact test on the sample's KD-tree, so which
+    point represents a sub-cell moves no count.
     """
     points = sample.points
+    index = sample.dyadic_index
     n = points.shape[1]
+    k = 1 - math.frexp(cell)[1]  # cell = 2^-k
+    shift = _INDEX_BITS - k
     reach = radius + 0.5 * math.sqrt(n) * cell
     sub = cell / (1 << _SUBCELL_BITS)
-    keys = np.floor(points / sub).astype(np.int64)
-    order, ordered, starts = _sorted_runs(keys, n)
-    # floor(p/cell) == floor(p/sub) >> _SUBCELL_BITS exactly: the occupied cells
-    cells = ordered[starts] >> _SUBCELL_BITS
+    reps = index.order[index.parting > shift - _SUBCELL_BITS]
+    # keys >> shift = floor(p/cell) + 2^(k + 1) exactly: the occupied cells
+    cells = (index.keys[index.parting > shift] >> shift) - (2 << k)
     h = int(math.floor(reach / cell + 0.5))
     for _ in range(n):
         cells = np.roll(_dilate_last_axis(cells, h), 1, axis=1)
     centers = (cells + 0.5) * cell
     # the bounds are strict: centers with no point below them get inf
     outer = (reach + sub * math.sqrt(n)) * (1.0 + 1e-9)
-    near, _ = cKDTree(points[order[starts]]).query(centers, k=1, distance_upper_bound=outer)
+    near, _ = cKDTree(points[reps]).query(centers, k=1, distance_upper_bound=outer)
     inside = near <= reach
     band = ~inside & np.isfinite(near)
     dist, _ = sample.tree.query(centers[band], k=1, distance_upper_bound=np.nextafter(reach, np.inf))
@@ -255,14 +333,22 @@ def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
     The estimate is the least-squares slope of log cell_count against
     k*log 2, clamped to [0, n]; the minimum local slope rides along in
     per_scale_slopes as a liminf proxy.
+
+    The spacing check queries only the points alone in their cell of side
+    2^-(k_max+1) in the dyadic index.  Any other point has a neighbor within
+    2^-(k_max+1)*sqrt(n) < 2^-k_max, so it cannot carry a spacing above
+    2^-k_max, and the note and the error are those of the full query.
     """
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if not (1 <= k_min < k_max <= 24 and k_max - k_min >= 3):
         raise UsageError(f"need 1 <= k_min < k_max <= 24 spanning >= 3, got {k_range}")
     spacing = None
     if len(sample) > 1:
-        d2, _ = sample.tree.query(sample.points, k=2)
-        spacing = float(d2[:, 1].max())
+        index = sample.dyadic_index
+        starts = index.parting > _INDEX_BITS - k_max - 1  # cells of side 2^-(k_max+1)
+        alone = index.order[starts & np.append(starts[1:], True)]
+        d2, _ = sample.tree.query(sample.points[alone], k=2)
+        spacing = float(d2[:, 1].max(initial=0.0))
     note_bits = []
     if spacing is not None and spacing > 2.0 ** -k_max:
         msg = (

@@ -1,7 +1,8 @@
 """Reference implementations the fast kernels are tested against.
 
 These are the straightforward algorithms the library's pruned kernels
-replace: a full-stencil grid counter, the pairwise dedup scan,
+replace: a full-stencil grid counter, the full nearest-neighbor spacing
+query, the pairwise dedup scan,
 the exhaustive pairwise packing scan, and the exhaustive mesh scan of the
 containment check.  Apart from the containment scan, which maps its balls
 and meshes with the library's own helpers, they share no code with the
@@ -19,32 +20,56 @@ from kleindim import BallContainmentReport, PackingCheck, UsageError, euclidean_
 from kleindim.group import DEDUP_TOL
 from kleindim.limitset import _sphere_mesh
 
+_STENCIL_ROWS = 1 << 16  # candidate cells the stencil oracle holds per slab, roughly
+
 
 def grid_cell_count_stencil(points, radius, cell):
     """Cells whose center is within radius + (sqrt(n)/2)*cell of a point.
 
     Candidates: every occupied base cell plus the full (2h+1)^n box of
-    offsets, deduplicated by np.unique over their packed int64 keys; exact
-    test on a KD-tree.
+    offsets, deduplicated by a lexsort; exact test on a KD-tree.  The
+    candidates go through in slabs of consecutive first indices, each made
+    from about _STENCIL_ROWS / (2h+1)^n base cells: a slab's candidates are
+    those with first index in its range, built from every base cell within
+    h of it, so no cell is in two slabs and one slab is held at a time.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[1]
     reach = radius + 0.5 * math.sqrt(n) * cell
-    base = np.unique(np.floor(points / cell).astype(np.int64), axis=0)
+    base = np.unique(np.floor(points / cell).astype(np.int64), axis=0)  # sorted by first index
     h = int(math.ceil(reach / cell)) + 1
-    axes = [np.arange(-h, h + 1, dtype=np.int64)] * n
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    # keys are linear in the cell index, so a cell's key is its base key plus its offset's
-    lo = base.min(axis=0) - h
-    span = base.max(axis=0) + h + 1 - lo
-    base_keys = np.ravel_multi_index(tuple((base - lo).T), span)
-    shifts = (np.ravel_multi_index(tuple((offsets + h).T), span)
-              - np.ravel_multi_index(tuple(np.full(n, h)), span))
-    keys = np.unique((base_keys[:, None] + shifts[None, :]).ravel())
-    cand = np.column_stack(np.unravel_index(keys, span)) + lo
-    centers = (cand.astype(float) + 0.5) * cell
-    dist, _ = cKDTree(points).query(centers, k=1)
-    return int(np.count_nonzero(dist <= reach))
+    steps = np.arange(-h, h + 1, dtype=np.int64)
+    rest = np.stack(np.meshgrid(*[steps] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    first = base[:, 0]
+    chunk = max(1, _STENCIL_ROWS // (steps.size * len(rest)))
+    tree = cKDTree(points)
+    count, start = 0, 0
+    while start < len(base):
+        # end on a change of first index, so the slab ranges tile the axis
+        stop = int(np.searchsorted(first, first[min(start + chunk, len(base)) - 1], side="right"))
+        lo = first[start] - h
+        hi = first[stop] - h if stop < len(base) else first[-1] + h + 1
+        parts = []
+        for dx in steps:
+            near = base[np.searchsorted(first, lo - dx):np.searchsorted(first, hi - dx)]
+            cand = np.empty((len(near), len(rest), n), dtype=np.int64)
+            cand[:, :, 0] = near[:, None, 0] + dx
+            cand[:, :, 1:] = near[:, None, 1:] + rest
+            parts.append(cand.reshape(-1, n))
+        cand = np.concatenate(parts)
+        cand = cand[np.lexsort(cand.T)]
+        cand = cand[np.r_[True, (cand[1:] != cand[:-1]).any(axis=1)]]
+        dist, _ = tree.query((cand + 0.5) * cell, k=1)
+        count += int(np.count_nonzero(dist <= reach))
+        start = stop
+    return count
+
+
+def max_nn_spacing(points):
+    """Largest distance from a point to its nearest other point: k = 2 on a fresh tree."""
+    points = np.asarray(points, dtype=float)
+    dist, _ = cKDTree(points).query(points, k=2)
+    return float(dist[:, 1].max())
 
 
 def fresh_pairwise(kept, candidates):

@@ -9,7 +9,7 @@ import pytest
 from conftest import identity_only_orbit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import first_unique_np, grid_cell_count_stencil
+from oracles import first_unique_np, grid_cell_count_stencil, max_nn_spacing
 from scipy import stats
 
 from kleindim import (
@@ -374,3 +374,86 @@ def test_grid_count_pipeline_samples(request, group, depth):
     containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample)
     for k, _, _ in containment.records:
         _assert_matches_oracle(sample.points, containment.c_hat * 2.0 ** -k, 2.0 ** -k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_count_every_scale_from_one_index(n):
+    # one sample object, so every count reads the same cached dyadic index;
+    # +-e_i put coordinates exactly on -1, 0 and 1, and the last point sits
+    # below -1, at the low end of the index keys
+    low = np.zeros((1, n))
+    low[0, 0] = -1.0 - 5e-10
+    pts = np.concatenate([np.eye(n), -np.eye(n), _sphere_points(5, 40, n, 3), low])
+    sample = _synthetic(pts)
+    ks = np.random.default_rng(n).permutation(np.arange(1, 25))
+    for k in ks:
+        cell = 2.0 ** -int(k)
+        for factor in (1.0, 2.65, 3.0):
+            rec = neighborhood_volume(sample, cell, radius=factor * cell)
+            assert rec.cell_count == grid_cell_count_stencil(pts, factor * cell, cell), (k, factor)
+
+
+@st.composite
+def _spacing_cases(draw):
+    """Isolated points, near-duplicate pairs about 2^-k_max apart, and exact duplicates."""
+    n = draw(st.sampled_from([2, 3]))
+    k_max = draw(st.integers(4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    isolated = draw(st.integers(0, 6))
+    gaps = draw(st.lists(st.floats(-3.0, 3.0), max_size=4))  # log2 of pair distance / 2^-k_max
+    duplicates = draw(st.integers(0, 3))
+    count = max(1, isolated + len(gaps) + duplicates)
+    pts = rng.normal(size=(count, n))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    rows = [pts]
+    for i, gap in enumerate(gaps):
+        p = pts[i]
+        t = rng.normal(size=n)
+        t -= (t @ p) * p
+        q = p + 2.0 ** (gap - k_max) * t / np.linalg.norm(t)
+        rows.append((q / np.linalg.norm(q))[None, :])
+    rows.append(pts[count - duplicates:])
+    pts = np.concatenate(rows)
+    return k_max, pts[rng.permutation(len(pts))]
+
+
+def _arc_pair(n, k_max, factor, start=0.01):
+    """Two points factor * 2^-k_max apart along a great circle, from angle `start`."""
+    ang = np.array([start, start + factor * 2.0 ** -k_max])
+    pts = np.zeros((2, n))
+    pts[:, 0], pts[:, -1] = np.sin(ang), np.cos(ang)
+    return pts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_spacing_cases())
+# a lone pair a little over 2^-k_max apart, inside one cell of side 2^-(k_max-1)
+@example((4, _arc_pair(2, 4, 1.5)))
+@example((10, _arc_pair(3, 10, 1.2)))
+# a lone pair 1.1 * 2^-4 apart in one cell of side 2^-4
+@example((4, _arc_pair(2, 4, 1.1, start=0.524)))
+@example((4, np.array([[1.0, 0.0]])))
+@example((24, np.array([[0.0, 1.0, 0.0]])))
+@example((4, np.array([[1.0, 0.0], [-1.0, 0.0]])))
+@example((24, np.array([[0.6, 0.8], [0.6, 0.8]])))
+@example((24, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])))
+def test_spacing_note_matches_full_query(case):
+    k_max, pts = case
+    sample = _synthetic(pts)
+    msg = None
+    if len(pts) > 1:
+        spacing = max_nn_spacing(pts)
+        if spacing > 2.0 ** -k_max:
+            msg = (f"nearest-neighbor spacing {spacing:.3g} exceeds scale 2^-{k_max}; "
+                   "sample may under-resolve, enumerate deeper")
+    k_range = (k_max - 3, k_max)
+    note = box_dimension_estimate(sample, k_range=k_range).method_note
+    if msg is None:
+        assert "nearest-neighbor" not in note
+        resolved = box_dimension_estimate(sample, k_range=k_range, require_resolved=True)
+        assert resolved.method_note == note
+    else:
+        assert f"; {msg}" in note and note.count("nearest-neighbor") == 1
+        with pytest.raises(ResolutionError) as err:
+            box_dimension_estimate(sample, k_range=k_range, require_resolved=True)
+        assert str(err.value) == msg
