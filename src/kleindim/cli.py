@@ -12,10 +12,14 @@ chain     shell-by-shell estimate chain with measured constants
 fixtures  list built-in fixtures or write one to a file
 
 Exit codes: 0 on success (and verification pass), 2 when a verification ran
-to completion and failed, 1 on usage or resource errors.  All CSV output
-has a header row, floats carry 9 significant digits, and files are written
-atomically (temp file + rename), so identical inputs give byte-identical
-outputs.
+to completion and failed, 1 on usage or resource errors.
+
+Every CSV table goes through one writer, `_write_table`: a header row, then
+one row template (floats "%.9g", so 9 significant digits; integers "%d";
+text "%s") applied to the rows of the table's columns, joined into one
+string and written atomically (temp file + rename).  Identical inputs give
+byte-identical outputs.  Group words are spelled once per ball from its
+parent-pointer trie (`_spell_words`), never per row.
 """
 
 from __future__ import annotations
@@ -38,29 +42,47 @@ _METHODS = ("counting_fit", "divergence_scan")
 
 
 def _fmt(v):
-    """CSV cell formatting: floats at 9 significant digits, rest as str."""
+    """Stdout and header-label formatting: floats at 9 significant digits, rest as str."""
     if isinstance(v, float):
         return f"{v:.9g}"
     return str(v)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+def _write_table(path, header, template, columns):
+    """Write one CSV table: the header, then `template` applied to every row of `columns`.
+
+    `columns` are equal-length sequences of Python values (`.tolist()` views
+    of arrays), one per template field; the rows are formatted and joined
+    into one string and written with one atomic write.
+    """
+    row = template + "\n"
+    body = "".join(map(row.__mod__, zip(*columns)))
+    atomic_write_bytes(path, (",".join(header) + "\n" + body).encode("ascii"))
 
 
-def word_to_str(word):
-    """Compact word spelling: a..z generators, A..Z inverses, '1' identity."""
-    if not word:
-        return "1"
-    if all(1 <= abs(letter) <= 26 for letter in word):
-        return "".join(
-            chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
-            for letter in word
-        )
-    return ".".join(str(letter) for letter in word)
+def _spell_words(parents, letters):
+    """Spelling of every word of a parent-pointer trie, in trie order.
+
+    Row 0 is the identity, spelled "1"; every other row's parent comes
+    before it, and its spelling is the parent's plus one token.  A word is
+    spelled compactly (a..z generators, A..Z inverses) when every one of its
+    letters has |letter| <= 26, otherwise as its letters joined by ".", so
+    both spellings are carried down the trie until a wide letter ends the
+    compact one.
+    """
+    parents, letters = parents.tolist(), letters.tolist()
+    compact_token = {
+        letter: chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
+        for letter in set(letters[1:]) if abs(letter) <= 26
+    }
+    compact, dotted = [""], [""]
+    for p, letter in zip(parents[1:], letters[1:]):
+        prefix, token = compact[p], compact_token.get(letter)
+        compact.append(None if prefix is None or token is None else prefix + token)
+        dotted.append(f"{dotted[p]}.{letter}")
+    spelled = [d[1:] if c is None else c for c, d in zip(compact, dotted)]
+    spelled[0] = "1"
+    return spelled
 
 
 def _parse_s_grid(text):
@@ -100,20 +122,17 @@ def _front_orbit(args, basepoint=None):
 
 def _cmd_orbit(args):
     orbit = _front_orbit(args, args.basepoint)
-    coord_names = ["x", "y", "z"][: orbit.model]
-    header = ["word", "word_length", *coord_names, "radial_gap", "shell_index", "displacement"]
-    rows = []
-    for i, word in enumerate(orbit.ball.words):
-        rows.append([
-            word_to_str(word),
-            len(word),
-            *(float(c) for c in orbit.points[i]),
-            float(orbit.gaps[i]),
-            int(orbit.shells[i]),
-            float(orbit.displacements[i]),
-        ])
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} elements to {args.out}")
+    ball, n = orbit.ball, orbit.model
+    header = ["word", "word_length", *"xyz"[:n], "radial_gap", "shell_index", "displacement"]
+    _write_table(args.out, header, "%s,%d," + "%.9g," * n + "%.9g,%d,%.9g", [
+        _spell_words(ball.parents, ball.letters),
+        ball.word_lengths.tolist(),
+        *orbit.points.T.tolist(),
+        orbit.gaps.tolist(),
+        orbit.shells.tolist(),
+        orbit.displacements.tolist(),
+    ])
+    print(f"wrote {len(orbit)} elements to {args.out}")
     return 0
 
 
@@ -122,17 +141,22 @@ def _cmd_poincare(args):
     grid = _parse_s_grid(args.s_grid)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
-    rows = []
+    # shell 0, when present, is the row of the elements with no shell index
+    counts = orbit.shell_counts()
     unshelled = int(np.count_nonzero(orbit.shells == 0))
     if unshelled:
-        rows.append([0, 1.0, unshelled, *(ev.unshelled for ev in evals)])
-    counts = orbit.shell_counts()
-    for k in sorted(counts):
-        rows.append([k, 2.0 ** -k, counts[k], *(ev.partial_for(k) for ev in evals)])
-    _write_csv(args.out, header, rows)
+        counts = {0: unshelled, **counts}
+    ks = sorted(counts)
+    partials = [{0: ev.unshelled, **dict(ev.shell_partials)} for ev in evals]
+    _write_table(args.out, header, "%d,%.9g,%d" + ",%.9g" * len(grid), [
+        ks,
+        [2.0 ** -k for k in ks],
+        [counts[k] for k in ks],
+        *([partial.get(k, 0.0) for k in ks] for partial in partials),
+    ])
     for s, ev in zip(grid, evals):
         print(f"s={_fmt(s)} value={_fmt(ev.value)}")
-    print(f"wrote {len(rows)} shells to {args.out}")
+    print(f"wrote {len(ks)} shells to {args.out}")
     return 0
 
 
@@ -149,12 +173,16 @@ def _cmd_exponent(args):
     return 0
 
 
-def _write_pgm(path, sample, k):
-    """P5 raster: sample pixels 255, r-neighborhood 128, background 0."""
-    if sample.model != 2:
+def _check_raster(model, k):
+    """The raster's preconditions, checked before a command writes anything."""
+    if model != 2:
         raise UsageError("raster output is planar-model only")
     if not 1 <= k <= 10:
         raise UsageError(f"image scale k must be in [1, 10], got {k}")
+
+
+def _write_pgm(path, sample, k):
+    """P5 raster: sample pixels 255, r-neighborhood 128, background 0 (see `_check_raster`)."""
     r = 2.0 ** -k
     size = int(round(2.0 / r))
     xs = -1.0 + (np.arange(size) + 0.5) * r
@@ -178,16 +206,17 @@ def _write_pgm(path, sample, k):
 
 
 def _cmd_limitset(args):
-    orbit, sample = sampling_front(load_group(args.groupfile), args.depth)
-    coord_names = ["x", "y", "z"][: sample.model]
-    header = [*coord_names, "witness"]
-    words = orbit.ball.words
-    rows = [
-        [*(float(c) for c in pt), word_to_str(words[i])]
-        for pt, i in zip(sample.points, sample.witnesses.tolist())
-    ]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} sample points to {args.out} (source {sample.source})")
+    presentation = load_group(args.groupfile)
+    if args.image is not None:
+        _check_raster(presentation.model, args.k)
+    orbit, sample = sampling_front(presentation, args.depth)
+    ball, n = orbit.ball, sample.model
+    words = _spell_words(ball.parents, ball.letters)
+    _write_table(args.out, [*"xyz"[:n], "witness"], "%.9g," * n + "%s", [
+        *sample.points.T.tolist(),
+        [words[i] for i in sample.witnesses.tolist()],
+    ])
+    print(f"wrote {len(sample)} sample points to {args.out} (source {sample.source})")
     if args.image is not None:
         _write_pgm(args.image, sample, args.k)
         print(f"wrote raster to {args.image}")
@@ -198,17 +227,20 @@ def _cmd_boxdim(args):
     _, sample = sampling_front(load_group(args.groupfile), args.depth)
     est = box_dimension_estimate(sample, k_range=(args.kmin, args.kmax))
     local = dict(est.per_scale_slopes)
+    recs = est.records
     header = ["k", "r", "cell_count", "volume", "local_slope"]
-    rows = []
-    for rec in est.records:
-        slope = local.get(rec.k)
-        rows.append([rec.k, rec.r, rec.cell_count, rec.volume,
-                     "" if slope is None else _fmt(slope)])
-    _write_csv(args.out, header, rows)
+    # the last scale has no forward difference: its slope cell is empty
+    _write_table(args.out, header, "%d,%.9g,%d,%.9g,%s", [
+        [rec.k for rec in recs],
+        [rec.r for rec in recs],
+        [rec.cell_count for rec in recs],
+        [rec.volume for rec in recs],
+        ["%.9g" % local[rec.k] if rec.k in local else "" for rec in recs],
+    ])
     print(f"dim_est={_fmt(est.dim_est)}")
     print(f"fit_window=[{est.fit_window[0]}, {est.fit_window[1]}]")
     print(f"note: {est.method_note}")
-    print(f"wrote {len(rows)} scales to {args.out}")
+    print(f"wrote {len(recs)} scales to {args.out}")
     return 0
 
 
@@ -231,7 +263,8 @@ def _cmd_verify(args):
         report.margin, report.tolerance, report.passed,
     ]
     if args.out is not None:
-        _write_csv(args.out, header, [row])
+        template = "%s,%d,%.9g,%s" + ",%.9g" * 4 + ",%d,%d,%.9g,%.9g,%s"
+        _write_table(args.out, header, template, [[v] for v in row])
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"group={report.group_name or args.groupfile} depth={report.depth} "
@@ -247,12 +280,11 @@ def _cmd_chain(args):
         presentation, args.depth, args.s, args.t, k_max=args.kmax,
     )
     header = ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
-    rows = [
-        [r.k, r.count, r.series_partial, r.lhs, r.mid, r.rhs, r.tail]
-        for r in report.rows
-    ]
     if args.out is not None:
-        _write_csv(args.out, header, rows)
+        rows = report.rows
+        _write_table(args.out, header, "%d,%d" + ",%.9g" * 5, [
+            [getattr(r, field) for r in rows] for field in header
+        ])
     print(f"s={_fmt(report.s)} t={_fmt(report.t)} dim_est={_fmt(report.dim_estimate.dim_est)}")
     print(f"packing_radius={_fmt(report.packing_radius)} c_hat={_fmt(report.c_hat)}")
     print(f"C1={_fmt(report.c1)} C2={_fmt(report.c2)} C3={_fmt(report.c3)}")
@@ -281,13 +313,12 @@ def _cmd_fixtures(args):
         return 0
     if name in POINT_FIXTURES:
         sample = POINT_FIXTURES[name]()
-        header = ["x", "y", "witness"]
-        rows = [
-            [float(pt[0]), float(pt[1]), ".".join(str(d) for d in word)]
-            for pt, word in zip(sample.points, sample.witnesses)
-        ]
-        _write_csv(path, header, rows)
-        print(f"wrote point fixture {name} ({len(rows)} points) to {path}")
+        # synthetic label words, dotted digit by digit
+        _write_table(path, ["x", "y", "witness"], "%.9g,%.9g,%s", [
+            *sample.points.T.tolist(),
+            [".".join(map(str, word)) for word in sample.witnesses],
+        ])
+        print(f"wrote point fixture {name} ({len(sample)} points) to {path}")
         return 0
     raise UsageError(f"unknown fixture {name!r}; choices: {', '.join(fixture_names())}")
 

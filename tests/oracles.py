@@ -7,6 +7,10 @@ the exhaustive pairwise packing scan, and the exhaustive mesh scan of the
 containment check.  Apart from the containment scan, which maps its balls
 and meshes with the library's own helpers, they share no code with the
 library versions, and all must agree with them exactly.
+
+The CLI's tables have oracles too: `word_to_str` spells one word at a time,
+and `csv_bytes` formats a table cell by cell.  Neither imports from
+`kleindim.cli`, whose writer must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -152,3 +156,26 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
         skipped_shells=skipped,
         radius=radius,
     )
+
+
+def word_to_str(word):
+    """Compact word spelling: a..z generators, A..Z inverses, '1' identity.
+
+    A word with any letter beyond +-26 is spelled as its letters joined by '.'.
+    """
+    if not word:
+        return "1"
+    if all(1 <= abs(letter) <= 26 for letter in word):
+        return "".join(
+            chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
+            for letter in word
+        )
+    return ".".join(str(letter) for letter in word)
+
+
+def csv_bytes(header, rows):
+    """A CSV table cell by cell: floats at 9 significant digits, anything else as str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -9,13 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import csv_bytes, word_to_str
 
 from kleindim import (
     InteriorPoint,
     MapClass,
     UsageError,
     basepoint_independence_check,
+    box_dimension_estimate,
     build_ball,
+    cantor_test,
     classify,
     enumerate_orbit,
     find_loxodromic,
@@ -25,12 +30,14 @@ from kleindim import (
     save_group,
     schottky_f2,
     series_chain_report,
+    truncated_series,
     verify_inequality,
 )
-from kleindim import limitset
-from kleindim.cli import _write_pgm, main
+from kleindim import group, limitset
+from kleindim.cli import _spell_words, _write_pgm, main
 from kleindim.geometry import MoebiusMap
 from kleindim.group import GroupPresentation
+from kleindim.verify import pipeline_front, sampling_front
 
 FIXTURE_NAMES = ["cyclic_loxodromic", "fuchsian_lattice", "schottky_f2", "cantor_test"]
 
@@ -336,3 +343,189 @@ def test_save_group_ball_model_round_trip(tmp_path):
     loaded = load_group(path)
     assert loaded.model == 3
     assert loaded.generators[0].entry_distance(g1) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: every table against the cell-by-cell oracle formatter.
+
+
+def _group_file(request, tmp_path, fixture):
+    presentation = request.getfixturevalue(fixture)
+    path = tmp_path / f"{fixture}.json"
+    save_group(presentation, path)
+    return load_group(path), str(path)
+
+
+def _orbit_rows(orbit):
+    return [
+        [word_to_str(word), len(word), *(float(c) for c in orbit.points[i]),
+         float(orbit.gaps[i]), int(orbit.shells[i]), float(orbit.displacements[i])]
+        for i, word in enumerate(orbit.ball.words)
+    ]
+
+
+@pytest.mark.parametrize("fixture,basepoint", [
+    ("schottky", None), ("schottky", "0.1,0.2"), ("lattice", None), ("lattice", "0.3,-0.05"),
+    ("ball_schottky", None), ("ball_schottky", "0.1,0.2,0.05"),
+])
+@pytest.mark.parametrize("depth", [3, 5])
+def test_orbit_table_bytes(request, tmp_path, fixture, basepoint, depth, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "orbit.csv"
+    argv = ["orbit", path, "--depth", str(depth), "--out", str(out)]
+    assert main(argv + ([] if basepoint is None else ["--basepoint", basepoint])) == 0
+    z = None if basepoint is None else InteriorPoint([float(c) for c in basepoint.split(",")])
+    orbit = pipeline_front(presentation, depth, z)[1]
+    header = ["word", "word_length", *"xyz"[:orbit.model], "radial_gap", "shell_index",
+              "displacement"]
+    assert out.read_bytes() == csv_bytes(header, _orbit_rows(orbit))
+    assert capsys.readouterr().out == f"wrote {len(orbit)} elements to {out}\n"
+
+
+@pytest.mark.parametrize("fixture,depth", [
+    ("schottky", 4), ("schottky", 6), ("lattice", 8), ("ball_schottky", 4),
+])
+def test_limitset_table_bytes(request, tmp_path, fixture, depth, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "points.csv"
+    assert main(["limitset", path, "--depth", str(depth), "--out", str(out)]) == 0
+    orbit, sample = sampling_front(presentation, depth)
+    words = orbit.ball.words
+    rows = [[*(float(c) for c in pt), word_to_str(words[i])]
+            for pt, i in zip(sample.points, sample.witnesses.tolist())]
+    assert out.read_bytes() == csv_bytes([*"xyz"[:sample.model], "witness"], rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture,depth,s_grid,grid", [
+    ("cyclic", 5, "1:1:1", [1.0]), ("cyclic", 7, "0.5:1.5:0.25", [0.5, 0.75, 1.0, 1.25, 1.5]),
+    ("schottky", 6, "0.5:1.5:0.5", [0.5, 1.0, 1.5]),
+])
+def test_poincare_table_bytes(request, tmp_path, fixture, depth, s_grid, grid, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "series.csv"
+    assert main(["poincare", path, "--depth", str(depth), "--s-grid", s_grid,
+                 "--out", str(out)]) == 0
+    orbit = pipeline_front(presentation, depth, None)[1]
+    evals = [truncated_series(orbit, s) for s in grid]
+    rows = []
+    unshelled = int(np.count_nonzero(orbit.shells == 0))
+    if unshelled:
+        rows.append([0, 1.0, unshelled, *(ev.unshelled for ev in evals)])
+    counts = orbit.shell_counts()
+    for k in sorted(counts):
+        rows.append([k, 2.0 ** -k, counts[k], *(ev.partial_for(k) for ev in evals)])
+    header = ["k", "r", "shell_count", *(f"partial_s={s:.9g}" for s in grid)]
+    assert out.read_bytes() == csv_bytes(header, rows)
+    if fixture == "cyclic":
+        assert rows[0][0] == 0  # the cyclic orbit's first row is the unshelled one
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture,depth,kmin,kmax", [
+    ("schottky", 6, 3, 9), ("schottky", 8, 2, 6), ("lattice", 10, 3, 9),
+])
+def test_boxdim_table_bytes(request, tmp_path, fixture, depth, kmin, kmax, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "scales.csv"
+    assert main(["boxdim", path, "--depth", str(depth), "--kmin", str(kmin),
+                 "--kmax", str(kmax), "--out", str(out)]) == 0
+    est = box_dimension_estimate(sampling_front(presentation, depth)[1], k_range=(kmin, kmax))
+    local = dict(est.per_scale_slopes)
+    rows = [[rec.k, rec.r, rec.cell_count, rec.volume, local.get(rec.k, "")]
+            for rec in est.records]
+    assert out.read_bytes() == csv_bytes(["k", "r", "cell_count", "volume", "local_slope"], rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture,depth,code", [
+    ("schottky", 6, 0), ("lattice", 12, 0), ("cyclic", 8, 2),
+])
+def test_verify_table_bytes(request, tmp_path, fixture, depth, code, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "report.csv"
+    assert main(["verify", path, "--depth", str(depth), "--out", str(out)]) == code
+    report = verify_inequality(presentation, depth)
+    d, b = report.delta_estimate, report.dim_estimate
+    row = [report.group_name, report.depth, d.delta_est, d.method, d.slope_stderr,
+           float(d.fit_window[0]), float(d.fit_window[1]), b.dim_est, b.fit_window[0],
+           b.fit_window[1], report.margin, report.tolerance, report.passed]
+    assert isinstance(report.passed, bool) and report.passed == (code == 0)
+    header = ["group", "depth", "delta_est", "delta_method", "delta_stderr",
+              "delta_window_lo", "delta_window_hi", "dim_est", "dim_kmin", "dim_kmax",
+              "margin", "tolerance", "passed"]
+    assert out.read_bytes() == csv_bytes(header, [row])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture,depth,kmax", [("schottky", 8, 12), ("lattice", 10, 6)])
+def test_chain_table_bytes(request, tmp_path, fixture, depth, kmax, capsys):
+    presentation, path = _group_file(request, tmp_path, fixture)
+    out = tmp_path / "chain.csv"
+    assert main(["chain", path, "--depth", str(depth), "--s", "1.5", "--t", "1.3",
+                 "--kmax", str(kmax), "--out", str(out)]) == 0
+    report = series_chain_report(presentation, depth, 1.5, 1.3, k_max=kmax)
+    rows = [[r.k, r.count, r.series_partial, r.lhs, r.mid, r.rhs, r.tail] for r in report.rows]
+    header = ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
+    assert out.read_bytes() == csv_bytes(header, rows)
+    capsys.readouterr()
+
+
+def test_fixtures_emit_cantor_bytes(tmp_path, capsys):
+    path = tmp_path / "cantor.csv"
+    assert main(["fixtures", "--emit", "cantor_test", str(path)]) == 0
+    sample = cantor_test()
+    rows = [[float(pt[0]), float(pt[1]), ".".join(str(d) for d in word)]
+            for pt, word in zip(sample.points, sample.witnesses)]
+    assert path.read_bytes() == csv_bytes(["x", "y", "witness"], rows)
+    capsys.readouterr()
+
+
+def _trie(parent_picks, letters):
+    """A parent-pointer trie from fractions of each row's index: row 0 the identity."""
+    parents = [-1] + [int(f * i) for i, f in enumerate(parent_picks, start=1)]
+    words = [()]
+    for p, letter in zip(parents[1:], letters):
+        words.append(words[p] + (letter,))
+    return np.array(parents), np.array([0, *letters]), words
+
+
+_LETTERS = st.integers(1, 40).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 0.999), _LETTERS), max_size=60))
+@example([])
+@example([(0.0, 1), (0.9, -26), (0.9, 2), (0.5, 26)])  # compact only
+@example([(0.0, 27), (0.9, -40), (0.0, -30), (0.9, 33)])  # dotted only
+@example([(0.0, 3), (0.9, 27), (0.9, -1), (0.0, -27), (0.7, 26), (0.9, 40)])  # mixed
+def test_trie_spelling_matches_word_to_str(rows):
+    parents, letters, words = _trie([f for f, _ in rows], [letter for _, letter in rows])
+    spelled = _spell_words(parents, letters)
+    assert spelled[0] == "1"
+    assert spelled == [word_to_str(word) for word in words]
+
+
+def test_tables_spell_from_the_trie(tmp_path, schottky_file, monkeypatch, capsys):
+    def words(ball):
+        raise AssertionError("GroupBall.words read")
+
+    monkeypatch.setattr(group.GroupBall, "words", property(words))
+    out = str(tmp_path / "out.csv")
+    assert main(["orbit", schottky_file, "--depth", "5", "--out", out]) == 0
+    assert main(["orbit", schottky_file, "--depth", "5", "--basepoint", "0.1,0.2",
+                 "--out", out]) == 0
+    assert main(["limitset", schottky_file, "--depth", "5", "--out", out]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture,k", [("schottky", 11), ("schottky", 0), ("ball_schottky", 6)])
+def test_limitset_checks_the_raster_before_writing(request, tmp_path, fixture, k, capsys):
+    _, path = _group_file(request, tmp_path, fixture)
+    pts, img = tmp_path / "pts.csv", tmp_path / "x.pgm"
+    assert main(["limitset", path, "--depth", "5", "--out", str(pts),
+                 "--image", str(img), "--k", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert not pts.exists() and not img.exists()
+    assert "wrote" not in captured.out + captured.err
+    assert ("planar-model only" if fixture == "ball_schottky" else "image scale k") in captured.err
