@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -93,6 +94,8 @@ def _parse_s_grid(text):
         lo, hi, step = (float(p) for p in parts)
     except ValueError as err:
         raise UsageError(f"s-grid must be numeric start:stop:step, got {text!r}") from err
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"s-grid values must be finite, got {text!r}")
     if step <= 0.0 or hi < lo or lo < 0.0:
         raise UsageError("s-grid needs 0 <= start <= stop and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -141,18 +144,14 @@ def _cmd_poincare(args):
     grid = _parse_s_grid(args.s_grid)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
-    # shell 0, when present, is the row of the elements with no shell index
-    counts = orbit.shell_counts()
-    unshelled = int(np.count_nonzero(orbit.shells == 0))
-    if unshelled:
-        counts = {0: unshelled, **counts}
-    ks = sorted(counts)
-    partials = [{0: ev.unshelled, **dict(ev.shell_partials)} for ev in evals]
+    # every evaluation on the orbit has one partial per occupied shell, in this order
+    ks, counts = np.unique(orbit.shells, return_counts=True)
+    ks = ks.tolist()
     _write_table(args.out, header, "%d,%.9g,%d" + ",%.9g" * len(grid), [
         ks,
         [2.0 ** -k for k in ks],
-        [counts[k] for k in ks],
-        *([partial.get(k, 0.0) for k in ks] for partial in partials),
+        counts.tolist(),
+        *(ev.partials.tolist() for ev in evals),
     ])
     for s, ev in zip(grid, evals):
         print(f"s={_fmt(s)} value={_fmt(ev.value)}")
@@ -226,7 +225,6 @@ def _cmd_limitset(args):
 def _cmd_boxdim(args):
     _, sample = sampling_front(load_group(args.groupfile), args.depth)
     est = box_dimension_estimate(sample, k_range=(args.kmin, args.kmax))
-    local = dict(est.per_scale_slopes)
     recs = est.records
     header = ["k", "r", "cell_count", "volume", "local_slope"]
     # the last scale has no forward difference: its slope cell is empty
@@ -235,7 +233,7 @@ def _cmd_boxdim(args):
         [rec.r for rec in recs],
         [rec.cell_count for rec in recs],
         [rec.volume for rec in recs],
-        ["%.9g" % local[rec.k] if rec.k in local else "" for rec in recs],
+        [*("%.9g" % v for v in est.local_slopes.tolist()), ""],
     ])
     print(f"dim_est={_fmt(est.dim_est)}")
     print(f"fit_window=[{est.fit_window[0]}, {est.fit_window[1]}]")
@@ -281,9 +279,8 @@ def _cmd_chain(args):
     )
     header = ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
     if args.out is not None:
-        rows = report.rows
         _write_table(args.out, header, "%d,%d" + ",%.9g" * 5, [
-            [getattr(r, field) for r in rows] for field in header
+            getattr(report, field).tolist() for field in header
         ])
     print(f"s={_fmt(report.s)} t={_fmt(report.t)} dim_est={_fmt(report.dim_estimate.dim_est)}")
     print(f"packing_radius={_fmt(report.packing_radius)} c_hat={_fmt(report.c_hat)}")
@@ -328,7 +325,15 @@ def _cmd_fixtures(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1 (not argparse's 2)."""
+    """argparse with usage failures mapped to exit code 1 (not argparse's 2).
+
+    Words starting "-" or "-." and a digit are values, so every subparser
+    takes `--basepoint -0.3,0.05` with a negative first coordinate.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

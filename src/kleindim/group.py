@@ -12,7 +12,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -116,15 +115,6 @@ class GroupBall:
 
     def __len__(self):
         return self.entries.shape[0]
-
-    @cached_property
-    def words(self):
-        """Words of all elements, in ball order, rebuilt from the parent pointers."""
-        words = [()] * len(self)
-        for i, (p, letter) in enumerate(zip(self.parents.tolist(), self.letters.tolist())):
-            if p >= 0:
-                words[i] = words[p] + (letter,)
-        return words
 
     def map(self, i):
         """Element i as a MoebiusMap, its entries exactly as stored."""
@@ -277,11 +267,6 @@ class OrbitSet:
 
     def __len__(self):
         return len(self.ball)
-
-    def shell_counts(self):
-        """Mapping shell index -> element count, shelled elements only."""
-        ks, counts = np.unique(self.shells[self.shells > 0], return_counts=True)
-        return dict(zip(ks.tolist(), counts.tolist()))
 
     def gaps_squared(self):
         """1 - |g(z)|^2 per element, reconstructed from the stable gap."""

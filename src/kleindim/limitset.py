@@ -53,10 +53,11 @@ class LimitSample:
     """A finite sample of sphere points with one witness per point.
 
     The witness of an orbit sample point is the group-ball row of the element
-    that produced it (`GroupBall.words` spells it); synthetic samples carry
-    label words.  Two structures are built on first use and shared by every
-    stage: `tree`, the KD-tree of the points, and `dyadic_index`, the one
-    sort of the points that every grid count and the spacing check read.
+    that produced it, whose word the ball's parent pointers spell; synthetic
+    samples carry label words.  Two structures are built on first use and
+    shared by every stage: `tree`, the KD-tree of the points, and
+    `dyadic_index`, the one sort of the points that every grid count and the
+    spacing check read.
     """
 
     points: np.ndarray   # (N, n) unit rows
@@ -313,8 +314,8 @@ class BoxDimensionEstimate:
     """Box dimension from a least-squares fit of log counts across scales."""
 
     dim_est: float
-    per_scale_slopes: list  # (k, local slope between scales k and k+1)
-    records: list           # one DyadicScaleRecord per k in the fit window
+    local_slopes: np.ndarray  # (len(records) - 1,) slope from records[i] to records[i + 1]
+    records: list             # one DyadicScaleRecord per k in the fit window
     fit_window: tuple
     method_note: str
 
@@ -331,8 +332,8 @@ def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
         default: genuinely finite sets are legitimately 0-dimensional).
 
     The estimate is the least-squares slope of log cell_count against
-    k*log 2, clamped to [0, n]; the minimum local slope rides along in
-    per_scale_slopes as a liminf proxy.
+    k*log 2, clamped to [0, n]; the local slopes between neighboring scales
+    ride along, and their minimum, a liminf proxy, is quoted in the note.
 
     The spacing check queries only the points alone in their cell of side
     2^-(k_max+1) in the dyadic index.  Any other point has a neighbor within
@@ -366,15 +367,12 @@ def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
     dim = min(max(slope, 0.0), float(n))
     if dim != slope:
         note_bits.append(f"raw slope {slope:.4f} clamped to [0, {n}]")
-    local = [
-        (int(ks[i]), float((logs[i + 1] - logs[i]) / _LN2))
-        for i in range(len(records) - 1)
-    ]
-    min_local = min(v for _, v in local)
-    note_bits.insert(0, f"least-squares over k in [{k_min}, {k_max}]; min local slope {min_local:.4f}")
+    local = np.diff(logs) / _LN2
+    note_bits.insert(0, f"least-squares over k in [{k_min}, {k_max}]; "
+                        f"min local slope {local.min():.4f}")
     return BoxDimensionEstimate(
         dim_est=dim,
-        per_scale_slopes=local,
+        local_slopes=local,
         records=records,
         fit_window=(k_min, k_max),
         method_note="; ".join(note_bits),
@@ -441,13 +439,12 @@ class BallContainmentReport:
     their own scale.  c_hat is the max over computed shells.
     """
 
-    records: list   # (k, max_distance, c_k) for nonempty shells
+    shells: np.ndarray         # (m,) nonempty shells k, ascending
+    max_distances: np.ndarray  # (m,) worst distance of each shell
+    c: np.ndarray              # (m,) c_k = max_distance / 2^-k
     c_hat: float
     skipped_shells: list
     radius: float
-
-    def c_values(self):
-        return [c for _, _, c in self.records]
 
 
 def ball_containment_check(orbit, radius, sample, k_max=12):
@@ -468,8 +465,7 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
     mesh = _sphere_mesh(orbit.model)
-    records = []
-    skipped = []
+    shells, worsts, skipped = [], [], []
     for k in range(1, k_max + 1):
         idx = np.nonzero(orbit.shells == k)[0]
         if idx.size == 0:
@@ -486,12 +482,16 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
             dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
             worst = max(worst, float(dist.max()))
             done, batch = done + batch, 2 * batch
-        records.append((k, worst, worst / (2.0 ** -k)))
-    if not records:
+        shells.append(k)
+        worsts.append(worst)
+    if not shells:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
+    c = np.ldexp(worsts, shells)  # worst / 2^-k, exactly
     return BallContainmentReport(
-        records=records,
-        c_hat=max(c for _, _, c in records),
+        shells=np.array(shells),
+        max_distances=np.array(worsts),
+        c=c,
+        c_hat=float(c.max()),
         skipped_shells=skipped,
         radius=radius,
     )

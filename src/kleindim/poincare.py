@@ -27,14 +27,8 @@ class SeriesEvaluation:
     s: float
     truncation_word_length: int
     value: float
-    shell_partials: list  # (shell index, partial sum), ascending shells
-    unshelled: float      # terms of elements with no shell index
-
-    def partial_for(self, k):
-        for kk, v in self.shell_partials:
-            if kk == k:
-                return v
-        return 0.0
+    shells: np.ndarray    # (m,) occupied shells, ascending; 0 holds the points at the center
+    partials: np.ndarray  # (m,) sum of the terms of each shell
 
 
 def truncated_series(orbit, s):
@@ -47,25 +41,19 @@ def truncated_series(orbit, s):
 
     Returns
     -------
-    SeriesEvaluation whose value equals the sum of the shell partial sums
-    plus the unshelled remainder (elements whose orbit point is the ball
-    center itself).
+    SeriesEvaluation with one partial sum per occupied shell of the orbit.
     """
     s = float(s)
     if s < 0.0:
         raise UsageError(f"series exponent must be nonnegative, got {s}")
     terms = (orbit.gaps / (2.0 - orbit.gaps)) ** s
-    shells = orbit.shells
-    partials = []
-    for k in np.unique(shells[shells > 0]):
-        partials.append((int(k), float(terms[shells == k].sum())))
-    unshelled = float(terms[shells == 0].sum())
+    shells = np.unique(orbit.shells)
     return SeriesEvaluation(
         s=s,
         truncation_word_length=orbit.max_word_length,
         value=float(terms.sum()),
-        shell_partials=partials,
-        unshelled=unshelled,
+        shells=shells,
+        partials=np.array([terms[orbit.shells == k].sum() for k in shells]),
     )
 
 
@@ -74,25 +62,20 @@ class CountingFunction:
     """N(T) = number of enumerated g with d(z, g(z)) <= T, on a uniform grid."""
 
     bin_width: float
-    counts: list  # (T, N(T)) pairs, T = i * bin_width
-
-    def thresholds(self):
-        return np.array([t for t, _ in self.counts])
-
-    def values(self):
-        return np.array([n for _, n in self.counts])
+    thresholds: np.ndarray  # T = i * bin_width, i = 0, 1, ...
+    counts: np.ndarray      # N(T) at each threshold
 
 
 def counting_function(orbit, bin_width=0.5):
     """Orbital counting function on bins of the displacement range."""
     bin_width = float(bin_width)
-    if bin_width <= 0.0:
-        raise UsageError("bin width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise UsageError(f"bin width must be positive and finite, got {bin_width}")
     disp = np.sort(orbit.displacements)
     n_bins = int(math.ceil(float(disp[-1]) / bin_width))
     ts = np.arange(n_bins + 1) * bin_width
     ns = np.searchsorted(disp, ts, side="right")
-    return CountingFunction(bin_width=bin_width, counts=list(zip(ts.tolist(), ns.tolist())))
+    return CountingFunction(bin_width=bin_width, thresholds=ts, counts=ns)
 
 
 @dataclass
@@ -121,7 +104,7 @@ def _counting_fit(orbit, bin_width):
     cf = counting_function(orbit, bin_width)
     t_max = float(orbit.displacements.max())
     lo, hi = 0.2 * t_max, 0.8 * t_max
-    ts, ns = cf.thresholds(), cf.values()
+    ts, ns = cf.thresholds, cf.counts
     mask = (ts >= lo) & (ts <= hi) & (ns > 0)
     if int(mask.sum()) < 5:
         raise InsufficientDataError(
@@ -152,10 +135,9 @@ def _available_shells(orbit, diagnostics):
     would masquerade as convergence, so fewer than 5 shells within the cut
     raise InsufficientDataError.
     """
-    counts = orbit.shell_counts()
-    if not counts:
+    ks = np.unique(orbit.shells[orbit.shells > 0]).tolist()
+    if not ks:
         raise InsufficientDataError("orbit has no shelled elements")
-    ks = sorted(counts)
     cut = ""
     at_horizon = orbit.word_lengths == orbit.max_word_length
     if np.any(at_horizon):

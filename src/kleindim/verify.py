@@ -22,6 +22,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import KleindimError, LoxodromicNotFoundError, StageFailure, UsageError
 from .geometry import origin
 from .group import OrbitSet, build_ball, check_packing_disjoint, packing_radius
@@ -122,8 +124,8 @@ def verify_inequality(presentation, depth, tolerance=0.1, exponent_method="count
     if depth < 6:
         raise UsageError(f"verification depth must be at least 6, got {depth}")
     tolerance = float(tolerance)
-    if tolerance <= 0.0:
-        raise UsageError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise UsageError(f"tolerance must be positive and finite, got {tolerance}")
     orbit, sample = sampling_front(presentation, depth)
     with _stage("exponent_estimate"):
         delta = exponent_estimate(orbit, method=exponent_method)
@@ -144,21 +146,12 @@ def verify_inequality(presentation, depth, tolerance=0.1, exponent_method="count
 
 
 @dataclass
-class ShellChainRow:
-    """One dyadic shell's worth of the estimate chain (see module docstring)."""
-
-    k: int
-    count: int
-    series_partial: float  # sum of exp(-s d(0, g z)) over the shell
-    lhs: float             # sum of (1 - |g z|)^s over the shell
-    mid: float             # 2^{-k(s-n)} * total packed-ball volume
-    rhs: float             # 2^{-k(s-n)} * grid neighborhood volume
-    tail: float            # 2^{-k(s-t)}
-
-
-@dataclass
 class SeriesChainReport:
-    """Measured constants and per-shell rows of the full estimate chain.
+    """Measured constants and per-shell columns of the full estimate chain.
+
+    The columns k to tail are aligned arrays with one entry per nonempty
+    shell (see the module docstring); c1, c2 and c3 are the largest ratios
+    lhs/mid, mid/rhs and rhs/tail over the shells.
 
     radial_ok: lhs sits inside [series_partial, 2^s * series_partial] on
     every shell (termwise algebra, must hold to rounding).  volume_ok: the
@@ -178,7 +171,13 @@ class SeriesChainReport:
     packing_radius: float
     c_hat: float
     dim_estimate: BoxDimensionEstimate
-    rows: list
+    k: np.ndarray               # nonempty shells 1 <= k <= k_max, ascending
+    count: np.ndarray           # orbit points in the shell
+    series_partial: np.ndarray  # sum of exp(-s d(0, g z)) over the shell
+    lhs: np.ndarray             # sum of (1 - |g z|)^s over the shell
+    mid: np.ndarray             # 2^{-k(s-n)} * total packed-ball volume
+    rhs: np.ndarray             # 2^{-k(s-n)} * grid volume of the c_hat 2^-k neighborhood
+    tail: np.ndarray            # 2^{-k(s-t)}
     c1: float
     c2: float
     c3: float
@@ -202,6 +201,8 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
     if depth < 8:
         raise UsageError(f"chain report depth must be at least 8, got {depth}")
     s, t = float(s), float(t)
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise UsageError(f"chain exponents must be finite, got s={s}, t={t}")
     orbit, sample = sampling_front(presentation, depth)
     with _stage("packing_radius"):
         pack = packing_radius(orbit)
@@ -219,34 +220,29 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
     c_hat = containment.c_hat
     n = orbit.model
     series = truncated_series(orbit, s)
-    rows = []
-    for k, _, _ in containment.records:
+    ks = containment.shells
+    series_partial = series.partials[np.searchsorted(series.shells, ks)]
+    count = np.zeros(ks.size, dtype=int)
+    lhs, mid, rhs, tail = np.zeros((4, ks.size))
+    # scalar powers: numpy's 2.0 ** array may differ from them in the last bit
+    for i, k in enumerate(ks.tolist()):
         mask = orbit.shells == k
         gaps = orbit.gaps[mask]
-        lhs = float((gaps ** s).sum())
         _, radii = euclidean_balls(orbit.points[mask], pack.radius, gaps=gaps)
-        packed = float(ball_volumes(radii, n).sum())
         scale = 2.0 ** (-k * (s - n))
         record = neighborhood_volume(sample, 2.0 ** -k, radius=c_hat * 2.0 ** -k)
-        rows.append(ShellChainRow(
-            k=int(k),
-            count=int(mask.sum()),
-            series_partial=series.partial_for(k),
-            lhs=lhs,
-            mid=scale * packed,
-            rhs=scale * record.volume,
-            tail=2.0 ** (-k * (s - t)),
-        ))
-    c1 = max(row.lhs / row.mid for row in rows)
-    c2 = max(row.mid / row.rhs for row in rows)
-    c3 = max(row.rhs / row.tail for row in rows)
+        count[i] = gaps.size
+        lhs[i] = (gaps ** s).sum()
+        mid[i] = scale * ball_volumes(radii, n).sum()
+        rhs[i] = scale * record.volume
+        tail[i] = 2.0 ** (-k * (s - t))
+    c1, c2, c3 = (float((a / b).max()) for a, b in ((lhs, mid), (mid, rhs), (rhs, tail)))
     two_s = 2.0 ** s
-    radial_ok = all(
-        row.series_partial / _REL_SLACK <= row.lhs <= two_s * row.series_partial * _REL_SLACK
-        for row in rows
-    )
+    radial_ok = bool(np.all(
+        (series_partial / _REL_SLACK <= lhs) & (lhs <= two_s * series_partial * _REL_SLACK)
+    ))
     volume_ok = c2 <= 2.0 ** n * _REL_SLACK
-    k_top = rows[-1].k
+    k_top = int(ks[-1])
     q = 2.0 ** -(s - t)
     tail_partial = sum(q ** k for k in range(1, k_top + 1))
     tail_closed = q * (1.0 - q ** k_top) / (1.0 - q)
@@ -261,7 +257,13 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         packing_radius=pack.radius,
         c_hat=c_hat,
         dim_estimate=dim,
-        rows=rows,
+        k=ks,
+        count=count,
+        series_partial=series_partial,
+        lhs=lhs,
+        mid=mid,
+        rhs=rhs,
+        tail=tail,
         c1=c1,
         c2=c2,
         c3=c3,

@@ -8,8 +8,9 @@ containment check.  Apart from the containment scan, which maps its balls
 and meshes with the library's own helpers, they share no code with the
 library versions, and all must agree with them exactly.
 
-The CLI's tables have oracles too: `word_to_str` spells one word at a time,
-and `csv_bytes` formats a table cell by cell.  Neither imports from
+The CLI's tables have oracles too: `ball_words` rebuilds every word of a
+group ball from its parent pointers, `word_to_str` spells one word at a
+time, and `csv_bytes` formats a table cell by cell.  None imports from
 `kleindim.cli`, whose writer must reproduce them byte for byte.
 """
 
@@ -136,8 +137,7 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
     mesh = _sphere_mesh(orbit.model)
-    records = []
-    skipped = []
+    shells, worsts, skipped = [], [], []
     for k in range(1, k_max + 1):
         idx = np.nonzero(orbit.shells == k)[0]
         if idx.size == 0:
@@ -146,16 +146,27 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
         centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
         dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
-        worst = float(dist.max())
-        records.append((k, worst, worst / (2.0 ** -k)))
-    if not records:
+        shells.append(k)
+        worsts.append(float(dist.max()))
+    if not shells:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
+    c = [worst / (2.0 ** -k) for k, worst in zip(shells, worsts)]
     return BallContainmentReport(
-        records=records,
-        c_hat=max(c for _, _, c in records),
+        shells=np.array(shells),
+        max_distances=np.array(worsts),
+        c=np.array(c),
+        c_hat=max(c),
         skipped_shells=skipped,
         radius=radius,
     )
+
+
+def ball_words(parents, letters):
+    """Every word of a parent-pointer trie as a tuple of letters, row 0 the identity ()."""
+    words = [()]
+    for p, letter in zip(parents.tolist()[1:], letters.tolist()[1:]):
+        words.append(words[p] + (letter,))
+    return words
 
 
 def word_to_str(word):

@@ -179,13 +179,13 @@ def test_ball_containment_constancy(schottky_orbit10, schottky_sample10):
     pk = packing_radius(schottky_orbit10)
     report = ball_containment_check(schottky_orbit10, pk.radius,
                                     schottky_sample10, k_max=12)
-    cs = np.asarray([c for k, _, c in report.records if 2 <= k <= 12])
+    cs = report.c[(report.shells >= 2) & (report.shells <= 12)]
     bounded = len(cs) > 0 and np.all(cs <= 4.0 * np.median(cs))
 
     far = _synthetic([[0.0, -1.0]])
     bad = ball_containment_check(schottky_orbit10, pk.radius, far, k_max=10)
-    ks = np.asarray([k for k, _, _ in bad.records], dtype=float)
-    bad_cs = np.asarray([c for _, _, c in bad.records])
+    ks = bad.shells.astype(float)
+    bad_cs = bad.c
     slope = stats.linregress(ks, np.log2(bad_cs)).slope
     exploding = 0.9 <= slope <= 1.1
     _report("containment constants c_k <= 4x median on shells k in [2, 12]; "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import csv_bytes, word_to_str
+from oracles import ball_words, csv_bytes, word_to_str
 
 from kleindim import (
     InteriorPoint,
@@ -33,7 +33,7 @@ from kleindim import (
     truncated_series,
     verify_inequality,
 )
-from kleindim import group, limitset
+from kleindim import cli, limitset
 from kleindim.cli import _spell_words, _write_pgm, main
 from kleindim.geometry import MoebiusMap
 from kleindim.group import GroupPresentation
@@ -301,6 +301,46 @@ def test_usage_errors(tmp_path, schottky_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("orbit", []), ("poincare", ["--s-grid", "0.5:1.5:0.5"]),
+])
+@pytest.mark.parametrize("basepoint", ["-0.3,0.05", "-.3,-0.05"])
+def test_negative_first_basepoint_coordinate(tmp_path, schottky_file, command, extra, basepoint,
+                                             capsys):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    argv = [command, schottky_file, "--depth", "4", *extra]
+    assert main(argv + ["--basepoint", basepoint, "--out", str(spaced)]) == 0
+    assert main(argv + [f"--basepoint={basepoint}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    capsys.readouterr()
+    # an option name is still no value
+    assert main(argv + ["--basepoint", "--out", str(spaced)]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--depth", "6", "--tolerance", "nan"], "tolerance"),
+    (["verify", "--depth", "6", "--tolerance", "inf"], "tolerance"),
+    (["exponent", "--depth", "5", "--bin-width", "nan"], "bin width"),
+    (["exponent", "--depth", "5", "--bin-width", "inf"], "bin width"),
+    (["poincare", "--depth", "5", "--s-grid", "nan:1:0.5"], "s-grid"),
+    (["poincare", "--depth", "5", "--s-grid", "0:nan:0.5"], "s-grid"),
+    (["poincare", "--depth", "5", "--s-grid", "0:1:nan"], "s-grid"),
+    (["poincare", "--depth", "5", "--s-grid", "0:inf:1"], "s-grid"),
+    (["chain", "--depth", "8", "--s", "inf", "--t", "1.3"], "finite"),
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, message, capsys):
+    out = tmp_path / "out.csv"
+    command, *rest = argv
+    if command in ("poincare", "chain"):
+        rest += ["--out", str(out)]
+    assert main([command, schottky_file, *rest]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert "result=" not in captured.out and not out.exists()
+
+
 def test_load_group_halfspace_planar(tmp_path):
     doc = {
         "name": "halfplane_parabolic",
@@ -360,7 +400,7 @@ def _orbit_rows(orbit):
     return [
         [word_to_str(word), len(word), *(float(c) for c in orbit.points[i]),
          float(orbit.gaps[i]), int(orbit.shells[i]), float(orbit.displacements[i])]
-        for i, word in enumerate(orbit.ball.words)
+        for i, word in enumerate(ball_words(orbit.ball.parents, orbit.ball.letters))
     ]
 
 
@@ -390,7 +430,7 @@ def test_limitset_table_bytes(request, tmp_path, fixture, depth, capsys):
     out = tmp_path / "points.csv"
     assert main(["limitset", path, "--depth", str(depth), "--out", str(out)]) == 0
     orbit, sample = sampling_front(presentation, depth)
-    words = orbit.ball.words
+    words = ball_words(orbit.ball.parents, orbit.ball.letters)
     rows = [[*(float(c) for c in pt), word_to_str(words[i])]
             for pt, i in zip(sample.points, sample.witnesses.tolist())]
     assert out.read_bytes() == csv_bytes([*"xyz"[:sample.model], "witness"], rows)
@@ -409,16 +449,14 @@ def test_poincare_table_bytes(request, tmp_path, fixture, depth, s_grid, grid, c
     orbit = pipeline_front(presentation, depth, None)[1]
     evals = [truncated_series(orbit, s) for s in grid]
     rows = []
-    unshelled = int(np.count_nonzero(orbit.shells == 0))
-    if unshelled:
-        rows.append([0, 1.0, unshelled, *(ev.unshelled for ev in evals)])
-    counts = orbit.shell_counts()
-    for k in sorted(counts):
-        rows.append([k, 2.0 ** -k, counts[k], *(ev.partial_for(k) for ev in evals)])
+    for k in sorted(set(orbit.shells.tolist())):
+        i = [ev.shells.tolist().index(k) for ev in evals]
+        count = int(np.count_nonzero(orbit.shells == k))
+        rows.append([k, 2.0 ** -k, count, *(float(ev.partials[j]) for ev, j in zip(evals, i))])
     header = ["k", "r", "shell_count", *(f"partial_s={s:.9g}" for s in grid)]
     assert out.read_bytes() == csv_bytes(header, rows)
     if fixture == "cyclic":
-        assert rows[0][0] == 0  # the cyclic orbit's first row is the unshelled one
+        assert rows[0][0] == 0  # the cyclic orbit's first row is shell 0, the ball center
     capsys.readouterr()
 
 
@@ -431,9 +469,9 @@ def test_boxdim_table_bytes(request, tmp_path, fixture, depth, kmin, kmax, capsy
     assert main(["boxdim", path, "--depth", str(depth), "--kmin", str(kmin),
                  "--kmax", str(kmax), "--out", str(out)]) == 0
     est = box_dimension_estimate(sampling_front(presentation, depth)[1], k_range=(kmin, kmax))
-    local = dict(est.per_scale_slopes)
-    rows = [[rec.k, rec.r, rec.cell_count, rec.volume, local.get(rec.k, "")]
-            for rec in est.records]
+    local = [*est.local_slopes.tolist(), ""]
+    rows = [[rec.k, rec.r, rec.cell_count, rec.volume, slope]
+            for rec, slope in zip(est.records, local)]
     assert out.read_bytes() == csv_bytes(["k", "r", "cell_count", "volume", "local_slope"], rows)
     capsys.readouterr()
 
@@ -465,8 +503,9 @@ def test_chain_table_bytes(request, tmp_path, fixture, depth, kmax, capsys):
     assert main(["chain", path, "--depth", str(depth), "--s", "1.5", "--t", "1.3",
                  "--kmax", str(kmax), "--out", str(out)]) == 0
     report = series_chain_report(presentation, depth, 1.5, 1.3, k_max=kmax)
-    rows = [[r.k, r.count, r.series_partial, r.lhs, r.mid, r.rhs, r.tail] for r in report.rows]
     header = ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
+    rows = [[int(k), int(n), *(float(v) for v in values)]
+            for k, n, *values in zip(*(getattr(report, field) for field in header))]
     assert out.read_bytes() == csv_bytes(header, rows)
     capsys.readouterr()
 
@@ -507,15 +546,21 @@ def test_trie_spelling_matches_word_to_str(rows):
 
 
 def test_tables_spell_from_the_trie(tmp_path, schottky_file, monkeypatch, capsys):
-    def words(ball):
-        raise AssertionError("GroupBall.words read")
+    calls = []
+    real = cli._spell_words
 
-    monkeypatch.setattr(group.GroupBall, "words", property(words))
+    def counting(parents, letters):
+        calls.append(len(parents))
+        return real(parents, letters)
+
+    monkeypatch.setattr(cli, "_spell_words", counting)
     out = str(tmp_path / "out.csv")
-    assert main(["orbit", schottky_file, "--depth", "5", "--out", out]) == 0
-    assert main(["orbit", schottky_file, "--depth", "5", "--basepoint", "0.1,0.2",
-                 "--out", out]) == 0
-    assert main(["limitset", schottky_file, "--depth", "5", "--out", out]) == 0
+    for argv in (["orbit", schottky_file, "--depth", "5", "--out", out],
+                 ["orbit", schottky_file, "--depth", "5", "--basepoint", "0.1,0.2", "--out", out],
+                 ["limitset", schottky_file, "--depth", "5", "--out", out]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [485]  # one spelling of the whole depth-5 ball per command
     capsys.readouterr()
 
 

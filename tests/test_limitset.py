@@ -167,8 +167,8 @@ def test_box_dimension_report_fields(schottky_sample10):
     est = box_dimension_estimate(schottky_sample10)
     assert 0.0 <= est.dim_est <= 2.0
     assert est.fit_window == (3, 9)
-    ks = [k for k, _ in est.per_scale_slopes]
-    assert ks == list(range(3, 9))
+    assert [rec.k for rec in est.records] == list(range(3, 10))
+    assert est.local_slopes.shape == (6,)
     assert "min local slope" in est.method_note
 
 
@@ -257,7 +257,7 @@ def test_containment_cyclic_stable(cyclic_orbit10, cyclic_h):
     sample = sample_limit_set(cyclic_orbit10, cyclic_h)
     pk = packing_radius(cyclic_orbit10)
     report = ball_containment_check(cyclic_orbit10, pk.radius, sample, k_max=10)
-    cs = [c for k, _, c in report.records if 2 <= k <= 10]
+    cs = report.c[(report.shells >= 2) & (report.shells <= 10)].tolist()
     assert len(cs) >= 3
     assert max(cs) / min(cs) <= 4.0
 
@@ -265,10 +265,10 @@ def test_containment_cyclic_stable(cyclic_orbit10, cyclic_h):
 def test_containment_schottky_constancy(schottky_orbit10, schottky_sample10):
     pk = packing_radius(schottky_orbit10)
     report = ball_containment_check(schottky_orbit10, pk.radius, schottky_sample10)
-    cs = np.asarray(report.c_values())
+    cs = report.c
     assert report.c_hat == cs.max()
     assert np.all(cs <= 4.0 * np.median(cs))
-    ks = np.asarray([k for k, _, _ in report.records], dtype=float)
+    ks = report.shells.astype(float)
     slope = stats.linregress(ks, np.log(cs)).slope
     assert abs(slope) <= 0.2
 
@@ -277,8 +277,8 @@ def test_containment_negative_control(schottky_orbit10):
     far = _synthetic([[0.0, -1.0]])
     pk = packing_radius(schottky_orbit10)
     report = ball_containment_check(schottky_orbit10, pk.radius, far, k_max=10)
-    ks = np.asarray([k for k, _, _ in report.records], dtype=float)
-    cs = np.asarray([c for _, _, c in report.records])
+    ks = report.shells.astype(float)
+    cs = report.c
     slope = stats.linregress(ks, np.log2(cs)).slope
     assert 0.9 <= slope <= 1.1  # c_k doubles per shell: containment has failed
 
@@ -372,7 +372,7 @@ def test_grid_count_pipeline_samples(request, group, depth):
     for k in range(K_RANGE[0], K_RANGE[1] + 1):
         _assert_matches_oracle(sample.points, 2.0 ** -k, 2.0 ** -k)
     containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample)
-    for k, _, _ in containment.records:
+    for k in containment.shells.tolist():
         _assert_matches_oracle(sample.points, containment.c_hat * 2.0 ** -k, 2.0 ** -k)
 
 

@@ -7,16 +7,22 @@ import math
 import numpy as np
 import pytest
 from conftest import identity_only_orbit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleindim import (
+    GroupPresentation,
     InsufficientDataError,
     InteriorPoint,
+    MoebiusMap,
+    UsageError,
     apply_interior,
     basepoint_independence_check,
     counting_function,
     cyclic_loxodromic,
     enumerate_orbit,
     exponent_estimate,
+    fuchsian_lattice,
     hyperbolic_distance,
     origin,
     schottky_f2,
@@ -56,10 +62,85 @@ def test_series_monotone_in_depth():
 
 def test_series_shell_partials_sum_to_value(schottky_orbit8):
     ev = truncated_series(schottky_orbit8, 0.8)
-    total = ev.unshelled + sum(p for _, p in ev.shell_partials)
+    total = sum(ev.partials.tolist())
     assert abs(total - ev.value) < 1e-9
-    k0, p0 = ev.shell_partials[0]
-    assert ev.partial_for(k0) == p0
+    assert ev.shells.shape == ev.partials.shape
+
+
+def _ball_schottky():
+    g1 = MoebiusMap(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0, model=3)
+    g2 = MoebiusMap(5.0 / 3.0, 4.0j / 3.0, -4.0j / 3.0, 5.0 / 3.0, model=3)
+    return GroupPresentation([g1, g2], model=3, name="schottky_ball")
+
+
+# group -> basepoints.  The origin is an orbit point of every group.  The
+# generator of cyclic_loxodromic, and the first of schottky_f2, moves the
+# origin to (0.8, 0), so from there an orbit point lies within rounding of
+# the center; on the lattice at depth 2, (-0.2, 0.4) has an image whose
+# coordinates are exactly zero but whose stable gap is 1 - 2^-53.
+SERIES_GROUPS = {
+    "cyclic_loxodromic": (cyclic_loxodromic, [(0.0, 0.0), (0.8, 0.0), (0.1, 0.2)]),
+    "schottky_f2": (schottky_f2, [(0.0, 0.0), (0.8, 0.0), (-0.3, 0.05)]),
+    "fuchsian_lattice": (fuchsian_lattice, [(0.0, 0.0), (0.3, -0.05), (-0.2, 0.4)]),
+    "schottky_ball": (_ball_schottky, [(0.0, 0.0, 0.0), (0.8, 0.0, 0.0), (0.1, 0.2, -0.05)]),
+}
+
+
+def _series_oracle(orbit, s):
+    """Per-shell math.fsum of exp(-s d(0, w)), shell k >= 1 where 2^-k <= gap < 2^-k+1.
+
+    Shell 0 holds the orbit points at the center: gap 1 - |w| >= 1, so d(0, w) = 0.
+    """
+    terms = {}
+    for gap in orbit.gaps.tolist():
+        k = 0
+        if gap < 1.0:
+            k = 1
+            while not 2.0 ** -k <= gap < 2.0 ** (-k + 1):
+                k += 1
+        distance = math.log((2.0 - gap) / gap)
+        terms.setdefault(k, []).append(math.exp(-s * distance))
+    return {k: math.fsum(ts) for k, ts in terms.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(SERIES_GROUPS)),
+    depth=st.integers(1, 6),
+    pick=st.integers(0, 2),
+    s=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.5),
+)
+def test_series_shells_and_partials_match_oracle(name, depth, pick, s):
+    build, basepoints = SERIES_GROUPS[name]
+    orbit = enumerate_orbit(build(), InteriorPoint(basepoints[pick]), depth)
+    ev = truncated_series(orbit, s)
+    expected = _series_oracle(orbit, s)
+    shells = ev.shells.tolist()
+    assert shells == sorted(set(shells)) == sorted(expected)
+    # shell 0 points sit at the center, and the identity keeps the origin there
+    assert np.linalg.norm(orbit.points[orbit.shells == 0], axis=1).max(initial=0.0) < 1e-15
+    if pick == 0:
+        assert shells[0] == 0
+    for k, partial in zip(shells, ev.partials.tolist()):
+        assert partial == pytest.approx(expected[k], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GROUPS))
+@pytest.mark.parametrize("bin_width", [0.5, 0.37, 1.0, 3.0])
+def test_counting_function_matches_brute_force(name, bin_width):
+    build, basepoints = SERIES_GROUPS[name]
+    orbit = enumerate_orbit(build(), InteriorPoint(basepoints[-1]), 5)
+    cf = counting_function(orbit, bin_width)
+    assert cf.thresholds.shape == cf.counts.shape
+    brute = [np.count_nonzero(orbit.displacements <= t) for t in cf.thresholds.tolist()]
+    assert cf.counts.tolist() == brute
+    assert cf.counts[-1] == len(orbit)
+
+
+@pytest.mark.parametrize("bin_width", [0.0, -0.5, math.nan, math.inf])
+def test_counting_function_rejects_bad_bin_width(schottky_orbit8, bin_width):
+    with pytest.raises(UsageError):
+        counting_function(schottky_orbit8, bin_width)
 
 
 def test_series_radial_form_matches_distance_form():
@@ -95,17 +176,17 @@ def test_series_from_shifted_basepoint_within_translation_bound():
 
 def test_counting_identity_only():
     cf = counting_function(identity_only_orbit())
-    assert all(n == 1 for n in cf.values())
+    assert all(n == 1 for n in cf.counts)
 
 
 def test_counting_cyclic_formula(cyclic_orbit10):
     cf = counting_function(cyclic_orbit10)
-    for t, n in cf.counts:
+    for t, n in zip(cf.thresholds.tolist(), cf.counts.tolist()):
         assert n == 1 + 2 * math.floor(t / LN9)
 
 
 def test_counting_nondecreasing(schottky_orbit8):
-    ns = np.asarray(counting_function(schottky_orbit8).values())
+    ns = counting_function(schottky_orbit8).counts
     assert np.all(np.diff(ns) >= 0)
     assert ns[0] >= 1
 

@@ -15,9 +15,11 @@ from kleindim import (
     StageFailure,
     UsageError,
     series_chain_report,
+    truncated_series,
     verify_inequality,
 )
 from kleindim import cli, group, limitset, verify
+from kleindim.verify import pipeline_front
 
 
 def _ball_schottky():
@@ -78,6 +80,9 @@ def test_verify_usage_errors(cyclic):
         verify_inequality(cyclic, 5)
     with pytest.raises(UsageError):
         verify_inequality(cyclic, 10, tolerance=0.0)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite"):
+            verify_inequality(cyclic, 10, tolerance=tolerance)
 
 
 def test_verify_stage_failure_names_stage():
@@ -114,14 +119,35 @@ def test_chain_schottky(chain_schottky10):
 
 
 def test_chain_rows_positive_and_ordered(chain_schottky10):
-    rows = chain_schottky10.rows
-    assert rows
-    ks = [row.k for row in rows]
+    rep = chain_schottky10
+    assert rep.k.size
+    ks = rep.k.tolist()
     assert ks == sorted(ks)
-    for row in rows:
-        assert row.count > 0
-        for value in (row.series_partial, row.lhs, row.mid, row.rhs, row.tail):
-            assert value > 0.0
+    assert np.all(rep.count > 0)
+    for column in (rep.series_partial, rep.lhs, rep.mid, rep.rhs, rep.tail):
+        assert column.shape == rep.k.shape
+        assert np.all(column > 0.0)
+
+
+def test_chain_columns_match_the_orbit(schottky, chain_schottky10):
+    rep = chain_schottky10
+    orbit = pipeline_front(schottky, rep.depth)[1]
+    series = truncated_series(orbit, rep.s)
+    partial = dict(zip(series.shells.tolist(), series.partials.tolist()))
+    assert rep.k.tolist() == [k for k in range(1, 13) if np.any(orbit.shells == k)]
+    for k, count, series_partial, lhs, tail in zip(
+        rep.k.tolist(), rep.count.tolist(), rep.series_partial.tolist(), rep.lhs.tolist(),
+        rep.tail.tolist(),
+    ):
+        in_shell = orbit.shells == k
+        assert count == np.count_nonzero(in_shell)
+        assert series_partial == partial[k]
+        assert lhs == pytest.approx(math.fsum((orbit.gaps[in_shell] ** rep.s).tolist()),
+                                    rel=1e-12, abs=0.0)
+        assert tail == 2.0 ** (-k * (rep.s - rep.t))
+    assert rep.c1 == max(rep.lhs / rep.mid)
+    assert rep.c2 == max(rep.mid / rep.rhs)
+    assert rep.c3 == max(rep.rhs / rep.tail)
 
 
 def test_chain_constants_stable_in_depth(schottky, chain_schottky10):
@@ -135,10 +161,10 @@ def test_chain_constants_stable_in_depth(schottky, chain_schottky10):
 def test_chain_cyclic_two_per_shell(cyclic):
     rep = series_chain_report(cyclic, 10, 0.4, 0.2)
     assert rep.chain_ok
-    for row in rep.rows:
-        assert row.count <= 2
-        predicted = 2.0 * 2.0 ** (-row.k * rep.s)
-        assert 0.5 * predicted <= row.lhs <= 2.5 * predicted
+    for k, count, lhs in zip(rep.k.tolist(), rep.count.tolist(), rep.lhs.tolist()):
+        assert count <= 2
+        predicted = 2.0 * 2.0 ** (-k * rep.s)
+        assert 0.5 * predicted <= lhs <= 2.5 * predicted
 
 
 def test_chain_fails_when_balls_overlap(schottky, monkeypatch):
@@ -172,16 +198,6 @@ def test_chain_builds_one_sample_tree(schottky, monkeypatch):
     assert len(over_sample) == 1
 
 
-def test_pipeline_spells_no_words(schottky, ball_schottky, monkeypatch):
-    def words(ball):
-        raise AssertionError("GroupBall.words read")
-
-    monkeypatch.setattr(group.GroupBall, "words", property(words))
-    verify_inequality(schottky, 8)
-    verify_inequality(ball_schottky, 6)
-    series_chain_report(schottky, 8, 1.06, 0.86)
-
-
 def test_chain_usage_errors(schottky, cyclic):
     with pytest.raises(UsageError):
         series_chain_report(cyclic, 7, 0.4, 0.2)
@@ -190,3 +206,6 @@ def test_chain_usage_errors(schottky, cyclic):
     assert "box-dimension estimate" in str(exc.value)
     with pytest.raises(UsageError):
         series_chain_report(cyclic, 8, 0.2, 0.4)
+    for s, t in ((math.inf, 0.4), (math.nan, 0.4), (0.6, math.nan)):
+        with pytest.raises(UsageError, match="finite"):
+            series_chain_report(cyclic, 8, s, t)

@@ -1,0 +1,118 @@
+"""One sha256 line per CLI command over a fixed matrix, to compare two trees.
+
+Usage, from a checkout (the tree under test is the one PYTHONPATH names):
+
+    PYTHONPATH=src python tools/cli_digest.py > digest.txt
+
+Each command runs in a fresh `python -m kleindim` process inside a new
+temporary directory.  Its line is the sha256 of the exit code, stdout and
+stderr (the temporary directory masked as "<tmp>") and the bytes of every
+file the command wrote, then the command itself.  Two trees whose outputs
+match byte for byte print the same lines, so `diff` of two digests lists
+exactly the commands whose output changed.
+
+The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
+`cyclic_loxodromic` and the n = 3 Schottky group, at two depths each:
+`orbit` with and without `--basepoint`, `poincare` with and without a
+basepoint, `exponent` by both methods, `limitset` (with `--image` on the
+planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
+plus `fixtures --list` and `fixtures --emit` of every fixture, group and
+point set alike.  It takes no options.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the Schottky group of the rank-2 fixture carried into the ball model
+BALL_GROUP = {
+    "name": "schottky_ball",
+    "model_dimension": 3,
+    "chart": "halfspace",
+    "generators": [
+        [[5 / 3, 0.0], [4 / 3, 0.0], [4 / 3, 0.0], [5 / 3, 0.0]],
+        [[5 / 3, 0.0], [0.0, 4 / 3], [0.0, -4 / 3], [5 / 3, 0.0]],
+    ],
+}
+
+# group file -> (depths, basepoint); the planar groups come from `fixtures --emit`
+GROUPS = {
+    "schottky_f2": ((7, 9), "0.1,-0.2"),
+    "fuchsian_lattice": ((10, 12), "0.3,-0.05"),
+    "cyclic_loxodromic": ((8, 10), "0.2,0.1"),
+    "schottky_ball": ((6, 8), "0.1,0.2,-0.05"),
+}
+
+
+def group_commands(name, depth, basepoint):
+    """The matrix rows of one group at one depth; "{tmp}" marks the work directory."""
+    group, d = f"{{tmp}}/{name}.json", ["--depth", str(depth)]
+    planar = name != "schottky_ball"
+    return [
+        ["orbit", group, *d, "--out", "{tmp}/orbit.csv"],
+        ["orbit", group, *d, f"--basepoint={basepoint}", "--out", "{tmp}/orbit.csv"],
+        ["poincare", group, *d, "--s-grid", "0.5:1.5:0.25", "--out", "{tmp}/series.csv"],
+        ["poincare", group, *d, f"--basepoint={basepoint}", "--s-grid", "0:2:0.5",
+         "--out", "{tmp}/series.csv"],
+        ["exponent", group, *d, "--method", "counting_fit"],
+        ["exponent", group, *d, "--method", "divergence_scan"],
+        ["limitset", group, *d, "--out", "{tmp}/points.csv",
+         *(["--image", "{tmp}/points.pgm", "--k", "7"] if planar else [])],
+        ["boxdim", group, *d, "--out", "{tmp}/scales.csv"],
+        ["verify", group, *d, "--out", "{tmp}/report.csv"],
+        ["verify", group, *d, "--method", "divergence_scan", "--out", "{tmp}/report.csv"],
+        ["chain", group, *d, "--s", "1.5", "--t", "1.3", "--out", "{tmp}/chain.csv"],
+    ]
+
+
+def digest(argv, fixtures):
+    """Run one command in a fresh process and directory; return the sha256 of its outputs.
+
+    The group files in `fixtures` are copied in first and are not digested;
+    a group file the command writes is moved back to `fixtures` for later commands.
+    """
+    with tempfile.TemporaryDirectory(dir=fixtures.parent) as tmp:
+        for src in fixtures.iterdir():
+            (Path(tmp) / src.name).write_bytes(src.read_bytes())
+        before = set(os.listdir(tmp))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kleindim", *(a.replace("{tmp}", tmp) for a in argv)],
+            capture_output=True, check=False,
+        )
+        h = hashlib.sha256(f"exit={proc.returncode}\n".encode())
+        for stream in (proc.stdout, proc.stderr):
+            h.update(stream.replace(tmp.encode(), b"<tmp>") + b"\n--\n")
+        for name in sorted(set(os.listdir(tmp)) - before):
+            data = (Path(tmp) / name).read_bytes()
+            h.update(name.encode() + b"\n" + data + b"\n--\n")
+            if name.endswith(".json"):
+                (fixtures / name).write_bytes(data)
+    return h.hexdigest()
+
+
+def main():
+    matrix = [["fixtures", "--list"]] + [
+        ["fixtures", "--emit", name, f"{{tmp}}/{name}.json"]
+        for name in ("schottky_f2", "fuchsian_lattice", "cyclic_loxodromic")
+    ] + [["fixtures", "--emit", "cantor_test", "{tmp}/cantor.csv"]] + [
+        argv
+        for name, (depths, basepoint) in GROUPS.items()
+        for depth in depths
+        for argv in group_commands(name, depth, basepoint)
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        fixtures = Path(root) / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "schottky_ball.json").write_text(json.dumps(BALL_GROUP, indent=2) + "\n")
+        for argv in matrix:
+            print(digest(argv, fixtures), " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()
