@@ -141,10 +141,25 @@ def product_entries(left, right, model):
     ra, rb, rc, rd = np.asarray(right).T
     a, b = la * ra + lb * rc, la * rb + lb * rd
     c, d = lc * ra + ld * rc, lc * rb + ld * rd
-    det = a * d - b * c
-    if not np.all((np.abs(det) > 1e-12) & np.isfinite(det)):
-        raise UsageError("matrix product is singular or non-finite")
+    if not _unit_determinant(a, b, c, d):
+        raise UsageError("matrix product is non-finite or not of unit determinant")
     return canonical_entries(np.stack([a, b, c, d], axis=1), model)
+
+
+def _unit_determinant(a, b, c, d):
+    """Whether every product is finite with |ad - bc - 1| <= 1e-9 (|ad| + |bc|).
+
+    Relative to |ad| + |bc| because the computed ad - bc of unit-determinant
+    factors is 1 only within a few ulps of those terms, which pass 1 by far
+    once the entries grow past about 10^8.  Worked in place, so the check
+    holds no more arrays at once than the products themselves.
+    """
+    det, bc = a * d, b * c
+    bound = np.abs(det)
+    bound += np.abs(bc)
+    det -= bc
+    det -= 1.0
+    return bool(np.all(np.isfinite(bound)) and np.all(np.abs(det) <= 1e-9 * bound))
 
 
 def _identity_rows(entries):

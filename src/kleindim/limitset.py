@@ -4,11 +4,14 @@ Volumes are measured on the dyadic grid anchored at the origin: a cell of
 side r counts when its center lies within radius + (sqrt(n)/2) * r of some
 sample point, a conservative proxy for "closed cell intersects the closed
 neighborhood".  volume = cell_count * r^n throughout.  The count is exact
-for that rule; a cheap sub-cell prefilter only chooses which cells need
-the exact nearest-point query.
+for that rule.  It works on grid lines, the cells that agree in every
+index but the last: within a radius of a point, a line's cell centers form
+one interval, computed with one sqrt.  The intervals of one point per
+sub-cell, merged per line, count most cells outright, and only a thin band
+of cells runs the exact nearest-point query.
 
 Every sample sorts its points once, into a dyadic index built on first
-use.  Its keys floor((p + 2) * 2^28) resolve the sub-cells of the finest
+use.  Its keys floor((p + 2) * 2^26) resolve the sub-cells of the finest
 scale 2^-24, and it orders them along the Z curve, so the points of one
 cell are consecutive at every scale.  The parting level of two neighboring
 rows is the bit length of the OR over axes of their keys' XOR; after a
@@ -36,7 +39,9 @@ from .geometry import MapClass, boundary_images, classify, fixed_points
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
 _MESH_COUNT = 32    # boundary mesh points per ball in the containment check
-_SUBCELL_BITS = 4   # the grid count's prefilter sub-cells have side cell / 2^4
+_SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
+_SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
+_SPAN_ROWS = 1 << 12  # representative lines one pass of the grid count holds, roughly
 _INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
 # coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
 # floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
@@ -145,24 +150,17 @@ def _z_order(keys):
     return np.lexsort(words)
 
 
-def _sorted_runs(rows, width):
-    """Stable lexicographic sort of integer rows, the first column most significant.
-
-    Returns (order, ordered, starts): ordered = rows[order], and starts marks
-    the ordered rows whose first `width` columns differ from the row before.
-    Equal rows keep their input order, so each run starts at its first occurrence.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (ordered[1:, :width] != ordered[:-1, :width]).any(axis=1)
-    return order, ordered, starts
-
-
 def _first_unique(points):
-    """Indices of the first point of each _ROUND_TOL rounding cell, ascending."""
+    """Indices of the first point of each _ROUND_TOL rounding cell, ascending.
+
+    np.lexsort is stable, so each run of equal keys starts at its first
+    occurrence.
+    """
     keys = np.round(points / _ROUND_TOL).astype(np.int64)
-    order, _, starts = _sorted_runs(keys, keys.shape[1])
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return np.sort(order[starts])
 
 
@@ -206,23 +204,27 @@ class DyadicScaleRecord:
     volume: float
 
 
-def _dilate_last_axis(cells, h):
-    """Integer rows within h steps along the last axis of some row of `cells`, each once.
+def _span(offset, d2, r2):
+    """Integer steps j with (j - offset)^2 <= r2 - d2, as int64 bounds (lo, hi).
 
-    Sorted with the last axis least significant, the rows of one line (equal
-    leading columns) come in order of their last entry; stencils [v - h, v + h]
-    that overlap or touch merge into one interval, written out cell by cell.
+    Empty when hi = lo - 1, never shorter, so lo and hi + 1 bound every span.
     """
-    _, ordered, start = _sorted_runs(cells, cells.shape[1] - 1)
-    start[1:] |= np.diff(ordered[:, -1]) > 2 * h + 1
-    first = np.flatnonzero(start)
-    last = np.append(first[1:], ordered.shape[0]) - 1
-    lo = ordered[first, -1] - h
-    lengths = ordered[last, -1] + h + 1 - lo
+    w = np.sqrt(np.maximum(r2 - d2, 0.0))
+    return np.ceil(offset - w).astype(np.int64), np.floor(offset + w).astype(np.int64)
+
+
+def _expand(lo, lengths, step):
+    """(row, lo[row] + step*j) for j < lengths[row], row after row."""
+    rows = np.repeat(np.arange(lengths.size), lengths)
     ends = np.cumsum(lengths)
-    out = np.repeat(ordered[first], lengths, axis=0)
-    out[:, -1] = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
-    return out
+    j = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
+    return rows, lo[rows] + step * j
+
+
+# steps of the coverage count outer + inner * 2^32 for the span event kinds
+# outer start, inner start, inner end, outer end; at one position the starts
+# sort first, so neither count dips below zero
+_EVENT_STEPS = np.array([1, 1 << 32, -(1 << 32), -1], dtype=np.int64)
 
 
 def _grid_cell_count(sample, radius, cell):
@@ -230,44 +232,142 @@ def _grid_cell_count(sample, radius, cell):
 
     A cell of side `cell` with index vector i covers [i*cell, (i+1)*cell)
     per axis; it counts when its center is within reach = radius +
-    (sqrt(n)/2)*cell of some point.  `cell` is a power of two, so cell
-    indices and centers are exact, and a point in cell c reaches only the
-    centers of cells with |i - c| <= reach/cell + 1/2 on every axis: the
-    candidates are the cells within h = floor(reach/cell + 1/2) index steps
-    of an occupied cell.  That box is separable, so it grows one axis at a
-    time: each pass dilates the last column and rolls it to the front, which
-    restores the column order after n passes.
+    (sqrt(n)/2)*cell of some point, in the distance the sample's KD-tree
+    computes.
 
-    The occupied cells, and the sub-cells of side s = cell/2^_SUBCELL_BITS,
-    are the runs of the sample's dyadic index at their shift; no point is
-    sorted again.  Most candidates are decided by each sub-cell's first
-    point in index order, which lies within s*sqrt(n) of every point of its
-    sub-cell: a representative within reach is a point within reach, and
-    one beyond (reach + s*sqrt(n))(1 + 1e-9) rules out every point.  Only the
-    centers in between run the exact test on the sample's KD-tree, so which
-    point represents a sub-cell moves no count.
+    The points are represented by the first point, in index order, of each
+    occupied sub-cell of side s = cell/2^_SUBCELL_BITS, a run of the
+    sample's dyadic index; every point of a sub-cell lies within e =
+    s*sqrt(n) of its representative, and e = 0 for a point alone in its
+    sub-cell.  A grid line is the set of cells that agree in every index
+    but the last.  For a representative and a line within reach of it, the
+    cells whose centers lie within a radius form one interval along the
+    line, found with one sqrt: the inner span at reach*(1 - 1e-9) and the
+    outer span at (reach + e)*(1 + 1e-9).  The lines within reach are
+    spans themselves, one leading axis at a time.  One sort of the spans'
+    end points per pass merges each line's spans: the cells of the inner
+    union count outright, and only the cells of the outer union outside it
+    run the exact query on the sample's KD-tree.  Which point represents a
+    sub-cell therefore moves no count.
+
+    The spans are exact enough for the margins.  Cell indices are exact
+    because cell is a power of two, and the arithmetic works in cell units
+    relative to each representative's own cell: its offset from the cell
+    center, p/cell - floor(p/cell) - 1/2, is within 2^-54 of the truth,
+    and every value has magnitude below reach/cell + 2.  Each end point is
+    therefore within about 1e-15 relative of the exact bound, against
+    margins of 1e-9 relative.  A cell in an inner span has its center
+    within reach*(1 - 1e-9)*(1 + 1e-15) of a point, whose computed distance
+    exceeds the true one by less than 1e-15 relative (coordinate
+    differences are exact or within an ulp of their own size), so the query
+    would find it within reach.  A cell in no outer span has its center
+    beyond reach by nearly 1e-9 relative from every point, and no computed
+    distance falls to reach.  An absolute float index near 2^24 would have
+    an ulp of 3.7e-9 cells, more than the margin of 1.7e-9 cells at k = 24
+    and radius = cell; no index is formed in floats here.
+
+    The lines go in passes by their first index modulo `passes`, which
+    splits no line and, when the lines spread over many first indices,
+    bounds each pass to about _SPAN_ROWS representative lines.
     """
-    points = sample.points
     index = sample.dyadic_index
-    n = points.shape[1]
+    n = sample.model
     k = 1 - math.frexp(cell)[1]  # cell = 2^-k
     shift = _INDEX_BITS - k
     reach = radius + 0.5 * math.sqrt(n) * cell
-    sub = cell / (1 << _SUBCELL_BITS)
-    reps = index.order[index.parting > shift - _SUBCELL_BITS]
-    # keys >> shift = floor(p/cell) + 2^(k + 1) exactly: the occupied cells
-    cells = (index.keys[index.parting > shift] >> shift) - (2 << k)
-    h = int(math.floor(reach / cell + 0.5))
-    for _ in range(n):
-        cells = np.roll(_dilate_last_axis(cells, h), 1, axis=1)
-    centers = (cells + 0.5) * cell
-    # the bounds are strict: centers with no point below them get inf
-    outer = (reach + sub * math.sqrt(n)) * (1.0 + 1e-9)
-    near, _ = cKDTree(points[reps]).query(centers, k=1, distance_upper_bound=outer)
-    inside = near <= reach
-    band = ~inside & np.isfinite(near)
-    dist, _ = sample.tree.query(centers[band], k=1, distance_upper_bound=np.nextafter(reach, np.inf))
-    return int(np.count_nonzero(inside)) + int(np.count_nonzero(dist <= reach))
+    starts = index.parting > shift - _SUBCELL_BITS
+    alone = (starts & np.append(starts[1:], True))[starts]
+    # representatives in cell units: base cell and offset from its center
+    scaled = np.ldexp(sample.points[index.order[starts]], k)
+    base = np.floor(scaled)
+    offset = scaled - base - 0.5
+    base = base.astype(np.int64)
+    reach_k = math.ldexp(reach, k)
+    inner2 = (reach_k * (1.0 - _SPAN_MARGIN)) ** 2
+    diagonal = np.where(alone, 0.0, math.sqrt(n) / (1 << _SUBCELL_BITS))
+    outer2 = ((reach_k + diagonal) * (1.0 + _SPAN_MARGIN)) ** 2
+    outer = math.sqrt(outer2.max())
+    # line keys hold one index per leading axis, each shifted into [0, radix)
+    radix = (4 << k) + 2 * int(outer) + 8
+    shifted = base + radix // 2
+    lo0, hi0 = _span(offset[:, 0], 0.0, outer2)
+    estimate = int((hi0 - lo0 + 1).sum()) * int(2 * outer + 1) ** (n - 2)
+    passes = 1 + estimate // _SPAN_ROWS
+    count = 0
+    for p in range(passes):
+        # the lines whose first index is p modulo passes
+        first = lo0 + (p - base[:, 0] - lo0) % passes
+        rows, steps = _expand(first, np.maximum((hi0 - first) // passes + 1, 0), passes)
+        line = steps + shifted[rows, 0]
+        d2 = (steps - offset[rows, 0]) ** 2
+        for axis in range(1, n - 1):
+            lo, hi = _span(offset[rows, axis], d2, outer2[rows])
+            at, steps = _expand(lo, hi - lo + 1, 1)
+            rows = rows[at]
+            d2 = d2[at] + (steps - offset[rows, axis]) ** 2
+            line = line[at] * radix + (steps + shifted[rows, axis])
+        if line.size:
+            events, lines, low, width = _line_events(
+                line, offset[rows, -1], base[rows, -1], d2, inner2, outer2[rows])
+            del rows, steps, line, d2  # only the events are needed from here on
+            count += _count_events(sample, reach, cell, events, lines, low, width, radix)
+    return count
+
+
+def _line_events(line, offset, base, d2, inner2, outer2):
+    """The sorted span events of the given lines, with the lines' keys.
+
+    Row j is a representative's line line[j], its last-axis offset and base
+    cell, and d2, its squared distance to the line in cell units.  Each row
+    has an outer span and, within the inner radius, an inner span.  Lines
+    are ranked once, so an event's key (rank*width + position) * 4 + kind
+    sorts it into its line; a cell's position is its last index - low.
+    """
+    lo_o, hi_o = _span(offset, d2, outer2)
+    inside = d2 <= inner2
+    lo_i, hi_i = _span(offset[inside], d2[inside], inner2)
+    lines, at = np.unique(line, return_inverse=True)
+    low = int((base + lo_o).min())
+    width = int((base + hi_o).max()) - low + 2
+    at *= width
+    at += base - low
+    inner_at = at[inside]
+    no, ni = at.size, inner_at.size
+    events = np.empty(2 * (no + ni), dtype=np.int64)
+    np.add(at, lo_o, out=events[:no])
+    np.add(inner_at, lo_i, out=events[no:no + ni])
+    np.add(inner_at, hi_i + 1, out=events[no + ni:no + 2 * ni])
+    np.add(at, hi_o + 1, out=events[no + 2 * ni:])
+    events <<= 2
+    events[no:no + ni] |= 1
+    events[no + ni:no + 2 * ni] |= 2
+    events[no + 2 * ni:] |= 3
+    events.sort()
+    return events, lines, low, width
+
+
+def _count_events(sample, reach, cell, events, lines, low, width, radix):
+    """Cells counted on sorted span events: the cells of the inner spans'
+    union, and the band cells, in the outer spans' union only, that the
+    exact query finds within reach."""
+    coverage = _EVENT_STEPS[events & 3]
+    np.cumsum(coverage, out=coverage)
+    events >>= 2
+    lengths = np.diff(events)
+    coverage = coverage[:-1]
+    inner = int(lengths[coverage >= (1 << 32)].sum())
+    band = np.flatnonzero((coverage > 0) & (coverage < (1 << 32)) & (lengths > 0))
+    _, at = _expand(events[band], lengths[band], 1)
+    at, last = np.divmod(at, width)
+    key = lines[at]
+    cells = np.empty((at.size, sample.model))
+    cells[:, -1] = last + low
+    for axis in range(sample.model - 2, -1, -1):
+        key, cells[:, axis] = np.divmod(key, radix)
+    cells[:, :-1] -= radix // 2
+    dist, _ = sample.tree.query((cells + 0.5) * cell, k=1,
+                                distance_upper_bound=np.nextafter(reach, np.inf))
+    return inner + int(np.count_nonzero(dist <= reach))
 
 
 def neighborhood_volume(sample, r, radius=None):

@@ -43,6 +43,7 @@ from kleindim import (
     translation_to_origin,
 )
 from kleindim.errors import DegenerateBasepointError
+from kleindim.geometry import product_entries
 from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh, _shell_indices
 
 LN9 = math.log(9.0)
@@ -272,6 +273,29 @@ def test_cyclic_displacements_match_closed_form_at_depth():
     orbit = enumerate_orbit(cyclic_loxodromic(), origin(2), 14)
     err = np.abs(orbit.displacements - orbit.word_lengths * LN9)
     assert err.max() <= 1e-10
+
+
+@pytest.mark.parametrize("depth", [18, 40])
+def test_cyclic_ball_entries_at_depth(depth):
+    # h^n has entries cosh(nT), sinh(nT) with T = ln 3; from depth 18 they
+    # pass 10^8 and the computed ad - bc cancels to anything near 1
+    ball = build_ball(cyclic_loxodromic(), depth)
+    assert len(ball) == 2 * depth + 1
+    t = ball.word_lengths * math.log(3.0)
+    sign = np.sign(ball.letters)
+    ch, sh = np.cosh(t), sign * np.sinh(t)
+    expected = np.column_stack([ch, sh, sh, ch])
+    np.testing.assert_allclose(ball.entries.real, expected, rtol=1e-12, atol=0.0)
+    assert np.all(ball.entries.imag == 0.0)
+
+
+def test_product_entries_rejects_non_finite():
+    big = np.array([[1e200, 0.0, 0.0, 1e-200]], dtype=complex)  # unit determinant
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UsageError, match="non-finite"):
+        product_entries(big, big, 2)
+    singular = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(UsageError):
+        product_entries(singular, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex), 2)
 
 
 def test_resource_cap():

@@ -347,12 +347,75 @@ def test_grid_count_stencil_edge_within_ulps(n):
                     r = np.nextafter(r, direction)
 
 
+def _center_bound_point(n, axis, cell, rng):
+    """A unit vector whose coordinates but `axis` are cell centers."""
+    p = (np.floor(rng.uniform(-0.6, 0.6, size=n) / cell) + 0.5) * cell
+    p[axis] = 0.0
+    p[axis] = rng.choice([-1.0, 1.0]) * math.sqrt(1.0 - p @ p)
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_count_span_edges_within_ulps(n):
+    # A point whose coordinates but one are cell centers, and radii that put
+    # a target cell center within ulps of reach, of the inner span's radius
+    # reach*(1 - 1e-9), or of the outer span's (reach + e)*(1 + 1e-9), where
+    # e = 0 for the point alone and the sub-cell diagonal for the point twice.
+    # A target straight across a leading axis lies on a tangent line (w = 0);
+    # across the last axis it ends a span on a cell-center index; a target
+    # off the point's lines ends a span within ulps of an index elsewhere.
+    rng = np.random.default_rng(40 + n)
+    diagonal = math.sqrt(n) / 2 ** _SUBCELL_BITS
+    for k in (4, 9, 14, 24):
+        cell = 2.0 ** -k
+        for axis in range(n):
+            p = _center_bound_point(n, axis, cell, rng)
+            for across in (0, 1):
+                q = np.floor(p / cell) + 0.5
+                q[axis] += rng.choice([-3, 2])
+                if across:
+                    q[(axis + 1) % n] += 1
+                dist = float(np.linalg.norm(q * cell - p))
+                for pts, e in ((p[None, :], 0.0), (np.stack([p, p]), diagonal * cell)):
+                    for reach in (dist, dist / (1.0 - 1e-9), dist / (1.0 + 1e-9) - e):
+                        radius = reach - 0.5 * math.sqrt(n) * cell
+                        for direction in (-np.inf, np.inf):
+                            r = radius
+                            for _ in range(4):
+                                _assert_matches_oracle(pts, r, cell)
+                                r = np.nextafter(r, direction)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_count_fat_radii_deep(n):
+    # radii of 6 to 8 cells at k = 20..24, where a float cell index near 2^24
+    # would round by 2^-28 cells; the axis ends, and points a few cells from
+    # them, put the indices there
+    for k in (20, 22, 24):
+        cell = 2.0 ** -k
+        turn = np.array([3.0, 7.5, 40.25]) * cell
+        near_end = np.zeros((3, n))
+        near_end[:, 0], near_end[:, -1] = np.cos(turn), np.sin(turn)
+        pts = np.concatenate([np.eye(n), -np.eye(n), near_end, -near_end,
+                              _sphere_points(k, 12, n, 2)])
+        for factor in (6.0, 6.93, 8.0):
+            _assert_matches_oracle(pts, factor * cell, cell)
+
+
+def test_grid_count_column_dense_sample():
+    # 40,000 points on an arc within two cells of x = 1 at k = 24: the lines
+    # split into passes by first index, and most passes hold no line
+    turn = np.linspace(0.0, 4.5e-4, 40000)
+    _assert_matches_oracle(np.column_stack([np.cos(turn), np.sin(turn)]), 2.0 ** -24, 2.0 ** -24)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [3, 6, 9])
 def test_grid_count_dense_clusters(n, k):
-    # 2,400 points in 300 clusters of 8, each cluster a fraction of a prefilter
-    # sub-cell wide: sub-cells hold several points, and past a cluster's rim
-    # the distance to its representative and to its nearest point differ
+    # 2,400 points in 300 clusters of 8, each cluster a fraction of a
+    # representative's sub-cell wide: sub-cells hold several points, and past
+    # a cluster's rim the distance to its representative and to its nearest
+    # point differ
     rng = np.random.default_rng(10 * n + k)
     cell = 2.0 ** -k
     pts = np.repeat(rng.normal(size=(300, n)), 8, axis=0)
