@@ -145,12 +145,11 @@ def _cmd_poincare(args):
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
     # every evaluation on the orbit has one partial per occupied shell, in this order
-    ks, counts = np.unique(orbit.shells, return_counts=True)
-    ks = ks.tolist()
+    ks = orbit.shell_runs.shells.tolist()
     _write_table(args.out, header, "%d,%.9g,%d" + ",%.9g" * len(grid), [
         ks,
         [2.0 ** -k for k in ks],
-        counts.tolist(),
+        orbit.shell_runs.counts.tolist(),
         *(ev.partials.tolist() for ev in evals),
     ])
     for s, ev in zip(grid, evals):
@@ -341,10 +340,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_group_command(sub, name, help_text, depth_required=True):
+def _add_group_command(sub, name, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("groupfile", help="group-definition JSON file")
-    p.add_argument("--depth", type=int, required=depth_required,
+    p.add_argument("--depth", type=int, required=True,
                    help="maximum word length to enumerate")
     return p
 

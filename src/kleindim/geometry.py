@@ -139,10 +139,12 @@ def product_entries(left, right, model):
     """
     la, lb, lc, ld = np.asarray(left).T
     ra, rb, rc, rd = np.asarray(right).T
-    a, b = la * ra + lb * rc, la * rb + lb * rd
-    c, d = lc * ra + ld * rc, lc * rb + ld * rd
-    if not _unit_determinant(a, b, c, d):
-        raise UsageError("matrix product is non-finite or not of unit determinant")
+    # overflow is silent here: the determinant check is its one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = la * ra + lb * rc, la * rb + lb * rd
+        c, d = lc * ra + ld * rc, lc * rb + ld * rd
+        if not _unit_determinant(a, b, c, d):
+            raise UsageError("matrix product is non-finite or not of unit determinant")
     return canonical_entries(np.stack([a, b, c, d], axis=1), model)
 
 

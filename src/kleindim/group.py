@@ -4,6 +4,8 @@ The group ball holds every reduced word in the generators and their inverses
 up to a length, deduplicated as matrices, so relations in the group are
 discovered numerically rather than assumed.  The ball evaluates no point:
 one ball per run is built and then mapped to each basepoint by array code.
+An orbit groups its rows by dyadic shell once, on first use (`ShellRuns`), and
+every per-shell stage reads a shell or a window of shells as one slice of it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -94,6 +97,28 @@ def _shell_indices(gaps):
     """Dyadic shell index per gap: the k >= 1 with 2^-k <= gap < 2^-k+1, or 0 at gap 1."""
     _, e = np.frexp(gaps)  # gap = m * 2^e with m in [0.5, 1)
     return np.where(gaps >= 1.0, 0, 1 - e.astype(np.int64))
+
+
+class ShellRuns:
+    """An orbit's rows by shell, from one stable sort: occupied shell `shells[i]`
+    (ascending) holds the rows order[bounds[i]:bounds[i + 1]], in ball order.
+    """
+
+    def __init__(self, shell_indices):
+        self.order = np.argsort(shell_indices, kind="stable")
+        ordered = shell_indices[self.order]
+        self.bounds = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [ordered.size]])
+        self.shells = ordered[self.bounds[:-1]]
+        self.counts = np.diff(self.bounds)
+
+    def rows(self, start, stop):
+        """Rows of the shells at positions start..stop - 1, shell by shell."""
+        return self.order[self.bounds[start]:self.bounds[stop]]
+
+    def sums(self, values):
+        """Per-shell sums, one `.sum()` per run: a masked selection's sums, bit for bit."""
+        ordered, bounds = values[self.order], self.bounds.tolist()
+        return np.array([ordered[lo:hi].sum() for lo, hi in itertools.pairwise(bounds)])
 
 
 @dataclass(eq=False)
@@ -193,27 +218,22 @@ def _fresh(kept, candidates):
     return fresh[kept.shape[0]:]
 
 
-def build_ball(presentation, max_word_length, cap=ORBIT_CAP):
+def build_ball(presentation, max_word_length):
     """Breadth-first reduced-word enumeration with matrix deduplication.
 
-    Parameters
-    ----------
-    presentation : GroupPresentation
-    max_word_length : int >= 1
-    cap : kept-element resource limit, checked after each word length.
-
-    Word order is by length, then by parent order, then by letter with the
-    generator before its inverse (alphabet g1, g1^-1, g2, g2^-1, ...).
-    Words whose matrix lies within DEDUP_TOL entrywise of an earlier element
-    are dropped and not expanded; the surviving set of words is closed under
-    prefixes.  Each level is one batch of 2x2 products over frontier x
-    alphabet, deduplicated against every kept element by one sort of a fixed
-    projection of the entries (see _fresh); no search tree is built.
+    Every reduced word up to max_word_length >= 1; ORBIT_CAP bounds the kept
+    elements, checked after each word length.  Word order is by length, then
+    by parent order, then by letter with the generator before its inverse
+    (alphabet g1, g1^-1, g2, g2^-1, ...).  Words whose matrix lies within
+    DEDUP_TOL entrywise of an earlier element are dropped and not expanded;
+    the surviving set of words is closed under prefixes.  Each level is one
+    batch of 2x2 products over frontier x alphabet, deduplicated against
+    every kept element by one sort of a fixed projection of the entries (see
+    _fresh); no search tree is built.
     """
     max_word_length = int(max_word_length)
     if max_word_length < 1:
         raise UsageError("max_word_length must be at least 1")
-    cap = int(cap)
 
     rank = len(presentation.generators)
     alphabet = np.array([sign * i for i in range(1, rank + 1) for sign in (1, -1)])
@@ -231,9 +251,9 @@ def build_ball(presentation, max_word_length, cap=ORBIT_CAP):
         children = product_entries(entries[parent], generators[k], presentation.model)
         fresh = _fresh(entries, children)
         frontier = np.arange(entries.shape[0], entries.shape[0] + int(fresh.sum()))
-        if entries.shape[0] + frontier.size > cap:
+        if entries.shape[0] + frontier.size > ORBIT_CAP:
             raise ResourceLimitError(
-                f"orbit enumeration exceeded {cap} elements at word length {length}"
+                f"orbit enumeration exceeded {ORBIT_CAP} elements at word length {length}"
             )
         entries = np.concatenate([entries, children[fresh]])
         parents = np.concatenate([parents, parent[fresh]])
@@ -272,10 +292,15 @@ class OrbitSet:
         """1 - |g(z)|^2 per element, reconstructed from the stable gap."""
         return self.gaps * (2.0 - self.gaps)
 
+    @cached_property
+    def shell_runs(self):
+        """The rows grouped by shell (`ShellRuns`), built on first use."""
+        return ShellRuns(self.shells)
 
-def enumerate_orbit(presentation, basepoint, max_word_length, cap=ORBIT_CAP):
+
+def enumerate_orbit(presentation, basepoint, max_word_length):
     """Orbit of basepoint under a new ball of max_word_length; the benchmark harness calls it."""
-    return OrbitSet(build_ball(presentation, max_word_length, cap), basepoint)
+    return OrbitSet(build_ball(presentation, max_word_length), basepoint)
 
 
 def find_loxodromic(presentation, search_depth):
@@ -306,14 +331,12 @@ class PackingRadius:
 
     Hyperbolic balls of this radius about distinct orbit points of the
     fully enumerated group are pairwise disjoint; at a finite search depth
-    that statement is checkable only for the enumerated elements, so the
-    depth travels with the value.
+    that statement is checkable only for the enumerated elements.
     """
 
     radius: float
     min_displacement: float
     safety_factor: float
-    search_depth: int
 
 
 def packing_radius(orbit):
@@ -330,7 +353,6 @@ def packing_radius(orbit):
         radius=0.5 * PACKING_SAFETY * min_disp,
         min_displacement=min_disp,
         safety_factor=PACKING_SAFETY,
-        search_depth=orbit.max_word_length,
     )
 
 
@@ -359,18 +381,18 @@ def check_packing_disjoint(orbit, radius):
     hyperbolic distance D have q within a factor e^D of each other, so it is
     at most 2a/ln 2 + 2 shells deeper.  Each shell queries a tree of that
     window of shells only, _PACKING_CHUNK rows at a time, which keeps the
-    candidates near-linear in the orbit size.
+    candidates near-linear in the orbit size; both are `shell_runs` slices.
     """
     pts = orbit.points
     qa = orbit.gaps_squared()
     thresh = math.cosh(2.0 * radius)
     reach = qa * (math.sqrt(0.5 * (thresh - 1.0)) * (1.0 + 1e-9))
     span = int(math.ceil(2.0 * abs(radius) / math.log(2.0))) + 2
-    shells = orbit.shells
+    runs = orbit.shell_runs
+    stops = np.searchsorted(runs.shells, runs.shells + span, side="right").tolist()
     best = None
-    for k in np.unique(shells).tolist():
-        rows = np.flatnonzero(shells == k)
-        cols = np.flatnonzero((shells >= k) & (shells <= k + span))
+    for at, stop in enumerate(stops):
+        rows, cols = runs.rows(at, at + 1), runs.rows(at, stop)
         tree = cKDTree(pts[cols])
         for start in range(0, rows.size, _PACKING_CHUNK):
             i = rows[start:start + _PACKING_CHUNK]

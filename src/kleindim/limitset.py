@@ -543,7 +543,6 @@ class BallContainmentReport:
     max_distances: np.ndarray  # (m,) worst distance of each shell
     c: np.ndarray              # (m,) c_k = max_distance / 2^-k
     c_hat: float
-    skipped_shells: list
     radius: float
 
 
@@ -565,12 +564,11 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
     mesh = _sphere_mesh(orbit.model)
-    shells, worsts, skipped = [], [], []
-    for k in range(1, k_max + 1):
-        idx = np.nonzero(orbit.shells == k)[0]
-        if idx.size == 0:
-            skipped.append(k)
-            continue
+    runs = orbit.shell_runs
+    lo, hi = np.searchsorted(runs.shells, [1, k_max + 1])
+    shells, worsts = runs.shells[lo:hi], []
+    for at in range(lo, hi):
+        idx = runs.rows(at, at + 1)
         centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
         center_dist, _ = sample.tree.query(centers, k=1)
         bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
@@ -582,16 +580,14 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
             dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
             worst = max(worst, float(dist.max()))
             done, batch = done + batch, 2 * batch
-        shells.append(k)
         worsts.append(worst)
-    if not shells:
+    if not worsts:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
     c = np.ldexp(worsts, shells)  # worst / 2^-k, exactly
     return BallContainmentReport(
-        shells=np.array(shells),
+        shells=shells,
         max_distances=np.array(worsts),
         c=c,
         c_hat=float(c.max()),
-        skipped_shells=skipped,
         radius=radius,
     )

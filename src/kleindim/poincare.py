@@ -34,26 +34,18 @@ class SeriesEvaluation:
 def truncated_series(orbit, s):
     """Exact truncated series over the enumerated elements, about the ball center.
 
-    Parameters
-    ----------
-    orbit : OrbitSet
-    s : exponent, s >= 0.
-
-    Returns
-    -------
-    SeriesEvaluation with one partial sum per occupied shell of the orbit.
+    One partial sum, at exponent s >= 0, per occupied shell of `orbit.shell_runs`.
     """
     s = float(s)
     if s < 0.0:
         raise UsageError(f"series exponent must be nonnegative, got {s}")
     terms = (orbit.gaps / (2.0 - orbit.gaps)) ** s
-    shells = np.unique(orbit.shells)
     return SeriesEvaluation(
         s=s,
         truncation_word_length=orbit.max_word_length,
         value=float(terms.sum()),
-        shells=shells,
-        partials=np.array([terms[orbit.shells == k].sum() for k in shells]),
+        shells=orbit.shell_runs.shells,
+        partials=orbit.shell_runs.sums(terms),
     )
 
 
@@ -128,15 +120,16 @@ def _counting_fit(orbit, bin_width):
 
 
 def _available_shells(orbit, diagnostics):
-    """Nonempty shells untouched by the enumeration horizon.
+    """Positions in `orbit.shell_runs` of the shells k >= 1 untouched by the horizon.
 
     Elements at the final word length mark the horizon: shells dyadically
     deeper than the shallowest of them are incompletely enumerated and
     would masquerade as convergence, so fewer than 5 shells within the cut
     raise InsufficientDataError.
     """
-    ks = np.unique(orbit.shells[orbit.shells > 0]).tolist()
-    if not ks:
+    shells = orbit.shell_runs.shells
+    lo, hi = np.searchsorted(shells, 1), shells.size
+    if lo == hi:
         raise InsufficientDataError("orbit has no shelled elements")
     cut = ""
     at_horizon = orbit.word_lengths == orbit.max_word_length
@@ -144,20 +137,17 @@ def _available_shells(orbit, diagnostics):
         gap_horizon = float(orbit.gaps[at_horizon].max())
         d_horizon = math.log((2.0 - gap_horizon) / gap_horizon)
         k_cut = int(math.floor(d_horizon / _LN2)) - 1
-        ks = [k for k in ks if k <= k_cut]
+        hi = max(lo, np.searchsorted(shells, k_cut, side="right"))
         diagnostics["horizon_shell_cut"] = k_cut
         cut = f" within the horizon cut k <= {k_cut}"
-    if len(ks) < 5:
-        raise InsufficientDataError(f"{len(ks)} nonempty shells{cut}; need 5")
-    return ks
+    if hi - lo < 5:
+        raise InsufficientDataError(f"{hi - lo} nonempty shells{cut}; need 5")
+    diagnostics["shells_used"] = (int(shells[lo]), int(shells[hi - 1]))
+    return np.arange(lo, hi)
 
 
-def _diverges(orbit, s, shells_ks):
-    gaps = orbit.gaps
-    partials = []
-    terms = (gaps / (2.0 - gaps)) ** s
-    for k in shells_ks:
-        partials.append(float(terms[orbit.shells == k].sum()))
+def _diverges(orbit, s, at):
+    partials = truncated_series(orbit, s).partials[at].tolist()
     # Equal-length windows: comparing windows of different sizes would bias
     # the ratio by the count difference alone.
     w = max(1, len(partials) // 3)
@@ -168,10 +158,9 @@ def _diverges(orbit, s, shells_ks):
 
 def _divergence_scan(orbit):
     diagnostics = {}
-    ks = _available_shells(orbit, diagnostics)
-    diagnostics["shells_used"] = (ks[0], ks[-1])
+    at = _available_shells(orbit, diagnostics)
     lo, hi = 0.0, float(orbit.model)
-    if not _diverges(orbit, lo, ks):
+    if not _diverges(orbit, lo, at):
         return ExponentEstimate(
             delta_est=0.0,
             fit_window=(0.0, 0.02),
@@ -181,7 +170,7 @@ def _divergence_scan(orbit):
         )
     while hi - lo > 0.02:
         mid = 0.5 * (lo + hi)
-        if _diverges(orbit, mid, ks):
+        if _diverges(orbit, mid, at):
             lo = mid
         else:
             hi = mid

@@ -219,23 +219,20 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         containment = ball_containment_check(orbit, pack.radius, sample, k_max=k_max)
     c_hat = containment.c_hat
     n = orbit.model
-    series = truncated_series(orbit, s)
     ks = containment.shells
-    series_partial = series.partials[np.searchsorted(series.shells, ks)]
-    count = np.zeros(ks.size, dtype=int)
-    lhs, mid, rhs, tail = np.zeros((4, ks.size))
+    runs = orbit.shell_runs
+    at = np.searchsorted(runs.shells, ks)
+    series_partial = truncated_series(orbit, s).partials[at]
+    lhs = runs.sums(orbit.gaps ** s)[at]
+    _, radii = euclidean_balls(orbit.points, pack.radius, gaps=orbit.gaps)
+    packed = runs.sums(ball_volumes(radii, n))[at]
+    scale, grid, tail = np.zeros((3, ks.size))
     # scalar powers: numpy's 2.0 ** array may differ from them in the last bit
     for i, k in enumerate(ks.tolist()):
-        mask = orbit.shells == k
-        gaps = orbit.gaps[mask]
-        _, radii = euclidean_balls(orbit.points[mask], pack.radius, gaps=gaps)
-        scale = 2.0 ** (-k * (s - n))
-        record = neighborhood_volume(sample, 2.0 ** -k, radius=c_hat * 2.0 ** -k)
-        count[i] = gaps.size
-        lhs[i] = (gaps ** s).sum()
-        mid[i] = scale * ball_volumes(radii, n).sum()
-        rhs[i] = scale * record.volume
+        scale[i] = 2.0 ** (-k * (s - n))
+        grid[i] = neighborhood_volume(sample, 2.0 ** -k, radius=c_hat * 2.0 ** -k).volume
         tail[i] = 2.0 ** (-k * (s - t))
+    mid, rhs = scale * packed, scale * grid
     c1, c2, c3 = (float((a / b).max()) for a, b in ((lhs, mid), (mid, rhs), (rhs, tail)))
     two_s = 2.0 ** s
     radial_ok = bool(np.all(
@@ -258,7 +255,7 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         c_hat=c_hat,
         dim_estimate=dim,
         k=ks,
-        count=count,
+        count=runs.counts[at],
         series_partial=series_partial,
         lhs=lhs,
         mid=mid,

@@ -137,11 +137,10 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
     mesh = _sphere_mesh(orbit.model)
-    shells, worsts, skipped = [], [], []
+    shells, worsts = [], []
     for k in range(1, k_max + 1):
         idx = np.nonzero(orbit.shells == k)[0]
         if idx.size == 0:
-            skipped.append(k)
             continue
         centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
@@ -156,7 +155,6 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
         max_distances=np.array(worsts),
         c=np.array(c),
         c_hat=max(c),
-        skipped_shells=skipped,
         radius=radius,
     )
 

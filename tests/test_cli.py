@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,18 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "result=" not in captured.out and not out.exists()
+
+
+def test_overflowing_products_report_one_error(cyclic_file, tmp_path, capsys):
+    # cosh(n ln 3) passes the float range near word length 646
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["orbit", cyclic_file, "--depth", "700", "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stage orbit_enumeration: matrix product is non-finite or not of unit determinant"
+    ]
 
 
 def test_load_group_halfspace_planar(tmp_path):

@@ -42,6 +42,7 @@ from kleindim import (
     schottky_f2,
     translation_to_origin,
 )
+from kleindim import group
 from kleindim.errors import DegenerateBasepointError
 from kleindim.geometry import product_entries
 from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh, _shell_indices
@@ -291,17 +292,18 @@ def test_cyclic_ball_entries_at_depth(depth):
 
 def test_product_entries_rejects_non_finite():
     big = np.array([[1e200, 0.0, 0.0, 1e-200]], dtype=complex)  # unit determinant
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UsageError, match="non-finite"):
+    with pytest.raises(UsageError, match="non-finite"):
         product_entries(big, big, 2)
     singular = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(UsageError):
         product_entries(singular, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex), 2)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
     G = schottky_f2()
+    monkeypatch.setattr(group, "ORBIT_CAP", 100)
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_orbit(G, origin(2), 8, cap=100)
+        enumerate_orbit(G, origin(2), 8)
     assert "word length" in str(exc.value)
 
 
@@ -547,4 +549,33 @@ def test_containment_matches_exhaustive_oracle(name, depth, offset, factor):
     assert report.max_distances.tolist() == expected.max_distances.tolist()
     assert report.c.tolist() == expected.c.tolist()
     assert report.c_hat == expected.c_hat
-    assert report.skipped_shells == expected.skipped_shells
+    skipped = [k for k in range(1, 13) if not np.any(orbit.shells == k)]
+    assert sorted(set(range(1, 13)) - set(report.shells.tolist())) == skipped
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(PACKING_GROUPS)),
+    depth=st.integers(1, 8),
+    offset=st.none() | st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    s=st.floats(0.0, 3.0),
+    span=st.integers(0, 6),
+)
+def test_shell_runs_match_masks(name, depth, offset, s, span):
+    orbit = _packing_orbit(name, depth, offset)
+    runs = orbit.shell_runs
+    shells = runs.shells.tolist()
+    assert shells == sorted(set(orbit.shells.tolist()))
+    for at, k in enumerate(shells):
+        assert runs.rows(at, at + 1).tolist() == np.flatnonzero(orbit.shells == k).tolist()
+        assert runs.counts[at] == np.count_nonzero(orbit.shells == k)
+        # a window of consecutive shells, shell by shell, as the packing check reads it
+        stop = int(np.searchsorted(runs.shells, k + span, side="right"))
+        window = np.concatenate([runs.rows(w, w + 1) for w in range(at, stop)])
+        assert runs.rows(at, stop).tolist() == window.tolist()
+        assert sorted(window.tolist()) == np.flatnonzero(
+            (orbit.shells >= k) & (orbit.shells <= k + span)).tolist()
+    for values in ((orbit.gaps / (2.0 - orbit.gaps)) ** s, orbit.gaps ** s, orbit.displacements):
+        masked = np.array([values[orbit.shells == k].sum() for k in shells])
+        assert runs.sums(values).view(np.int64).tolist() == masked.view(np.int64).tolist()
+    assert orbit.shell_runs is runs

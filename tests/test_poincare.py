@@ -29,6 +29,7 @@ from kleindim import (
     translation_to_origin,
     truncated_series,
 )
+from kleindim.poincare import _available_shells
 
 LN9 = math.log(9.0)
 
@@ -123,6 +124,26 @@ def test_series_shells_and_partials_match_oracle(name, depth, pick, s):
         assert shells[0] == 0
     for k, partial in zip(shells, ev.partials.tolist()):
         assert partial == pytest.approx(expected[k], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GROUPS))
+@pytest.mark.parametrize("depth", [4, 6, 8])
+def test_divergence_scan_reads_the_shells_inside_the_horizon(name, depth):
+    build, basepoints = SERIES_GROUPS[name]
+    for z in basepoints:
+        orbit = enumerate_orbit(build(), InteriorPoint(z), depth)
+        # the horizon: the widest gap among the words of the final length
+        widest = float(orbit.gaps[orbit.word_lengths == depth].max())
+        k_cut = math.floor(math.log((2.0 - widest) / widest) / math.log(2.0)) - 1
+        shells = [k for k in sorted(set(orbit.shells.tolist())) if 1 <= k <= k_cut]
+        diagnostics = {}
+        if len(shells) < 5:
+            with pytest.raises(InsufficientDataError):
+                _available_shells(orbit, diagnostics)
+            continue
+        at = _available_shells(orbit, diagnostics)
+        assert orbit.shell_runs.shells[at].tolist() == shells
+        assert diagnostics == {"horizon_shell_cut": k_cut, "shells_used": (shells[0], shells[-1])}
 
 
 @pytest.mark.parametrize("name", sorted(SERIES_GROUPS))

@@ -9,12 +9,17 @@ A case is one group, seed and pooled input of the benchmark
 the shipped group, seed 29 its eight seeded rotations.  The groups are
 `schottky_f2` at depth 9, `fuchsian_lattice` at depth 14 and the n = 3
 Schottky group at depth 8.  Each case runs the pipeline's sampling front
-and prints two lines: the sha256 of every box count over `K_RANGE`, and
+and prints three lines: the sha256 of every box count over `K_RANGE`, and
 of c_hat with every chain count of radius c_hat * 2^-k at cell 2^-k for
 k = 1..12, where c_hat comes from the containment check at the packing
 radius.  Scales, radii and c_hat enter as hex floats, counts as integers.
-Two trees whose grid counts match bit for bit print the same lines.  It
-takes no options.
+The third line hashes the per-shell stages: the series partials at
+s = 0, 0.5, 1 and 1.5; both exponent estimates (or the error each
+raises); the packing check's verdict and pair at 1, 2 and 8 times the
+packing radius; the containment shells and c; and the chain report's
+columns k to tail with c1 to c3, at s = dim_est + 0.4 and t = dim_est + 0.2.
+Two trees whose grid counts and per-shell numbers match bit for bit print
+the same lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -26,7 +31,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import kleindim  # noqa: E402
-from kleindim import ball_containment_check, neighborhood_volume, packing_radius  # noqa: E402
+from kleindim import (  # noqa: E402
+    InsufficientDataError,
+    ball_containment_check,
+    box_dimension_estimate,
+    check_packing_disjoint,
+    exponent_estimate,
+    neighborhood_volume,
+    packing_radius,
+    series_chain_report,
+    truncated_series,
+)
 from kleindim.limitset import K_RANGE  # noqa: E402
 from kleindim.verify import sampling_front  # noqa: E402
 from workloads import ball_schottky, seeded_inputs  # noqa: E402
@@ -38,10 +53,45 @@ GROUPS = [
 ]
 SEEDS = (0, 29)
 CHAIN_K = range(1, 13)
+SERIES_S = (0.0, 0.5, 1.0, 1.5)
+PACKING_FACTORS = (1.0, 2.0, 8.0)
 
 
 def _line(parts):
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _hex(values):
+    return " ".join(float(v).hex() for v in values)
+
+
+def _estimate(orbit, method):
+    try:
+        est = exponent_estimate(orbit, method=method)
+    except InsufficientDataError as err:
+        return f"{method} {type(err).__name__}: {err}"
+    return f"{method} {_hex([est.delta_est, *est.fit_window, est.slope_stderr])} {est.diagnostics}"
+
+
+def _per_shell(presentation, depth, orbit, sample):
+    parts = []
+    for s in SERIES_S:
+        ev = truncated_series(orbit, s)
+        parts.append(f"series {s} {ev.shells.tolist()} {_hex(ev.partials)} {ev.value.hex()}")
+    parts += [_estimate(orbit, method) for method in ("counting_fit", "divergence_scan")]
+    radius = packing_radius(orbit).radius
+    for factor in PACKING_FACTORS:
+        check = check_packing_disjoint(orbit, factor * radius)
+        parts.append(f"packing {factor} {check.ok} {check.pair}")
+    containment = ball_containment_check(orbit, radius, sample)
+    parts.append(f"containment {containment.shells.tolist()} {_hex(containment.c)}")
+    dim = box_dimension_estimate(sample).dim_est
+    chain = series_chain_report(presentation, depth, dim + 0.4, dim + 0.2)
+    parts.append(f"chain {chain.k.tolist()} {chain.count.tolist()}")
+    for column in (chain.series_partial, chain.lhs, chain.mid, chain.rhs, chain.tail):
+        parts.append(_hex(column))
+    parts.append(_hex([chain.c1, chain.c2, chain.c3]))
+    return parts
 
 
 def main():
@@ -63,6 +113,8 @@ def main():
                 label = f"{name} depth={depth} seed={seed} input={i}"
                 print(_line(box), label, "box", flush=True)
                 print(_line(chain), label, "chain", flush=True)
+                print(_line(_per_shell(presentation, depth, orbit, sample)), label, "shells",
+                      flush=True)
 
 
 if __name__ == "__main__":
