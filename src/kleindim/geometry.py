@@ -116,16 +116,32 @@ def canonical_entries(entries, model):
     nonnegative real part, ties broken toward nonnegative imaginary part.
     For the planar model every row must be in disc-preserving form.
     """
-    e = np.array(entries, dtype=complex).reshape(-1, 4)
-    big = np.abs(e) > _CANON_EPS
-    if not np.all(big.any(axis=1)):
-        raise InternalError("zero matrix cannot be canonicalized")
-    lead = e[np.arange(e.shape[0]), big.argmax(axis=1)]
+    return _canonicalize(np.array(entries, dtype=complex).reshape(-1, 4), model)
+
+
+def _canonicalize(e, model):
+    """canonical_entries on an (N, 4) complex array, in place; returns it.
+
+    The first nonzero entry is a on every row with |a| > _CANON_EPS, which
+    holds for every planar row since |a|^2 - |b|^2 = 1; only the other rows
+    search their entries for it.
+    """
+    abs_a = np.abs(e[:, 0])
+    lead = e[:, 0]
+    big_a = abs_a > _CANON_EPS
+    if not big_a.all():
+        rest = np.flatnonzero(~big_a)
+        big = np.abs(e[rest]) > _CANON_EPS
+        if not np.all(big.any(axis=1)):
+            raise InternalError("zero matrix cannot be canonicalized")
+        lead = lead.copy()
+        lead[rest] = e[rest, big.argmax(axis=1)]
     flip = (lead.real < -_CANON_EPS) | ((np.abs(lead.real) <= _CANON_EPS) & (lead.imag < 0.0))
-    e[flip] = -e[flip]
+    if flip.any():
+        e[flip] = -e[flip]
     if model == 2:
         a, b, c, d = e.T
-        tol = CONSTRUCTION_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        tol = CONSTRUCTION_TOL * np.maximum(1.0, np.maximum(abs_a, np.abs(b)))
         if np.any((np.abs(c - np.conj(b)) > tol) | (np.abs(d - np.conj(a)) > tol)):
             raise UsageError("planar map is not disc preserving: need c = conj(b), d = conj(a)")
     return e
@@ -139,13 +155,16 @@ def product_entries(left, right, model):
     """
     la, lb, lc, ld = np.asarray(left).T
     ra, rb, rc, rd = np.asarray(right).T
+    out = np.empty((np.broadcast_shapes(la.shape, ra.shape)[0], 4), dtype=complex)
     # overflow is silent here: the determinant check is its one report
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = la * ra + lb * rc, la * rb + lb * rd
-        c, d = lc * ra + ld * rc, lc * rb + ld * rd
-        if not _unit_determinant(a, b, c, d):
+        out[:, 0] = la * ra + lb * rc
+        out[:, 1] = la * rb + lb * rd
+        out[:, 2] = lc * ra + ld * rc
+        out[:, 3] = lc * rb + ld * rd
+        if not _unit_determinant(*out.T):
             raise UsageError("matrix product is non-finite or not of unit determinant")
-    return canonical_entries(np.stack([a, b, c, d], axis=1), model)
+    return _canonicalize(out, model)
 
 
 def _unit_determinant(a, b, c, d):

@@ -117,8 +117,12 @@ class ShellRuns:
 
     def sums(self, values):
         """Per-shell sums, one `.sum()` per run: a masked selection's sums, bit for bit."""
-        ordered, bounds = values[self.order], self.bounds.tolist()
-        return np.array([ordered[lo:hi].sum() for lo, hi in itertools.pairwise(bounds)])
+        return self.window_sums(values[self.order], 0, self.shells.size)
+
+    def window_sums(self, values, start, stop):
+        """`sums` of the shells at positions start..stop - 1, of values aligned with their rows."""
+        bounds = (self.bounds[start:stop + 1] - self.bounds[start]).tolist()
+        return np.array([values[lo:hi].sum() for lo, hi in itertools.pairwise(bounds)])
 
 
 @dataclass(eq=False)
@@ -145,10 +149,22 @@ class GroupBall:
         """Element i as a MoebiusMap, its entries exactly as stored."""
         return MoebiusMap.from_canonical(self.entries[i], self.presentation.model)
 
+    def level_bounds(self, length):
+        """Rows start..stop - 1, the elements of word length `length` (one run in ball order)."""
+        start, stop = np.searchsorted(self.word_lengths, [length, length + 1]).tolist()
+        return start, stop
+
     def first_loxodromic(self):
-        """Index of the first loxodromic element in ball order, or None."""
-        lox = np.flatnonzero(classify_entries(self.entries) == MapClass.LOXODROMIC)
-        return int(lox[0]) if lox.size else None
+        """Index of the first loxodromic element in ball order, or None.
+
+        Classifies one word length at a time and stops at the first that holds one.
+        """
+        for length in range(self.max_word_length + 1):
+            start, stop = self.level_bounds(length)
+            lox = np.flatnonzero(classify_entries(self.entries[start:stop]) == MapClass.LOXODROMIC)
+            if lox.size:
+                return start + int(lox[0])
+        return None
 
     def basepoint_on_axis(self, h, max_word_length):
         """Point on the axis of a loxodromic element, clear of elliptic fixed points.
@@ -161,7 +177,7 @@ class GroupBall:
         if classify(h) is not MapClass.LOXODROMIC:
             raise UsageError("basepoint selection needs a loxodromic element")
         geo = BoundaryGeodesic(*fixed_points(h))
-        head = self.entries[self.word_lengths <= max_word_length]
+        head = self.entries[:self.level_bounds(max_word_length)[1]]
         elliptics = head[classify_entries(head) == MapClass.ELLIPTIC]
         z = geo.apex
         for step in range(100):
@@ -227,9 +243,9 @@ def build_ball(presentation, max_word_length):
     (alphabet g1, g1^-1, g2, g2^-1, ...).  Words whose matrix lies within
     DEDUP_TOL entrywise of an earlier element are dropped and not expanded;
     the surviving set of words is closed under prefixes.  Each level is one
-    batch of 2x2 products over frontier x alphabet, deduplicated against
-    every kept element by one sort of a fixed projection of the entries (see
-    _fresh); no search tree is built.
+    batch of 2x2 products of the previous level's rows by the alphabet,
+    deduplicated against every kept element by one sort of a fixed
+    projection of the entries (see _fresh); no search tree is built.
     """
     max_word_length = int(max_word_length)
     if max_word_length < 1:
@@ -241,27 +257,30 @@ def build_ball(presentation, max_word_length):
                            for g in presentation.generators for m in (g, inverse(g))])
 
     entries = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)
-    parents, letters, lengths = np.array([-1]), np.array([0]), np.array([0])
-    frontier = np.array([0])
+    # the last level: its first ball row, its rows and their letters
+    start, level, level_letters = 0, entries, np.array([0])
+    parents, letters, lengths = [np.array([-1])], [level_letters], [np.array([0])]
     for length in range(1, max_word_length + 1):
-        parent = np.repeat(frontier, alphabet.size)
-        k = np.tile(np.arange(alphabet.size), frontier.size)
-        reduced = alphabet[k] != -letters[parent]  # skip immediate cancellation
+        parent = np.repeat(np.arange(level.shape[0]), alphabet.size)
+        k = np.tile(np.arange(alphabet.size), level.shape[0])
+        reduced = alphabet[k] != -level_letters[parent]  # skip immediate cancellation
         parent, k = parent[reduced], k[reduced]
-        children = product_entries(entries[parent], generators[k], presentation.model)
+        children = product_entries(level[parent], generators[k], presentation.model)
         fresh = _fresh(entries, children)
-        frontier = np.arange(entries.shape[0], entries.shape[0] + int(fresh.sum()))
-        if entries.shape[0] + frontier.size > ORBIT_CAP:
+        level, level_letters = children[fresh], alphabet[k[fresh]]
+        if entries.shape[0] + level.shape[0] > ORBIT_CAP:
             raise ResourceLimitError(
                 f"orbit enumeration exceeded {ORBIT_CAP} elements at word length {length}"
             )
-        entries = np.concatenate([entries, children[fresh]])
-        parents = np.concatenate([parents, parent[fresh]])
-        letters = np.concatenate([letters, alphabet[k[fresh]]])
-        lengths = np.concatenate([lengths, np.full(frontier.size, length)])
-        if not frontier.size:
+        parents.append(parent[fresh] + start)
+        letters.append(level_letters)
+        lengths.append(np.full(level.shape[0], length))
+        start = entries.shape[0]
+        entries = np.concatenate([entries, level])
+        if not level.shape[0]:
             break
-    return GroupBall(presentation, entries, parents, letters, lengths, max_word_length)
+    return GroupBall(presentation, entries, np.concatenate(parents), np.concatenate(letters),
+                     np.concatenate(lengths), max_word_length)
 
 
 class OrbitSet:

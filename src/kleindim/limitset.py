@@ -153,15 +153,22 @@ def _z_order(keys):
 def _first_unique(points):
     """Indices of the first point of each _ROUND_TOL rounding cell, ascending.
 
-    np.lexsort is stable, so each run of equal keys starts at its first
-    occurrence.
+    Sample points lie within 1e-9 of the unit sphere, so each rounded
+    coordinate k has |k| < 2^31 and k0 * 2^32 + k1 is one injective int64 key
+    for the first two; a third is sorted as a second key.  The least
+    original index of each run of equal keys is its first occurrence.
     """
     keys = np.round(points / _ROUND_TOL).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.sort(order[starts])
+    if not np.all(np.abs(keys) < 1 << 31):
+        raise InternalError("sample point coordinates exceed the rounding key range")
+    joint = keys[:, 0] * (1 << 32) + keys[:, 1]
+    order = np.argsort(joint) if keys.shape[1] == 2 else np.lexsort((keys[:, 2], joint))
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in (joint, *keys.T[2:]):
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
 
 
 def sample_limit_set(orbit, h):
@@ -182,16 +189,16 @@ def sample_limit_set(orbit, h):
 
 def deep_orbit_sample(orbit):
     """Radial projections of the orbit points of the final word length, a cross-check."""
-    deep = np.flatnonzero(orbit.word_lengths == orbit.max_word_length)
-    if deep.size == 0:
+    start, stop = orbit.ball.level_bounds(orbit.max_word_length)
+    if start == stop:
         raise UsageError(f"no orbit elements at word length {orbit.max_word_length}")
-    pts = orbit.points[deep]
+    pts = orbit.points[start:stop]
     norms = np.linalg.norm(pts, axis=1)
     if np.any(norms < 1e-12):
         raise UsageError("orbit point at the ball center has no radial projection")
     pts = pts / norms[:, None]
     keep = _first_unique(pts)
-    return LimitSample(points=pts[keep], witnesses=deep[keep], source=SOURCE_DEEP_ORBIT)
+    return LimitSample(points=pts[keep], witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
 
 
 @dataclass

@@ -132,9 +132,9 @@ def _available_shells(orbit, diagnostics):
     if lo == hi:
         raise InsufficientDataError("orbit has no shelled elements")
     cut = ""
-    at_horizon = orbit.word_lengths == orbit.max_word_length
-    if np.any(at_horizon):
-        gap_horizon = float(orbit.gaps[at_horizon].max())
+    start, stop = orbit.ball.level_bounds(orbit.max_word_length)
+    if start < stop:
+        gap_horizon = float(orbit.gaps[start:stop].max())
         d_horizon = math.log((2.0 - gap_horizon) / gap_horizon)
         k_cut = int(math.floor(d_horizon / _LN2)) - 1
         hi = max(lo, np.searchsorted(shells, k_cut, side="right"))

@@ -220,12 +220,16 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
     c_hat = containment.c_hat
     n = orbit.model
     ks = containment.shells
+    # the chain's shells, 1..k_max, are the runs at positions lo..hi - 1
     runs = orbit.shell_runs
-    at = np.searchsorted(runs.shells, ks)
-    series_partial = truncated_series(orbit, s).partials[at]
-    lhs = runs.sums(orbit.gaps ** s)[at]
-    _, radii = euclidean_balls(orbit.points, pack.radius, gaps=orbit.gaps)
-    packed = runs.sums(ball_volumes(radii, n))[at]
+    lo = int(np.searchsorted(runs.shells, ks[0]))
+    hi = lo + ks.size
+    series_partial = truncated_series(orbit, s).partials[lo:hi]
+    rows = runs.rows(lo, hi)
+    gaps = orbit.gaps[rows]
+    lhs = runs.window_sums(gaps ** s, lo, hi)
+    _, radii = euclidean_balls(orbit.points[rows], pack.radius, gaps=gaps)
+    packed = runs.window_sums(ball_volumes(radii, n), lo, hi)
     scale, grid, tail = np.zeros((3, ks.size))
     # scalar powers: numpy's 2.0 ** array may differ from them in the last bit
     for i, k in enumerate(ks.tolist()):
@@ -255,7 +259,7 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         c_hat=c_hat,
         dim_estimate=dim,
         k=ks,
-        count=runs.counts[at],
+        count=runs.counts[lo:hi],
         series_partial=series_partial,
         lhs=lhs,
         mid=mid,

@@ -2,11 +2,14 @@
 
 These are the straightforward algorithms the library's pruned kernels
 replace: a full-stencil grid counter, the full nearest-neighbor spacing
-query, the pairwise dedup scan,
-the exhaustive pairwise packing scan, and the exhaustive mesh scan of the
+query, the pairwise dedup scan, the lexsort sample dedup, the per-level
+concatenating ball build with its full-row sign canonicalization, the
+exhaustive pairwise packing scan, and the exhaustive mesh scan of the
 containment check.  Apart from the containment scan, which maps its balls
-and meshes with the library's own helpers, they share no code with the
-library versions, and all must agree with them exactly.
+and meshes with the library's own helpers, and the ball build, which
+deduplicates with the library's `_fresh` (itself checked against the
+pairwise scan), they share no code with the library versions, and all must
+agree with them exactly.
 
 The CLI's tables have oracles too: `ball_words` rebuilds every word of a
 group ball from its parent pointers, `word_to_str` spells one word at a
@@ -21,8 +24,15 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from kleindim import BallContainmentReport, PackingCheck, UsageError, euclidean_balls
-from kleindim.group import DEDUP_TOL
+from kleindim import (
+    BallContainmentReport,
+    GroupBall,
+    PackingCheck,
+    UsageError,
+    euclidean_balls,
+    inverse,
+)
+from kleindim.group import DEDUP_TOL, _fresh
 from kleindim.limitset import _sphere_mesh
 
 _STENCIL_ROWS = 1 << 16  # candidate cells the stencil oracle holds per slab, roughly
@@ -96,6 +106,73 @@ def first_unique_np(points, tol=1e-9):
     keys = np.round(points / tol).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     return np.sort(first)
+
+
+def first_unique_lexsort(points, tol=1e-9):
+    """First index of each 1e-9 rounding cell, ascending: a stable lexsort over every axis."""
+    keys = np.round(points / tol).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[starts])
+
+
+def canonical_entries_reference(entries, model):
+    """Sign-canonical copies of rows (a, b, c, d), each row searched for its first nonzero entry."""
+    e = np.array(entries, dtype=complex).reshape(-1, 4)
+    big = np.abs(e) > 1e-12
+    if not np.all(big.any(axis=1)):
+        raise ValueError("zero matrix cannot be canonicalized")
+    lead = e[np.arange(e.shape[0]), big.argmax(axis=1)]
+    flip = (lead.real < -1e-12) | ((np.abs(lead.real) <= 1e-12) & (lead.imag < 0.0))
+    e[flip] = -e[flip]
+    if model == 2:
+        a, b, c, d = e.T
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if np.any((np.abs(c - np.conj(b)) > tol) | (np.abs(d - np.conj(a)) > tol)):
+            raise ValueError("planar map is not disc preserving")
+    return e
+
+
+def stacked_products(left, right):
+    """Rows (a, b, c, d) of the products left_i . right_i, unnormalized and uncanonicalized."""
+    la, lb, lc, ld = left.T
+    ra, rb, rc, rd = right.T
+    return np.stack([la * ra + lb * rc, la * rb + lb * rd,
+                     lc * ra + ld * rc, lc * rb + ld * rd], axis=1)
+
+
+def build_ball_reference(presentation, max_word_length):
+    """The group ball built level by level, every array grown by concatenation.
+
+    Each level's children are gathered from all kept entries, multiplied
+    entry by entry and canonicalized by `canonical_entries_reference` on the
+    stacked products; dedup is the library's `_fresh`.
+    """
+    rank = len(presentation.generators)
+    alphabet = np.array([sign * i for i in range(1, rank + 1) for sign in (1, -1)])
+    generators = np.array([[m.a, m.b, m.c, m.d]
+                           for g in presentation.generators for m in (g, inverse(g))])
+    entries = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)
+    parents, letters, lengths = np.array([-1]), np.array([0]), np.array([0])
+    frontier = np.array([0])
+    for length in range(1, max_word_length + 1):
+        parent = np.repeat(frontier, alphabet.size)
+        k = np.tile(np.arange(alphabet.size), frontier.size)
+        reduced = alphabet[k] != -letters[parent]
+        parent, k = parent[reduced], k[reduced]
+        products = stacked_products(entries[parent], generators[k])
+        children = canonical_entries_reference(products, presentation.model)
+        fresh = _fresh(entries, children)
+        frontier = np.arange(entries.shape[0], entries.shape[0] + int(fresh.sum()))
+        entries = np.concatenate([entries, children[fresh]])
+        parents = np.concatenate([parents, parent[fresh]])
+        letters = np.concatenate([letters, alphabet[k[fresh]]])
+        lengths = np.concatenate([lengths, np.full(frontier.size, length)])
+        if not frontier.size:
+            break
+    return GroupBall(presentation, entries, parents, letters, lengths, max_word_length)
 
 
 def packing_brute_force(orbit, radius, chunk=256):

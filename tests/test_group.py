@@ -11,7 +11,15 @@ import pytest
 from conftest import identity_only_orbit
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import ball_words, containment_exhaustive, fresh_pairwise, packing_brute_force
+from oracles import (
+    ball_words,
+    build_ball_reference,
+    canonical_entries_reference,
+    containment_exhaustive,
+    fresh_pairwise,
+    packing_brute_force,
+    stacked_products,
+)
 from scipy.spatial import cKDTree
 
 from kleindim import (
@@ -43,8 +51,8 @@ from kleindim import (
     translation_to_origin,
 )
 from kleindim import group
-from kleindim.errors import DegenerateBasepointError
-from kleindim.geometry import product_entries
+from kleindim.errors import DegenerateBasepointError, InternalError
+from kleindim.geometry import canonical_entries, classify_entries, product_entries
 from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh, _shell_indices
 
 LN9 = math.log(9.0)
@@ -578,4 +586,119 @@ def test_shell_runs_match_masks(name, depth, offset, s, span):
     for values in ((orbit.gaps / (2.0 - orbit.gaps)) ** s, orbit.gaps ** s, orbit.displacements):
         masked = np.array([values[orbit.shells == k].sum() for k in shells])
         assert runs.sums(values).view(np.int64).tolist() == masked.view(np.int64).tolist()
+        # a window of shells from values on its own rows, as the chain report sums them
+        at = min(span, len(shells) - 1)
+        window = runs.window_sums(values[runs.rows(at, len(shells))], at, len(shells))
+        assert window.view(np.int64).tolist() == masked[at:].view(np.int64).tolist()
     assert orbit.shell_runs is runs
+
+
+def _elliptic_pair():
+    return GroupPresentation([_pi_rotation_about([0.0, 0.0]), _pi_rotation_about([0.5, 0.0])],
+                             model=2, name="elliptic_pair")
+
+
+BALL_GROUPS = {**PACKING_GROUPS, "elliptic_pair": _elliptic_pair}
+BALL_DEPTHS = {"cyclic_loxodromic": 40, "schottky_f2": 9, "fuchsian_lattice": 14,
+               "schottky_ball": 8, "elliptic_pair": 8}
+
+
+def _conjugate(G, angle, t, shear):
+    """G with each generator g replaced by m^-1 g m: m turns, boosts and, for n = 3, shears."""
+    m = compose(_rotation(angle), _boost(t))
+    if G.model == 3:
+        shearing = MoebiusMap(1.0, shear, 0.0, 1.0, model=3)
+        m = compose(MoebiusMap(m.a, m.b, m.c, m.d, model=3), shearing)
+    gens = [compose(compose(inverse(m), g), m) for g in G.generators]
+    return GroupPresentation(gens, model=G.model, name=G.name)
+
+
+def _assert_same_bytes(got, want):
+    for field in ("entries", "parents", "letters", "word_lengths"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def _with_ball_depths(test):
+    """Every fixture at its benchmark depth (cyclic_loxodromic at 40), unconjugated."""
+    for name, depth in BALL_DEPTHS.items():
+        test = example(name=name, depth=depth, conj=None)(test)
+    return test
+
+
+@_with_ball_depths
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(BALL_GROUPS)),
+    depth=st.integers(1, 8),
+    conj=st.none() | st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 1.0),
+                               st.floats(-1.0, 1.0)),
+)
+def test_ball_matches_reference_byte_for_byte(name, depth, conj):
+    G = BALL_GROUPS[name]()
+    if conj is not None:
+        G = _conjugate(G, *conj)
+    _assert_same_bytes(build_ball(G, depth), build_ball_reference(G, depth))
+
+
+def test_product_entries_canonicalizes_rows_without_lead_a():
+    # leads of either sign, some of zero or near-zero real part, where the imaginary part decides
+    leads = [1.0, -1.0, 1j, -1j, 1e-13 + 1j, -1e-13 - 1j, 1e-13 - 2.5j, -2.5, 2.5 - 1e-13j]
+    scales = [1.0, -1.0, 1j, -1j, 2.5, -0.4j]
+    left, right = [], []
+    for u in leads:
+        for w in scales:  # a = 0 * w + u * 0 = 0: b = u / w leads
+            left.append([0.0, u, -1.0 / u, 0.5])
+            right.append([w, 0.3 - 0.2j, 0.0, 1.0 / w])
+        for eps in (1e-13, -1e-13, 1e-13j, -1e-13j, 0.0):  # |a| <= _CANON_EPS: b = u leads
+            left.append([eps, u, -1.0 / u, 0.0])
+            right.append([1.0, 0.0, 0.0, 1.0])
+    left, right = np.array(left, dtype=complex), np.array(right, dtype=complex)
+    got = product_entries(left, right, 3)
+    want = canonical_entries_reference(stacked_products(left, right), 3)
+    assert np.all(np.abs(got[:, 0]) <= 1e-12)
+    assert got.tobytes() == want.tobytes()
+    assert canonical_entries(stacked_products(left, right), 3).tobytes() == want.tobytes()
+    with pytest.raises(InternalError, match="zero matrix"):
+        canonical_entries([1e-13, 0.0, 0.0, -1e-13j], 3)
+
+
+@pytest.mark.parametrize("model", [2, 3])
+def test_product_entries_canonicalizes_near_imaginary_leads(model):
+    # rotations whose angles sum to +-pi/2, within rounding: a is +-i with a tiny real part
+    theta = np.linspace(-3.0, 3.0, 41)
+    left, right = [], []
+    for quarter in (0.5 * math.pi, -0.5 * math.pi):
+        for t in theta:
+            for nudge in (0.0, 1e-14, -1e-14):
+                p, q = np.exp(0.5j * t), np.exp(0.5j * (2.0 * quarter - t + nudge))
+                left.append([p, 0.0, 0.0, np.conj(p)])
+                right.append([q, 0.0, 0.0, np.conj(q)])
+    left, right = np.array(left, dtype=complex), np.array(right, dtype=complex)
+    got = product_entries(left, right, model)
+    assert np.all(np.abs(got[:, 0].real) < 1e-12)
+    assert got.tobytes() == canonical_entries_reference(stacked_products(left, right),
+                                                        model).tobytes()
+
+
+NON_LOXODROMIC = {
+    "parabolic": lambda: GroupPresentation([MoebiusMap(1.0, 1.0, 0.0, 1.0, model=3)], model=3),
+    "pi_rotation": lambda: GroupPresentation([_pi_rotation_about([0.2, -0.1])], model=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_GROUPS) + sorted(NON_LOXODROMIC))
+def test_first_loxodromic_matches_full_classification(name):
+    G = {**BALL_GROUPS, **NON_LOXODROMIC}[name]()
+    for depth in range(1, 9):
+        ball = build_ball(G, depth)
+        lox = np.flatnonzero(classify_entries(ball.entries) == MapClass.LOXODROMIC)
+        expected = int(lox[0]) if lox.size else None
+        assert ball.first_loxodromic() == expected
+        if name in NON_LOXODROMIC:
+            assert expected is None
+        for length in range(depth + 2):
+            rows = np.flatnonzero(ball.word_lengths == length)
+            start, stop = ball.level_bounds(length)
+            assert list(range(start, stop)) == rows.tolist()

@@ -9,10 +9,11 @@ import pytest
 from conftest import identity_only_orbit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import first_unique_np, grid_cell_count_stencil, max_nn_spacing
+from oracles import first_unique_lexsort, first_unique_np, grid_cell_count_stencil, max_nn_spacing
 from scipy import stats
 
 from kleindim import (
+    InternalError,
     LimitSample,
     ResolutionError,
     UsageError,
@@ -520,3 +521,42 @@ def test_spacing_note_matches_full_query(case):
         with pytest.raises(ResolutionError) as err:
             box_dimension_estimate(sample, k_range=k_range, require_resolved=True)
         assert str(err.value) == msg
+
+
+_EDGE_COORDS = [-1.0 - 1e-9, -1.0, -0.5e-9, -0.0, 0.0, 0.5e-9, 1.0, 1.0 + 1e-9]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    count=st.integers(1, 150),
+    edges=st.booleans(),
+)
+def test_first_unique_matches_lexsort_oracle(n, seed, count, edges):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (count, n))
+    # exact copies, copies within a rounding cell, and points on either side of
+    # a cell boundary (half-integer multiples of 1e-9)
+    half = (np.round(base / 1e-9) + 0.5) * 1e-9
+    parts = [base, -base, base[rng.integers(0, count, count)],
+             base + rng.uniform(-0.4e-9, 0.4e-9, (count, n)),
+             half, np.nextafter(half, -np.inf), np.nextafter(half, np.inf), half[::-1]]
+    if edges:
+        grid = np.array(np.meshgrid(*[_EDGE_COORDS] * n, indexing="ij")).reshape(n, -1).T
+        parts += [grid, grid[::-1]]
+    pts = np.concatenate(parts)
+    pts = pts[rng.permutation(len(pts))]
+    got = _first_unique(pts)
+    np.testing.assert_array_equal(got, first_unique_lexsort(pts))
+    # one index per rounding cell, the first that lands in it
+    first = {}
+    for i, key in enumerate(map(tuple, np.round(pts / 1e-9).astype(np.int64).tolist())):
+        first.setdefault(key, i)
+    assert got.tolist() == sorted(first.values())
+
+
+def test_first_unique_rejects_points_off_the_key_range():
+    with pytest.raises(InternalError, match="rounding key range"):
+        _first_unique(np.array([[0.5, 0.5], [3.0, 0.0]]))
+    assert _first_unique(np.zeros((0, 2))).tolist() == []
