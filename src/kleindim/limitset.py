@@ -8,7 +8,11 @@ for that rule.  It works on grid lines, the cells that agree in every
 index but the last: within a radius of a point, a line's cell centers form
 one interval, computed with one sqrt.  The intervals of one point per
 sub-cell, merged per line, count most cells outright, and only a thin band
-of cells runs the exact nearest-point query.
+of cells runs the exact nearest-point query.  The lines go in passes of
+about 2^14 representative lines, split by residue of their first index;
+each pass sorts its interval ends once, keyed by each line's offset from
+the pass's least line, or by its rank among the pass's lines where the
+offset key would overflow int64.
 
 Every sample sorts its points once, into a dyadic index built on first
 use.  Its keys floor((p + 2) * 2^26) resolve the sub-cells of the finest
@@ -41,7 +45,7 @@ _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one po
 _MESH_COUNT = 32    # boundary mesh points per ball in the containment check
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
-_SPAN_ROWS = 1 << 12  # representative lines one pass of the grid count holds, roughly
+_SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
 _INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
 # coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
 # floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
@@ -275,7 +279,11 @@ def _grid_cell_count(sample, radius, cell):
 
     The lines go in passes by their first index modulo `passes`, which
     splits no line and, when the lines spread over many first indices,
-    bounds each pass to about _SPAN_ROWS representative lines.
+    bounds each pass to about _SPAN_ROWS = 2^14 representative lines.
+    Lines crowded into a few first indices still share a pass: 40,000
+    points within two cells of x = 1 at k = 24 put up to 30,202 lines into
+    one.  Each pass keys its events by line offset and ranks its lines only
+    where those keys would overflow int64 (`_line_events`).
     """
     index = sample.dyadic_index
     n = sample.model
@@ -303,8 +311,8 @@ def _grid_cell_count(sample, radius, cell):
     count = 0
     for p in range(passes):
         # the lines whose first index is p modulo passes
-        first = lo0 + (p - base[:, 0] - lo0) % passes
-        rows, steps = _expand(first, np.maximum((hi0 - first) // passes + 1, 0), passes)
+        start = lo0 + (p - base[:, 0] - lo0) % passes
+        rows, steps = _expand(start, np.maximum((hi0 - start) // passes + 1, 0), passes)
         line = steps + shifted[rows, 0]
         d2 = (steps - offset[rows, 0]) ** 2
         for axis in range(1, n - 1):
@@ -314,28 +322,41 @@ def _grid_cell_count(sample, radius, cell):
             d2 = d2[at] + (steps - offset[rows, axis]) ** 2
             line = line[at] * radix + (steps + shifted[rows, axis])
         if line.size:
-            events, lines, low, width = _line_events(
+            events, first, lines, low, width = _line_events(
                 line, offset[rows, -1], base[rows, -1], d2, inner2, outer2[rows])
             del rows, steps, line, d2  # only the events are needed from here on
-            count += _count_events(sample, reach, cell, events, lines, low, width, radix)
+            count += _count_events(sample, reach, cell, events, first, lines, low, width,
+                                   radix)
     return count
 
 
 def _line_events(line, offset, base, d2, inner2, outer2):
-    """The sorted span events of the given lines, with the lines' keys.
+    """The sorted span events of the given lines, and how to read their lines back.
 
     Row j is a representative's line line[j], its last-axis offset and base
     cell, and d2, its squared distance to the line in cell units.  Each row
-    has an outer span and, within the inner radius, an inner span.  Lines
-    are ranked once, so an event's key (rank*width + position) * 4 + kind
-    sorts it into its line; a cell's position is its last index - low.
+    has an outer span and, within the inner radius, an inner span.  An
+    event's key is (slot*width + position) * 4 + kind, where a cell's
+    position is its last index - low, so the key sorts it into its line.  A
+    line's slot is its offset line - first from the pass's least line, a
+    monotone relabelling of its rank: every span ends inside its line's
+    width, so the coverage between two lines is 0 and the slots left empty
+    count nothing.  Only where the keys could reach 2^63, (line range) *
+    width * 4 > 2^63 (n = 3, lines spread over most of the cube at k >= 17
+    or so), is the slot the line's rank among the pass's distinct lines,
+    which `lines` then holds; otherwise `lines` is None and slot s is line
+    first + s.  The events fill one preallocated array.
     """
     lo_o, hi_o = _span(offset, d2, outer2)
     inside = d2 <= inner2
     lo_i, hi_i = _span(offset[inside], d2[inside], inner2)
-    lines, at = np.unique(line, return_inverse=True)
     low = int((base + lo_o).min())
     width = int((base + hi_o).max()) - low + 2
+    first = int(line.min())
+    if (int(line.max()) - first + 1) * width * 4 <= 1 << 63:
+        lines, at = None, line - first
+    else:
+        lines, at = np.unique(line, return_inverse=True)
     at *= width
     at += base - low
     inner_at = at[inside]
@@ -350,10 +371,10 @@ def _line_events(line, offset, base, d2, inner2, outer2):
     events[no + ni:no + 2 * ni] |= 2
     events[no + 2 * ni:] |= 3
     events.sort()
-    return events, lines, low, width
+    return events, first, lines, low, width
 
 
-def _count_events(sample, reach, cell, events, lines, low, width, radix):
+def _count_events(sample, reach, cell, events, first, lines, low, width, radix):
     """Cells counted on sorted span events: the cells of the inner spans'
     union, and the band cells, in the outer spans' union only, that the
     exact query finds within reach."""
@@ -366,7 +387,7 @@ def _count_events(sample, reach, cell, events, lines, low, width, radix):
     band = np.flatnonzero((coverage > 0) & (coverage < (1 << 32)) & (lengths > 0))
     _, at = _expand(events[band], lengths[band], 1)
     at, last = np.divmod(at, width)
-    key = lines[at]
+    key = at + first if lines is None else lines[at]
     cells = np.empty((at.size, sample.model))
     cells[:, -1] = last + low
     for axis in range(sample.model - 2, -1, -1):

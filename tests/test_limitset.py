@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kleindim import (
     enumerate_orbit,
     euclidean_balls,
     fixed_points,
+    limitset,
     neighborhood_volume,
     origin,
     packing_radius,
@@ -33,9 +35,11 @@ from kleindim import (
 from kleindim.geometry import boundary_images
 from kleindim.limitset import (
     K_RANGE,
+    _SPAN_ROWS,
     _SUBCELL_BITS,
     _first_unique,
     _grid_cell_count,
+    _line_events,
     _linear_fit,
 )
 from kleindim.verify import sampling_front
@@ -387,6 +391,15 @@ def test_grid_count_span_edges_within_ulps(n):
                                 r = np.nextafter(r, direction)
 
 
+def _fat_radii_points(n, k):
+    """The axis ends, points a few cells of side 2^-k from them, and a few clusters."""
+    turn = np.array([3.0, 7.5, 40.25]) * 2.0 ** -k
+    near_end = np.zeros((3, n))
+    near_end[:, 0], near_end[:, -1] = np.cos(turn), np.sin(turn)
+    return np.concatenate([np.eye(n), -np.eye(n), near_end, -near_end,
+                           _sphere_points(k, 12, n, 2)])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_grid_count_fat_radii_deep(n):
     # radii of 6 to 8 cells at k = 20..24, where a float cell index near 2^24
@@ -394,50 +407,160 @@ def test_grid_count_fat_radii_deep(n):
     # them, put the indices there
     for k in (20, 22, 24):
         cell = 2.0 ** -k
-        turn = np.array([3.0, 7.5, 40.25]) * cell
-        near_end = np.zeros((3, n))
-        near_end[:, 0], near_end[:, -1] = np.cos(turn), np.sin(turn)
-        pts = np.concatenate([np.eye(n), -np.eye(n), near_end, -near_end,
-                              _sphere_points(k, 12, n, 2)])
         for factor in (6.0, 6.93, 8.0):
-            _assert_matches_oracle(pts, factor * cell, cell)
+            _assert_matches_oracle(_fat_radii_points(n, k), factor * cell, cell)
 
 
-def test_grid_count_column_dense_sample():
+def _key_paths(monkeypatch):
+    """Record, per pass of the grid count that holds lines, whether its
+    events are keyed by line offsets (True) or by line ranks (False)."""
+    paths = []
+
+    def recorded(line, *args):
+        events = _line_events(line, *args)
+        paths.append(events[2] is None)
+        return events
+
+    monkeypatch.setattr(limitset, "_line_events", recorded)
+    return paths
+
+
+# pass budgets of the grid count: one line of the estimate per pass, a few
+# dozen, and the default
+_PASS_BUDGETS = (1, 64, _SPAN_ROWS)
+
+
+def _assert_every_budget(monkeypatch, pts, radius, cell, budgets=_PASS_BUDGETS):
+    """The count at each pass budget equals the oracle's; below the default
+    the lines split into several passes by first-index residue."""
+    expected = grid_cell_count_stencil(pts, radius, cell)
+    sample = _synthetic(pts)
+    paths = _key_paths(monkeypatch)
+    for rows in budgets:
+        monkeypatch.setattr(limitset, "_SPAN_ROWS", rows)
+        paths.clear()
+        assert _grid_cell_count(sample, radius, cell) == expected, (rows, radius, cell)
+        assert rows == _SPAN_ROWS or len(paths) > 1, (rows, radius, cell)
+
+
+@pytest.mark.parametrize("n, k", [(2, 12), (3, 9)])
+def test_grid_count_pass_budgets(monkeypatch, n, k):
+    # a budget of 1 runs one pass per line of the estimate, so a pass that
+    # lost a residue class, or a line split between passes, shows here
+    pts = np.concatenate([_sphere_points(n, 150, n, 0), _sphere_points(n + 1, 150, n, 3)])
+    cell = 2.0 ** -k
+    for factor in (0.5, 1.0, 2.66):
+        _assert_every_budget(monkeypatch, pts, factor * cell, cell)
+
+
+def test_grid_count_column_dense_sample(monkeypatch):
     # 40,000 points on an arc within two cells of x = 1 at k = 24: the lines
-    # split into passes by first index, and most passes hold no line
+    # split into passes by first index, and most passes hold no line.  At a
+    # budget of 1 the estimate's 10^5 passes would be as many sweeps of the
+    # rows, so that budget runs on the arc's first 2,000 points
     turn = np.linspace(0.0, 4.5e-4, 40000)
-    _assert_matches_oracle(np.column_stack([np.cos(turn), np.sin(turn)]), 2.0 ** -24, 2.0 ** -24)
+    pts = np.column_stack([np.cos(turn), np.sin(turn)])
+    _assert_every_budget(monkeypatch, pts, 2.0 ** -24, 2.0 ** -24, _PASS_BUDGETS[1:])
+    _assert_every_budget(monkeypatch, pts[:2000], 2.0 ** -24, 2.0 ** -24, _PASS_BUDGETS[:1])
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("k", [3, 6, 9])
-def test_grid_count_dense_clusters(n, k):
-    # 2,400 points in 300 clusters of 8, each cluster a fraction of a
-    # representative's sub-cell wide: sub-cells hold several points, and past
-    # a cluster's rim the distance to its representative and to its nearest
-    # point differ
+def test_grid_count_key_paths(monkeypatch):
+    # offset keys where the lines' range times 4*width fits int64: the circle
+    # at k = 24 and the sphere at k <= 9; ranked lines for the sphere at
+    # k >= 20, whose lines spread over most of the cube.  A second point a
+    # twentieth of a cell from each gives the sub-cells a diagonal, so each
+    # count has band cells, which read their lines back from the keys
+    rng = np.random.default_rng(4)
+    paths = _key_paths(monkeypatch)
+    for n, ks, offsets in ((2, (12, 24), True), (3, (6, 9), True), (3, (20, 22, 24), False)):
+        for k in ks:
+            cell = 2.0 ** -k
+            pts = _fat_radii_points(n, k)
+            pts = np.concatenate([pts, pts + 0.05 * cell * rng.normal(size=pts.shape)])
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            for factor in (1.0, 6.0):
+                paths.clear()
+                _assert_matches_oracle(pts, factor * cell, cell)
+                assert paths and all(path == offsets for path in paths), (n, k, factor)
+
+
+@pytest.mark.parametrize("span", [1 << 60, (1 << 60) + 1])
+def test_line_events_key_fits_int64(span):
+    # two rows of width 2 on lines span - 1 apart: the largest key is
+    # 4*2*span - 1, so at span = 2^60 it is 2^63 - 1 and the offsets still fit
+    line = np.array([7, 7 + span - 1], dtype=np.int64)
+    zeros = np.zeros(2)
+    events, first, lines, low, width = _line_events(
+        line, zeros, np.zeros(2, dtype=np.int64), zeros, 0.25, np.full(2, 0.25))
+    assert (first, low, width) == (7, 0, 2)
+    assert (lines is None) == (span == 1 << 60)
+    assert events.min() >= 0 and np.all(np.diff(events) >= 0)
+    slot, position = np.divmod(events >> 2, width)
+    slots = line - first if lines is None else np.arange(2)
+    np.testing.assert_array_equal(slot, np.repeat(slots, 4))
+    np.testing.assert_array_equal(position, [0, 0, 1, 1] * 2)
+    np.testing.assert_array_equal(events & 3, [0, 1, 2, 3] * 2)
+
+
+def test_grid_count_memory_bound(monkeypatch):
+    # the circle's 4,096 points at k = 12 and radius 6 cells: an estimate of
+    # about 55,000 lines, run in 4 passes.  Their tracemalloc peak measured
+    # 2.89 MB; one pass of every line peaks at 8.4 MB.  The bound may be
+    # tightened, not loosened
+    sample = _circle_sample()
+    sample.dyadic_index, sample.tree  # shared by every count, so built beforehand
+    cell = 2.0 ** -12
+    paths = _key_paths(monkeypatch)
+    count = _grid_cell_count(sample, 6.0 * cell, cell)
+    assert len(paths) >= 4
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert _grid_cell_count(sample, 6.0 * cell, cell) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6
+
+
+def _cluster_points(n, k):
+    """2,400 points in 300 clusters of 8, each a fraction of a sub-cell of
+    the grid of side 2^-k wide."""
     rng = np.random.default_rng(10 * n + k)
     cell = 2.0 ** -k
     pts = np.repeat(rng.normal(size=(300, n)), 8, axis=0)
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts += 0.02 * cell * rng.normal(size=pts.shape)
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_grid_count_dense_clusters(monkeypatch, n, k):
+    # sub-cells hold several points, and past a cluster's rim the distance to
+    # its representative and to its nearest point differ.  A budget of 1 runs
+    # at k = 3 only, where the estimate is a few thousand lines
+    cell = 2.0 ** -k
+    pts = _cluster_points(n, k)
     sub_cells = np.unique(np.floor(pts / (cell / 2 ** _SUBCELL_BITS)), axis=0)
     assert len(sub_cells) <= len(pts) // 2
+    budgets = _PASS_BUDGETS if k == 3 else _PASS_BUDGETS[1:]
     for factor in (0.25, 1.0, 2.66):
-        _assert_matches_oracle(pts, factor * cell, cell)
+        _assert_every_budget(monkeypatch, pts, factor * cell, cell, budgets)
 
 
 @pytest.mark.parametrize("group, depth", [("ball_schottky", 6), ("lattice", 10)])
-def test_grid_count_pipeline_samples(request, group, depth):
-    """Box counts over K_RANGE and every chain c_hat * 2^-k neighborhood."""
+def test_grid_count_pipeline_samples(request, monkeypatch, group, depth):
+    """Box counts over K_RANGE and every chain c_hat * 2^-k neighborhood, at
+    pass budgets of 64 and the default, and of 1 for the box counts at k <= 4."""
     orbit, sample = sampling_front(request.getfixturevalue(group), depth)
     for k in range(K_RANGE[0], K_RANGE[1] + 1):
-        _assert_matches_oracle(sample.points, 2.0 ** -k, 2.0 ** -k)
+        budgets = _PASS_BUDGETS if k <= 4 else _PASS_BUDGETS[1:]
+        _assert_every_budget(monkeypatch, sample.points, 2.0 ** -k, 2.0 ** -k, budgets)
     containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample)
     for k in containment.shells.tolist():
-        _assert_matches_oracle(sample.points, containment.c_hat * 2.0 ** -k, 2.0 ** -k)
+        _assert_every_budget(monkeypatch, sample.points, containment.c_hat * 2.0 ** -k,
+                             2.0 ** -k, _PASS_BUDGETS[1:])
 
 
 @pytest.mark.parametrize("n", [2, 3])

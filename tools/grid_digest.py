@@ -18,8 +18,13 @@ s = 0, 0.5, 1 and 1.5; both exponent estimates (or the error each
 raises); the packing check's verdict and pair at 1, 2 and 8 times the
 packing radius; the containment shells and c; and the chain report's
 columns k to tail with c1 to c3, at s = dim_est + 0.4 and t = dim_est + 0.2.
-Two trees whose grid counts and per-shell numbers match bit for bit print
-the same lines.  It takes no options.
+The n = 3 cases print a fourth line, the sha256 of the fine-scale counts
+at k = 18 and 24 with radius 1 and 6 times the cell.  At k = 24 the grid
+count of each seed-29 rotation ranks its lines (`limitset._line_events`),
+which no count at k <= 12 does; the seed-0 limit set lies in a coordinate
+plane, so its lines stay narrow enough for offset keys.  That makes 90
+lines.  Two trees whose grid counts and per-shell numbers match bit for
+bit print the same lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ SEEDS = (0, 29)
 CHAIN_K = range(1, 13)
 SERIES_S = (0.0, 0.5, 1.0, 1.5)
 PACKING_FACTORS = (1.0, 2.0, 8.0)
+FINE_K = (18, 24)
+FINE_FACTORS = (1.0, 6.0)
 
 
 def _line(parts):
@@ -115,6 +122,13 @@ def main():
                 print(_line(chain), label, "chain", flush=True)
                 print(_line(_per_shell(presentation, depth, orbit, sample)), label, "shells",
                       flush=True)
+                if sample.model == 3:
+                    fine = []
+                    for k in FINE_K:
+                        for factor in FINE_FACTORS:
+                            rec = neighborhood_volume(sample, 2.0 ** -k, radius=factor * 2.0 ** -k)
+                            fine.append(f"{k} {factor} {rec.cell_count}")
+                    print(_line(fine), label, "fine", flush=True)
 
 
 if __name__ == "__main__":
