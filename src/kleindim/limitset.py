@@ -8,11 +8,12 @@ for that rule.  It works on grid lines, the cells that agree in every
 index but the last: within a radius of a point, a line's cell centers form
 one interval, computed with one sqrt.  The intervals of one point per
 sub-cell, merged per line, count most cells outright, and only a thin band
-of cells runs the exact nearest-point query.  The lines go in passes of
-about 2^14 representative lines, split by residue of their first index;
-each pass sorts its interval ends once, keyed by each line's offset from
-the pass's least line, or by its rank among the pass's lines where the
-offset key would overflow int64.
+of cells runs the exact nearest-point query; the band is as wide as the
+diagonal of the box of the sub-cell's own index keys, not of the sub-cell.
+The lines go in passes of about 2^14 representative lines, split by
+residue of their first index; each pass sorts its interval ends once,
+keyed by each line's offset from the pass's least line, or by its rank
+among the pass's lines where the offset key would overflow int64.
 
 Every sample sorts its points once, into a dyadic index built on first
 use.  Its keys floor((p + 2) * 2^26) resolve the sub-cells of the finest
@@ -23,6 +24,13 @@ shift s they lie in different cells exactly when it exceeds s.  Every grid
 count reads its occupied cells and sub-cells from the parting levels, and
 the spacing check queries only the points alone in their cell.
 
+The containment check's mesh points lie deep inside the ball, where the
+tree prunes almost nothing.  Each is answered from its radial projection u
+on the sphere, where it prunes well: |p - x|^2 = rho*|u - x|^2 + (1 - rho)*
+(|x|^2 - rho) for rho = |p|, so the 4 nearest sample points of u hold the
+nearest of p whenever the 4th lies far enough off, with the same distance
+bits as the tree's own query (`_projected_nearest`).
+
 Samples record witnesses as group-ball rows; the words are spelled only
 where they are printed.
 """
@@ -30,7 +38,7 @@ where they are printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,6 +51,7 @@ from .geometry import MapClass, boundary_images, classify, fixed_points
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
 _MESH_COUNT = 32    # boundary mesh points per ball in the containment check
+_PROJECTION_SLACK = 2.0 ** -40  # absolute rounding slack of the projection test (squared)
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
 _SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
@@ -72,6 +81,7 @@ class LimitSample:
     points: np.ndarray   # (N, n) unit rows
     witnesses: np.ndarray | list  # (N,) ball rows, or one label word per point
     source: str
+    norm_spread: float = field(init=False, repr=False)  # max | |x|^2 - 1 | over the points
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -83,6 +93,7 @@ class LimitSample:
         if len(self.witnesses) != pts.shape[0]:
             raise UsageError("one witness per sample point")
         self.points = pts
+        self.norm_spread = float(np.abs(norms * norms - 1.0).max())
 
     @property
     def model(self):
@@ -248,18 +259,22 @@ def _grid_cell_count(sample, radius, cell):
 
     The points are represented by the first point, in index order, of each
     occupied sub-cell of side s = cell/2^_SUBCELL_BITS, a run of the
-    sample's dyadic index; every point of a sub-cell lies within e =
-    s*sqrt(n) of its representative, and e = 0 for a point alone in its
-    sub-cell.  A grid line is the set of cells that agree in every index
-    but the last.  For a representative and a line within reach of it, the
-    cells whose centers lie within a radius form one interval along the
-    line, found with one sqrt: the inner span at reach*(1 - 1e-9) and the
-    outer span at (reach + e)*(1 + 1e-9).  The lines within reach are
-    spans themselves, one leading axis at a time.  One sort of the spans'
-    end points per pass merges each line's spans: the cells of the inner
-    union count outright, and only the cells of the outer union outside it
-    run the exact query on the sample's KD-tree.  Which point represents a
-    sub-cell therefore moves no count.
+    sample's dyadic index.  A key kappa places a point in [kappa, kappa +
+    1) * 2^-_INDEX_BITS - 2 per axis, so every point of a run lies within e
+    = sqrt(sum (max - min + 1)^2) * 2^-_INDEX_BITS of its representative,
+    the diagonal of the box of the run's keys, max and min per axis.  The
+    box lies in the sub-cell, so e <= s*sqrt(n), and far below it for a
+    run of close points; e = 0 for a point alone in its sub-cell.  A grid
+    line is the set of cells that agree in every index but the last.  For
+    a representative and a line within reach of it, the cells whose
+    centers lie within a radius form one interval along the line, found
+    with one sqrt: the inner span at reach*(1 - 1e-9) and the outer span at
+    (reach + e)*(1 + 1e-9).  The lines within reach are spans themselves,
+    one leading axis at a time.  One sort of the spans' end points per pass
+    merges each line's spans: the cells of the inner union count outright,
+    and only the cells of the outer union outside it run the exact query on
+    the sample's KD-tree.  Which point represents a sub-cell therefore
+    moves no count, and a band wider than e would only query more cells.
 
     The spans are exact enough for the margins.  Cell indices are exact
     because cell is a power of two, and the arithmetic works in cell units
@@ -292,14 +307,18 @@ def _grid_cell_count(sample, radius, cell):
     reach = radius + 0.5 * math.sqrt(n) * cell
     starts = index.parting > shift - _SUBCELL_BITS
     alone = (starts & np.append(starts[1:], True))[starts]
+    runs = np.flatnonzero(starts)
     # representatives in cell units: base cell and offset from its center
-    scaled = np.ldexp(sample.points[index.order[starts]], k)
+    scaled = np.ldexp(sample.points[index.order[runs]], k)
     base = np.floor(scaled)
     offset = scaled - base - 0.5
     base = base.astype(np.int64)
     reach_k = math.ldexp(reach, k)
     inner2 = (reach_k * (1.0 - _SPAN_MARGIN)) ** 2
-    diagonal = np.where(alone, 0.0, math.sqrt(n) / (1 << _SUBCELL_BITS))
+    # each run's key box, max - min + 1 keys per axis, as a diagonal in cell units
+    extent = np.maximum.reduceat(index.keys, runs) - np.minimum.reduceat(index.keys, runs) + 1
+    diagonal = np.ldexp(np.sqrt((extent * extent).sum(axis=1)), -shift)
+    diagonal[alone] = 0.0
     outer2 = ((reach_k + diagonal) * (1.0 + _SPAN_MARGIN)) ** 2
     outer = math.sqrt(outer2.max())
     # line keys hold one index per leading axis, each shifted into [0, radix)
@@ -574,6 +593,49 @@ class BallContainmentReport:
     radius: float
 
 
+def _projected_nearest(sample, pts):
+    """Distance from each row of pts to the sample, sample.tree.query(pts, k=1)[0] bit for bit.
+
+    A point p with rho = |p| > 0 and u = p/rho satisfies, for every x,
+    |p - x|^2 = rho*|u - x|^2 + (1 - rho)*(|x|^2 - rho), and |x|^2 is within
+    sigma = `sample.norm_spread` of 1.  So a sample point at distance at
+    least d from u lies at squared distance at least rho*d^2 + (1 - rho)^2 -
+    |1 - rho|*sigma from p.  The 4 nearest sample points of u, which lies on
+    the sphere where the tree prunes well, are one query; best is the least
+    distance from p among them, formed as the tree forms it: squared
+    differences summed axis by axis in order, then sqrt.  When the 4th
+    neighbor's distance d4 satisfies rho*d4^2 >= best^2 - (1 - rho)^2 +
+    |1 - rho|*sigma + 2^-40, every other point is at least as far from p,
+    and best is the tree's answer.
+
+    Rounding: a computed squared distance is within 5 ulps relative of the
+    true one, u within 4 ulps of p/|p|, rho and the sample norms within 3
+    ulps; for 0 < rho <= 2 each term of the test is below 10, so together
+    they move it by under 300 ulps of 1 (7e-14), far inside the slack of
+    2^-40 (9e-13).  Rows that fail the test, rows with rho = 0 or rho > 2,
+    and every row of a sample of fewer than 4 points query p itself.
+    """
+    rho = np.linalg.norm(pts, axis=1)
+    near = (rho > 0.0) & (rho <= 2.0) & (len(sample) >= 4)
+    p, r = pts[near], rho[near]
+    d, nb = sample.tree.query(p / r[:, None], k=4)
+    diff = sample.points[nb.T]  # (4, m, n) neighbors
+    diff -= p
+    diff *= diff
+    best2 = diff[..., 0] + diff[..., 1]  # squared distances, summed in axis order
+    if pts.shape[1] == 3:
+        best2 += diff[..., 2]
+    best2 = np.minimum.reduce(best2)
+    exact = r * d[:, 3] ** 2 >= (best2 - (1.0 - r) ** 2 + np.abs(1.0 - r) * sample.norm_spread
+                                 + _PROJECTION_SLACK)
+    near[near] = exact
+    dist = np.empty(len(pts))
+    dist[near] = np.sqrt(best2[exact])
+    if not near.all():
+        dist[~near] = sample.tree.query(pts[~near], k=1)[0]
+    return dist
+
+
 def ball_containment_check(orbit, radius, sample, k_max=12):
     """Measure shell-normalized distances from ball boundaries to the sample.
 
@@ -585,6 +647,8 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     cover the rounding of forming and querying points of the closed unit
     ball.  Meshes are queried in decreasing U_i, in doubling batches, until
     the running maximum reaches the next U_i: no later mesh can exceed it.
+    Each mesh point's distance is the tree's own, bit for bit, found from
+    its radial projection where the bound of `_projected_nearest` allows.
     """
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
@@ -605,7 +669,7 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
         while done < order.size and worst < bound[order[done]]:
             i = order[done:done + batch]
             pts = centers[i, None, :] + radii[i, None, None] * mesh[None, :, :]
-            dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
+            dist = _projected_nearest(sample, pts.reshape(-1, orbit.model))
             worst = max(worst, float(dist.max()))
             done, batch = done + batch, 2 * batch
         worsts.append(worst)

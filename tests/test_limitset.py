@@ -41,6 +41,7 @@ from kleindim.limitset import (
     _grid_cell_count,
     _line_events,
     _linear_fit,
+    _projected_nearest,
 )
 from kleindim.verify import sampling_front
 
@@ -580,6 +581,115 @@ def test_grid_count_every_scale_from_one_index(n):
             assert rec.cell_count == grid_cell_count_stencil(pts, factor * cell, cell), (k, factor)
 
 
+_KEY = 2.0 ** -limitset._INDEX_BITS  # side of an index key's box
+
+
+def _on_sphere(pts, snap):
+    """Rows scaled onto the unit sphere; with `snap`, every coordinate but
+    the last is then truncated onto a key boundary, a multiple of _KEY, and
+    the last solved from the sphere's equation."""
+    pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+    if snap:
+        pts[:, :-1] = np.trunc(pts[:, :-1] / _KEY) * _KEY
+        last = np.sqrt(np.maximum(1.0 - (pts[:, :-1] ** 2).sum(axis=1), 0.0))
+        pts[:, -1] = np.where(pts[:, -1] < 0.0, -last, last)
+    return pts
+
+
+@st.composite
+def _key_box_cases(draw):
+    """Clusters of 2 to 6 points, each from 2^-30 of a sub-cell wide up to a
+    whole sub-cell, at a scale 2^-k up to the finest, some on key boundaries.
+
+    Fine scales and wide clusters are drawn more often: there a key is a
+    sizable part of a cell, so a padding one key short misses cells."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 24) | st.integers(20, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clusters = draw(st.integers(1, 6))
+    size = draw(st.integers(2, 6))
+    width = 2.0 ** (draw(st.integers(-30, 0) | st.integers(-3, 0)) - k - _SUBCELL_BITS)
+    snap = draw(st.booleans())
+    factor = draw(st.sampled_from([0.25, 1.0, 2.66]) | st.floats(0.05, 6.0))
+    centers = rng.normal(size=(clusters, n))
+    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    pts = np.repeat(centers, size, axis=0) + width * rng.uniform(-0.5, 0.5, (clusters * size, n))
+    return k, _on_sphere(pts, snap), factor
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_key_box_cases())
+def test_grid_count_key_box_clusters(case):
+    # a run's band padding is the diagonal of its key box, (max - min + 1)
+    # keys per axis; a point's key kappa places it in [kappa, kappa + 1) *
+    # _KEY - 2, so a padding one key short per axis misses the run's far points
+    k, pts, factor = case
+    _assert_matches_oracle(pts, factor * 2.0 ** -k, 2.0 ** -k)
+
+
+def _corner_run(n, k):
+    """Points on the sphere, all in one sub-cell of side 2^-(k + _SUBCELL_BITS),
+    whose keys reach both ends of the sub-cell's key range on every axis.
+
+    For n = 3 the sphere cuts a sub-cell near (1, 1, 1)/sqrt(3) almost in a
+    plane, which meets all six faces when it passes near the sub-cell's
+    center; each face gives a point.  For n = 2 a circle meets all four
+    sides only through opposite corners, so the columns near 45 degrees are
+    searched for one whose circle enters the top key of a row at the
+    column's left edge and leaves through the bottom key of the same row at
+    its right edge.
+    """
+    side = 2.0 ** -(k + _SUBCELL_BITS)
+    top = side - 2.0 ** -40  # the last offset inside a sub-cell's last key
+    if n == 2:
+        x = (np.floor(0.7071 / side) - np.arange(1 << 18)) * side
+        y_in, y_out = np.sqrt(1.0 - x ** 2), np.sqrt(1.0 - (x + top) ** 2)
+        row = np.floor(y_in / side)
+        hit = ((np.floor(y_out / side) == row) & (np.floor(y_out / _KEY) * _KEY == row * side)
+               & (np.floor(y_in / _KEY) * _KEY == row * side + side - _KEY))
+        at = int(np.argmax(hit))
+        runs = [np.array([[x[at], y_in[at]], [x[at] + top, y_out[at]]])]
+    else:
+        # the sub-cells near (1, 1, 1)/sqrt(3) whose centers lie nearest the sphere
+        steps = np.arange(-8, 9)
+        lows = (np.floor(1.0 / math.sqrt(3.0) / side) + np.stack(
+            np.meshgrid(steps, steps, steps), axis=-1).reshape(-1, 3)) * side
+        miss = np.abs(np.linalg.norm(lows + 0.5 * side, axis=1) - 1.0)
+        runs = []
+        for low in lows[np.argsort(miss)[:20]]:
+            pts = []
+            for axis in range(3):
+                b, c = (axis + 1) % 3, (axis + 2) % 3
+                for edge in (0.0, top):
+                    # along the face, the middle of the points whose solved
+                    # third coordinate lies in the sub-cell
+                    p = np.tile(low, (257, 1))
+                    p[:, axis] += edge
+                    p[:, b] += np.linspace(0.0, top, 257)
+                    p[:, c] = 0.0
+                    p[:, c] = np.sqrt(np.maximum(1.0 - (p * p).sum(axis=1), 0.0))
+                    inside = np.flatnonzero((p[:, c] >= low[c]) & (p[:, c] < low[c] + side))
+                    pts.append(p[inside[inside.size // 2]] if inside.size else p[0])
+            runs.append(np.array(pts))
+    for pts in runs:
+        keys = np.floor(pts / _KEY)
+        if (np.all(np.floor(pts / side) == np.floor(pts[0] / side))
+                and np.all(keys.max(axis=0) - keys.min(axis=0) + 1 == side / _KEY)):
+            return pts
+    raise AssertionError(f"no corner run found for n = {n}, k = {k}")
+
+
+@pytest.mark.parametrize("n, ks", [(2, (18, 20, 23, 24)), (3, (4, 12, 20, 24))])
+def test_grid_count_corner_runs(n, ks):
+    # runs whose key box is their whole sub-cell, the padding the count used
+    # for every run before it read the key boxes; the axis ends and a few
+    # clusters put other runs beside them
+    for k in ks:
+        pts = np.concatenate([_corner_run(n, k), np.eye(n), _sphere_points(k, 8, n, 2)])
+        for factor in (0.25, 1.0, 2.66):
+            _assert_matches_oracle(pts, factor * 2.0 ** -k, 2.0 ** -k)
+
+
 @st.composite
 def _spacing_cases(draw):
     """Isolated points, near-duplicate pairs about 2^-k_max apart, and exact duplicates."""
@@ -683,3 +793,103 @@ def test_first_unique_rejects_points_off_the_key_range():
     with pytest.raises(InternalError, match="rounding key range"):
         _first_unique(np.array([[0.5, 0.5], [3.0, 0.0]]))
     assert _first_unique(np.zeros((0, 2))).tolist() == []
+
+
+class _QueryLog:
+    """Stands in for a sample's KD-tree and records (k, rows) of each query."""
+
+    def __init__(self, tree):
+        self.tree, self.calls = tree, []
+
+    def query(self, x, k=1, **kwargs):
+        self.calls.append((k, len(x)))
+        return self.tree.query(x, k=k, **kwargs)
+
+
+def _logged_tree(sample):
+    log = _QueryLog(sample.tree)
+    sample.__dict__["tree"] = log  # the cached property's slot
+    return log
+
+
+def _assert_tree_bits(sample, pts):
+    """_projected_nearest(sample, pts) is the tree's k = 1 distance, bit for bit."""
+    got = _projected_nearest(sample, pts)
+    want = sample.tree.query(pts, k=1)[0]
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# |p| for the projection helper's query points: the center, deep inside,
+# near, on and outside the sphere, and beyond 2, where every row queries p
+_QUERY_RADII = (0.0, 1e-300, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.0,
+                1.0 + 1e-12, 1.0 + 1e-6, 1.5, 2.0, 3.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    count=st.integers(1, 400),
+    clusters=st.integers(0, 4),
+    deviate=st.booleans(),
+)
+@example(n=2, seed=0, count=3, clusters=0, deviate=False)
+@example(n=3, seed=1, count=4, clusters=1, deviate=True)
+def test_projected_nearest_matches_tree(n, seed, count, clusters, deviate):
+    # query directions: random, at sample points, and halfway between two
+    # sample points, where the two nearest are all but tied
+    rng = np.random.default_rng(seed)
+    pts = _sphere_points(seed, count, n, clusters)
+    if deviate:  # norms off 1 by up to 1e-9, the most a sample accepts
+        pts *= 1.0 + rng.uniform(-0.999e-9, 0.999e-9, (count, 1))
+    sample = _synthetic(pts)
+    pair = rng.integers(0, count, (64, 2))
+    dirs = np.concatenate([_sphere_points(seed + 1, 64, n, 0), pts[:64],
+                           _on_sphere(pts[pair[:, 0]] + pts[pair[:, 1]], False)])
+    _assert_tree_bits(sample, np.concatenate([rho * dirs for rho in _QUERY_RADII]))
+
+
+def _planar_cases(n):
+    """Two samples on the unit circle near angle 0.1 from u = (1, 0), and the
+    point p = u/2, embedded in the first two axes for n = 3.
+
+    In both, one point has |x|^2 = 1 - 1e-9, so from p it is nearer by
+    (1 - |p|)*1e-9/2 than its distance from u alone says.  In the first it is
+    the 5th neighbor of u (row 4) and the nearest sample point to p: only the
+    norm spread term keeps the 4th neighbor's bound from passing.  In the
+    second it is the 3rd neighbor of u (row 2) and again the nearest to p,
+    and the 4th neighbor lies far off, so the bound passes and best must
+    read the 3rd.
+    """
+    def arc(angles, off):
+        norms = np.ones(len(angles))
+        norms[off] = math.sqrt(1.0 - 1e-9)
+        pts = np.column_stack([np.cos(angles), np.sin(angles)]) * norms[:, None]
+        return _synthetic(np.pad(pts, ((0, 0), (0, n - 2))))
+
+    theta = 0.1
+    fifth = arc(np.array([theta, -theta, theta + 1e-9, -theta - 1e-9, theta + 3e-9, 2.0, 3.0]), 4)
+    third = arc(np.array([theta, -theta, theta + 1e-9, 0.3, -0.3, 2.0]), 2)
+    p = np.zeros((1, n))
+    p[0, 0] = 0.5
+    return fifth, third, p
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_projected_nearest_norm_spread(n):
+    fifth, third, p = _planar_cases(n)
+    u = p / np.linalg.norm(p)
+    for sample, row in ((fifth, 4), (third, 2)):
+        assert sample.norm_spread >= 0.99e-9
+        assert sample.tree.query(p, k=1)[1][0] == row
+        assert (row in sample.tree.query(u, k=4)[1][0]) == (row == 2)
+    # the 5th neighbor is nearest to p: the bound fails, and p is queried
+    # with the center and a point at |p| = 3; the last query is the check's
+    log = _logged_tree(fifth)
+    _assert_tree_bits(fifth, np.concatenate([p, np.zeros((1, n)), 3.0 * u]))
+    assert log.calls == [(4, 1), (1, 3), (1, 3)], log.calls
+    # the 3rd neighbor is nearest to p: the bound passes, and only the
+    # check queries p
+    log = _logged_tree(third)
+    _assert_tree_bits(third, p)
+    assert log.calls == [(4, 1), (1, 1)], log.calls
