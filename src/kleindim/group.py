@@ -6,6 +6,7 @@ discovered numerically rather than assumed.  The ball evaluates no point:
 one ball per run is built and then mapped to each basepoint by array code.
 An orbit groups its rows by dyadic shell once, on first use (`ShellRuns`), and
 every per-shell stage reads a shell or a window of shells as one slice of it.
+The packing check reads no shells: it queries one KD-tree of the whole orbit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .geometry import (
 DEDUP_TOL = 1e-6       # entrywise matrix distance under which two words are one element
 ORBIT_CAP = 5_000_000  # enumeration resource limit, elements kept
 PACKING_SAFETY = 0.98  # the packing radius is this share of half the least displacement
-_PACKING_CHUNK = 4096  # query rows per KD-tree call of the packing check
+_PACKING_CHUNK = 4096  # rows per count, and candidates per listing, of the packing check
 _DEDUP_WEIGHTS = 0.7549 ** np.arange(8)  # generic weights of the dedup's sort key
 
 
@@ -392,42 +393,41 @@ def check_packing_disjoint(orbit, radius):
     distance of the exhaustive pairwise scan, found from KD-tree candidates.
 
     With q = 1 - |.|^2 from the stable gaps, a pair violates when
-    1 + 2|x - y|^2 / (q_x q_y) <= cosh 2a, which gives
-    |x - y| <= sqrt((cosh 2a - 1) / 2) * max(q_x, q_y).  So a query from the
-    endpoint with the larger q, at that radius padded by 1e-9, finds every
-    violating pair; the exact test decides on the candidates.  q grows with
-    the gap, so the other endpoint is in no shallower dyadic shell; points at
-    hyperbolic distance D have q within a factor e^D of each other, so it is
-    at most 2a/ln 2 + 2 shells deeper.  Each shell queries a tree of that
-    window of shells only, _PACKING_CHUNK rows at a time, which keeps the
-    candidates near-linear in the orbit size; both are `shell_runs` slices.
+    1 + 2|x - y|^2 / (q_x q_y) <= cosh 2a.  For q_y = 1 - |y|^2, the y that
+    violate with x fill a Euclidean ball about x (1 - t^2) / D of radius
+    t q_x / D, which holds x (t = tanh a, D = (1 - t^2) + q_x t^2).  With t
+    from the float threshold raised by an ulp, and the radius padded by 1e-9
+    relative and by the largest |q - (1 - |x|^2)| plus 2^-48, both rows of
+    any pair the float test passes hold it in their padded balls.  One
+    KD-tree counts each ball, _PACKING_CHUNK rows at a time; rows with a
+    partner list candidates for the exact test in row order, in runs of
+    about _PACKING_CHUNK, up to the first run with a violating pair, which
+    holds the first pair.
     """
-    pts = orbit.points
-    qa = orbit.gaps_squared()
+    pts, qa = orbit.points, orbit.gaps_squared()
     thresh = math.cosh(2.0 * radius)
-    reach = qa * (math.sqrt(0.5 * (thresh - 1.0)) * (1.0 + 1e-9))
-    span = int(math.ceil(2.0 * abs(radius) / math.log(2.0))) + 2
-    runs = orbit.shell_runs
-    stops = np.searchsorted(runs.shells, runs.shells + span, side="right").tolist()
-    best = None
-    for at, stop in enumerate(stops):
-        rows, cols = runs.rows(at, at + 1), runs.rows(at, stop)
-        tree = cKDTree(pts[cols])
-        for start in range(0, rows.size, _PACKING_CHUNK):
-            i = rows[start:start + _PACKING_CHUNK]
-            near = tree.query_ball_point(pts[i], reach[i], return_sorted=False)
-            i = np.repeat(i, np.fromiter(map(len, near), dtype=np.intp, count=i.size))
-            j = cols[np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=i.size)]
-            keep = (qa[j] <= qa[i]) & (i != j)
-            i, j = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+    k = 0.5 * (thresh - 1.0) + thresh * 2.0 ** -52  # sinh^2 a, rounded up
+    sech2 = 1.0 / (1.0 + k)  # 1 - t^2, 0 once k overflows
+    t2 = 1.0 - sech2 if k > 1.0 else k * sech2
+    slack = np.abs(qa + np.einsum("ij,ij->i", pts, pts) - 1.0).max() + 2.0 ** -48
+    tree = cKDTree(pts, leafsize=64)  # its counts ran about 15% faster than at the default 16
+    for start in range(0, pts.shape[0], _PACKING_CHUNK):
+        den = sech2 + qa[start:start + _PACKING_CHUNK] * t2
+        centres = pts[start:start + _PACKING_CHUNK] * (sech2 / den)[:, None]
+        reach = math.sqrt(t2) * qa[start:start + _PACKING_CHUNK] / den * (1.0 + 1e-9) + slack
+        counts = tree.query_ball_point(centres, reach, return_length=True)
+        flagged = np.flatnonzero(counts > 1)
+        runs = np.cumsum(counts[flagged]) // _PACKING_CHUNK
+        for at in np.split(flagged, np.flatnonzero(np.diff(runs)) + 1) if flagged.size else ():
+            near = tree.query_ball_point(centres[at], reach[at], return_sorted=False)
+            i = np.repeat(start + at, np.fromiter(map(len, near), dtype=np.intp, count=at.size))
+            j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=i.size)
+            i, j = np.sort(np.stack([i, j])[:, i != j], axis=0)  # each pair as (min, max)
             diff = pts[i] - pts[j]
             carg = 1.0 + 2.0 * np.einsum("ij,ij->i", diff, diff) / (qa[i] * qa[j])
             bad = np.flatnonzero(carg <= thresh)
             if bad.size:
                 b = bad[np.lexsort((j[bad], i[bad]))[0]]
-                if best is None or (i[b], j[b]) < best[:2]:
-                    best = (int(i[b]), int(j[b]), float(carg[b]))
-    if best is None:
-        return PackingCheck(ok=True)
-    i, j, carg = best
-    return PackingCheck(ok=False, pair=(i, j), distance=float(np.arccosh(max(carg, 1.0))))
+                return PackingCheck(ok=False, pair=(int(i[b]), int(j[b])),
+                                    distance=float(np.arccosh(max(carg[b], 1.0))))
+    return PackingCheck(ok=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -53,7 +54,14 @@ from kleindim import (
 from kleindim import group
 from kleindim.errors import DegenerateBasepointError, InternalError
 from kleindim.geometry import canonical_entries, classify_entries, product_entries
-from kleindim.group import _DEDUP_WEIGHTS, DEDUP_TOL, _fresh, _shell_indices
+from kleindim.group import (
+    _DEDUP_WEIGHTS,
+    DEDUP_TOL,
+    OrbitSet,
+    PackingCheck,
+    _fresh,
+    _shell_indices,
+)
 
 LN9 = math.log(9.0)
 
@@ -471,6 +479,11 @@ NAMED_RADII = {
     "1.5 radius": lambda pk: 1.5 * pk.radius,
     # the closest pair sits exactly on the threshold, up to rounding
     "half min_displacement": lambda pk: 0.5 * pk.min_displacement,
+    "zero": lambda pk: 0.0,
+    # tanh(20) rounds to 1: every ball is the whole model ball
+    "twenty": lambda pk: 20.0,
+    "negative radius": lambda pk: -pk.radius,
+    "negative min_displacement": lambda pk: -pk.min_displacement,
 }
 
 
@@ -491,10 +504,14 @@ def _brute_packing(name, depth, offset, radius):
 
 
 def _with_depth8_cases(test):
-    """Every fixture at depth 8 on its axis basepoint, at the named radii."""
+    """Every fixture at depth 8 on its axis basepoint, and at depth 6 on the
+    centre (the identity's point at gap 1), at the named radii.  The lattice
+    is left out at the centre, which its inversion fixes."""
     for name in PACKING_GROUPS:
         for which in NAMED_RADII:
             test = example(name=name, depth=8, offset=None, which=which)(test)
+            if name != "fuchsian_lattice":
+                test = example(name=name, depth=6, offset=(0.0, 0.0, 0.0), which=which)(test)
     return test
 
 
@@ -514,6 +531,56 @@ def test_packing_matches_brute_force_oracle(name, depth, offset, which):
         reject()  # a random basepoint on an elliptic fixed point
     radius = NAMED_RADII[which](pk) if isinstance(which, str) else which * pk.radius
     assert check_packing_disjoint(orbit, radius) == _brute_packing(name, depth, offset, radius)
+
+
+def _with_row_twice(orbit, row, nudge=0.0):
+    """The orbit with element `row` repeated right after itself, the repeat
+    followed by a boost of length `nudge`: a pair at distance 0 or about nudge."""
+    ball = orbit.ball
+    at = np.insert(np.arange(len(ball)), row + 1, row)
+    entries = ball.entries[at]
+    b = _boost(nudge, orbit.model)
+    entries[row + 1] = product_entries(entries[row:row + 1], [[b.a, b.b, b.c, b.d]],
+                                       orbit.model)[0]
+    twice = dataclasses.replace(ball, entries=entries, parents=ball.parents[at],
+                                letters=ball.letters[at], word_lengths=ball.word_lengths[at])
+    return OrbitSet(twice, orbit.basepoint)
+
+
+@pytest.mark.parametrize("nudge", [0.0, 1e-9])
+@pytest.mark.parametrize("name", sorted(PACKING_GROUPS))
+def test_packing_row_twice_matches_brute_force(name, nudge):
+    orbit = _packing_orbit(name, 6, None)
+    pk = packing_radius(orbit)
+    for row in (0, len(orbit) // 2, len(orbit) - 1):
+        twice = _with_row_twice(orbit, row, nudge)
+        for radius in (0.0, pk.radius, 2.0 * pk.radius):
+            result = check_packing_disjoint(twice, radius)
+            assert result == packing_brute_force(twice, radius)
+            if radius <= pk.radius:
+                # at 1e-9 apart the float test rounds the distance to 0 as well
+                assert result == PackingCheck(ok=False, pair=(row, row + 1), distance=0.0)
+
+
+def _closest_pair_distance(orbit):
+    """The least distance over all pairs, from the exact test's own float expression."""
+    pts, q = orbit.points, orbit.gaps_squared()
+    diff = pts[:, None, :] - pts[None, :, :]
+    carg = 1.0 + 2.0 * np.einsum("ijk,ijk->ij", diff, diff) / (q[:, None] * q[None, :])
+    np.fill_diagonal(carg, np.inf)
+    return float(np.arccosh(carg.min()))
+
+
+@pytest.mark.parametrize("name", sorted(PACKING_GROUPS))
+def test_packing_one_ulp_about_closest_pair_matches_brute_force(name):
+    orbit = _packing_orbit(name, 5, None)
+    half = 0.5 * _closest_pair_distance(orbit)
+    for radius in (np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)):
+        radius = float(radius)
+        assert check_packing_disjoint(orbit, radius) == packing_brute_force(orbit, radius)
+    # a 1e-9 relative step clears the rounding of cosh and arccosh on both sides
+    assert check_packing_disjoint(orbit, half * (1.0 - 1e-9)).ok
+    assert not check_packing_disjoint(orbit, half * (1.0 + 1e-9)).ok
 
 
 @functools.lru_cache(maxsize=None)
@@ -577,7 +644,7 @@ def test_shell_runs_match_masks(name, depth, offset, s, span):
     for at, k in enumerate(shells):
         assert runs.rows(at, at + 1).tolist() == np.flatnonzero(orbit.shells == k).tolist()
         assert runs.counts[at] == np.count_nonzero(orbit.shells == k)
-        # a window of consecutive shells, shell by shell, as the packing check reads it
+        # a window of consecutive shells, shell by shell, as the chain report reads it
         stop = int(np.searchsorted(runs.shells, k + span, side="right"))
         window = np.concatenate([runs.rows(w, w + 1) for w in range(at, stop)])
         assert runs.rows(at, stop).tolist() == window.tolist()

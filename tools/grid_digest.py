@@ -15,11 +15,11 @@ k = 1..12, where c_hat comes from the containment check at the packing
 radius.  Scales, radii and c_hat enter as hex floats, counts as integers.
 The third line hashes the per-shell stages: the series partials at
 s = 0, 0.5, 1 and 1.5; both exponent estimates (or the error each
-raises); the packing check's verdict and pair, and the containment
-shells and c, at 1, 2 and 8 times the packing radius, where the larger
-balls query more meshes from deep inside the ball; and the chain
-report's columns k to tail with c1 to c3, at s = dim_est + 0.4 and
-t = dim_est + 0.2.
+raises); the packing check's verdict, pair and distance (a hex float,
+or None), and the containment shells and c, at 1, 2 and 8 times the
+packing radius, where the larger balls query more meshes from deep
+inside the ball; and the chain report's columns k to tail with c1 to c3,
+at s = dim_est + 0.4 and t = dim_est + 0.2.
 The n = 3 cases print a fourth line, the sha256 of the fine-scale counts
 at k = 18 and 24 with radius 1 and 6 times the cell.  At k = 24 the grid
 count of each seed-29 rotation ranks its lines (`limitset._line_events`),
@@ -91,7 +91,8 @@ def _per_shell(presentation, depth, orbit, sample):
     radius = packing_radius(orbit).radius
     for factor in PACKING_FACTORS:
         check = check_packing_disjoint(orbit, factor * radius)
-        parts.append(f"packing {factor} {check.ok} {check.pair}")
+        distance = None if check.distance is None else check.distance.hex()
+        parts.append(f"packing {factor} {check.ok} {check.pair} {distance}")
         containment = ball_containment_check(orbit, factor * radius, sample)
         parts.append(f"containment {factor} {containment.shells.tolist()} {_hex(containment.c)}")
     dim = box_dimension_estimate(sample).dim_est
