@@ -14,6 +14,11 @@ fixtures  list built-in fixtures or write one to a file
 Exit codes: 0 on success (and verification pass), 2 when a verification ran
 to completion and failed, 1 on usage or resource errors.
 
+A process builds one argument parser, on its first `main` call, and parses
+every later call with it.  The parser records which subcommand ran; `main`
+looks its handler `_cmd_<name>` up in this module at call time, so a handler
+rebound after the first call is the one that runs.
+
 Every CSV table goes through one writer, `_write_table`: a header row, then
 one row template (floats "%.9g", so 9 significant digits; integers "%d";
 text "%s") applied to the rows of the table's columns, joined into one
@@ -25,6 +30,7 @@ parent-pointer trie (`_spell_words`), never per row.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -40,6 +46,7 @@ from .poincare import exponent_estimate, truncated_series
 from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
 _METHODS = ("counting_fit", "divergence_scan")
+S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
 
 
 def _fmt(v):
@@ -98,7 +105,10 @@ def _parse_s_grid(text):
         raise UsageError(f"s-grid values must be finite, got {text!r}")
     if step <= 0.0 or hi < lo or lo < 0.0:
         raise UsageError("s-grid needs 0 <= start <= stop and step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9  # inf once the ratio overflows
+    if not steps < S_GRID_CAP:
+        raise UsageError(f"s-grid must hold at most {S_GRID_CAP} values, got {text!r}")
+    count = int(math.floor(steps)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -140,8 +150,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_poincare(args):
-    orbit = _front_orbit(args, args.basepoint)
     grid = _parse_s_grid(args.s_grid)
+    orbit = _front_orbit(args, args.basepoint)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
     # every evaluation on the orbit has one partial per occupied shell, in this order
@@ -348,46 +358,42 @@ def _add_group_command(sub, name, help_text):
     return p
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on its first call rather than at import."""
     parser = _Parser(prog="kleindim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_group_command(sub, "orbit", "enumerate an orbit to CSV")
     p.add_argument("--basepoint", help="comma-separated interior coordinates")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_orbit)
 
     p = _add_group_command(sub, "poincare", "per-shell series partial sums")
     p.add_argument("--basepoint", help="comma-separated interior coordinates")
     p.add_argument("--s-grid", required=True, dest="s_grid",
                    help="exponent grid start:stop:step")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_poincare)
 
     p = _add_group_command(sub, "exponent", "estimate the growth exponent")
     p.add_argument("--method", choices=_METHODS, default="counting_fit")
     p.add_argument("--bin-width", type=float, default=0.5, dest="bin_width",
                    help="counting-function bin width (counting_fit only)")
-    p.set_defaults(func=_cmd_exponent)
 
     p = _add_group_command(sub, "limitset", "sample the limit set")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--image", help="optional P5 PGM raster path")
     p.add_argument("--k", type=int, default=8, help="raster scale, pixels of side 2^-k")
-    p.set_defaults(func=_cmd_limitset)
 
     p = _add_group_command(sub, "boxdim", "dyadic scale series and dimension")
     p.add_argument("--kmin", type=int, default=K_RANGE[0])
     p.add_argument("--kmax", type=int, default=K_RANGE[1])
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_boxdim)
 
     p = _add_group_command(sub, "verify", "check delta_est <= dim_est + tolerance")
     p.add_argument("--tolerance", type=float, default=0.1)
     p.add_argument("--method", choices=_METHODS, default="counting_fit",
                    help="exponent estimator")
     p.add_argument("--out", help="optional report CSV path")
-    p.set_defaults(func=_cmd_verify)
 
     p = _add_group_command(sub, "chain", "shell-by-shell estimate chain")
     p.add_argument("--s", type=float, required=True, help="series exponent, s > t")
@@ -395,26 +401,23 @@ def build_parser():
                    help="comparison exponent, t above the dimension estimate")
     p.add_argument("--kmax", type=int, default=12, help="deepest shell to measure")
     p.add_argument("--out", help="optional per-shell CSV path")
-    p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("fixtures", help="list or emit built-in fixtures")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--list", action="store_true", help="print fixture names")
     mode.add_argument("--emit", nargs=2, metavar=("NAME", "PATH"),
                       help="write a fixture to a file")
-    p.set_defaults(func=_cmd_fixtures)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 1
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except KleindimError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

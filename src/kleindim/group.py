@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateBasepointError,
@@ -238,8 +237,14 @@ def _fresh(kept, candidates):
 def build_ball(presentation, max_word_length):
     """Breadth-first reduced-word enumeration with matrix deduplication.
 
-    Every reduced word up to max_word_length >= 1; ORBIT_CAP bounds the kept
-    elements, checked after each word length.  Word order is by length, then
+    Every reduced word up to max_word_length >= 1.  ORBIT_CAP bounds the kept
+    elements plus the next word length's reduced candidates, checked before
+    that length's products are formed, so no level larger than the cap is
+    ever multiplied out.  In a free group, where no candidate is dropped, the
+    error comes at the same word length and with the same message as a
+    check of the kept elements after each length would give; a group with
+    relations, whose duplicates are dropped only after the products, may
+    stop at an earlier word length.  Word order is by length, then
     by parent order, then by letter with the generator before its inverse
     (alphabet g1, g1^-1, g2, g2^-1, ...).  Words whose matrix lies within
     DEDUP_TOL entrywise of an earlier element are dropped and not expanded;
@@ -262,6 +267,12 @@ def build_ball(presentation, max_word_length):
     start, level, level_letters = 0, entries, np.array([0])
     parents, letters, lengths = [np.array([-1])], [level_letters], [np.array([0])]
     for length in range(1, max_word_length + 1):
+        # every letter but one cancelling letter extends a row; all of them extend the identity
+        candidates = alphabet.size * level.shape[0] - np.count_nonzero(level_letters)
+        if entries.shape[0] + candidates > ORBIT_CAP:
+            raise ResourceLimitError(
+                f"orbit enumeration exceeded {ORBIT_CAP} elements at word length {length}"
+            )
         parent = np.repeat(np.arange(level.shape[0]), alphabet.size)
         k = np.tile(np.arange(alphabet.size), level.shape[0])
         reduced = alphabet[k] != -level_letters[parent]  # skip immediate cancellation
@@ -269,10 +280,6 @@ def build_ball(presentation, max_word_length):
         children = product_entries(level[parent], generators[k], presentation.model)
         fresh = _fresh(entries, children)
         level, level_letters = children[fresh], alphabet[k[fresh]]
-        if entries.shape[0] + level.shape[0] > ORBIT_CAP:
-            raise ResourceLimitError(
-                f"orbit enumeration exceeded {ORBIT_CAP} elements at word length {length}"
-            )
         parents.append(parent[fresh] + start)
         letters.append(level_letters)
         lengths.append(np.full(level.shape[0], length))
@@ -404,6 +411,8 @@ def check_packing_disjoint(orbit, radius):
     about _PACKING_CHUNK, up to the first run with a violating pair, which
     holds the first pair.
     """
+    from scipy.spatial import cKDTree  # here, so `import kleindim` does not load it
+
     pts, qa = orbit.points, orbit.gaps_squared()
     thresh = math.cosh(2.0 * radius)
     k = 0.5 * (thresh - 1.0) + thresh * 2.0 ** -52  # sinh^2 a, rounded up

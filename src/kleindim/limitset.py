@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InternalError, ResolutionError, UsageError
 from .geometry import MapClass, boundary_images, classify, fixed_points
@@ -105,6 +104,8 @@ class LimitSample:
     @cached_property
     def tree(self):
         """KD-tree of the points, built on first use and shared by every stage."""
+        from scipy.spatial import cKDTree  # here, so `import kleindim` does not load it
+
         return cKDTree(self.points)
 
     @cached_property

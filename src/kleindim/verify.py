@@ -193,9 +193,11 @@ class SeriesChainReport:
 def series_chain_report(presentation, depth, s, t, k_max=12):
     """Measure every link of the shell-by-shell convergence chain.
 
-    Requires s > t > the box-dimension estimate computed in the same run;
-    the chain then exhibits the truncated series as bounded by a convergent
-    geometric series, which is the whole content of the inequality.
+    Requires depth >= 8, finite s and t, and k_max >= 1, all checked before
+    the group ball is built, and s > t > the box-dimension estimate computed
+    in the same run; the chain then exhibits the truncated series as bounded
+    by a convergent geometric series, which is the whole content of the
+    inequality.
     """
     depth = int(depth)
     if depth < 8:
@@ -203,6 +205,9 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
     s, t = float(s), float(t)
     if not (math.isfinite(s) and math.isfinite(t)):
         raise UsageError(f"chain exponents must be finite, got s={s}, t={t}")
+    k_max = int(k_max)
+    if k_max < 1:
+        raise UsageError(f"chain k_max must be at least 1, got {k_max}")
     orbit, sample = sampling_front(presentation, depth)
     with _stage("packing_radius"):
         pack = packing_radius(orbit)

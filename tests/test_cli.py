@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -340,6 +342,90 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "result=" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poincare", "--depth", "6", "--s-grid", "0:1e308:1e-308"], "s-grid must hold at most"),
+    (["poincare", "--depth", "6", "--s-grid", f"0:{cli.S_GRID_CAP}:1"],
+     "s-grid must hold at most"),
+    (["chain", "--depth", "8", "--s", "1.5", "--t", "1.3", "--kmax", "0"], "k_max"),
+])
+def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_builds, argv, message,
+                                             capsys):
+    out = tmp_path / "out.csv"
+    command, *rest = argv
+    assert main([command, schottky_file, *rest, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert "stage" not in lines[0]
+    assert captured.out == "" and not out.exists() and ball_builds == []
+
+
+def test_s_grid_cap():
+    assert len(cli._parse_s_grid(f"0:{cli.S_GRID_CAP - 1}:1")) == cli.S_GRID_CAP
+    with pytest.raises(UsageError, match="at most"):
+        cli._parse_s_grid(f"0:{cli.S_GRID_CAP}:1")
+
+
+# one CLI session, run in a work directory holding group.json
+_SESSION = [
+    ["orbit", "group.json", "--out", "missing-depth.csv"],  # usage error: --depth is required
+    ["--help"],
+    ["orbit", "group.json", "--depth", "5", "--basepoint", "-0.3,0.05", "--out", "based.csv"],
+    ["fixtures", "--emit", "schottky_f2", "fixture.json"],
+    ["orbit", "group.json", "--depth", "6", "--out", "orbit.csv"],
+    ["poincare", "group.json", "--depth", "6", "--s-grid", "0.5:1.5:0.05",
+     "--out", "poincare.csv"],
+    ["exponent", "group.json", "--depth", "6"],
+    ["limitset", "group.json", "--depth", "6", "--out", "limitset.csv",
+     "--image", "limitset.pgm", "--k", "7"],
+    ["boxdim", "group.json", "--depth", "6", "--out", "boxdim.csv"],
+]
+
+
+def _work_dir(path):
+    path.mkdir()
+    save_group(schottky_f2(), path / "group.json")
+    return path
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # the help text wraps at the terminal width, which COLUMNS sets in both
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = _work_dir(tmp_path / "fresh")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    expected = []
+    for argv in _SESSION:
+        proc = subprocess.run([sys.executable, "-m", "kleindim", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, check=False)
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+
+    monkeypatch.chdir(_work_dir(tmp_path / "one"))
+    capsys.readouterr()
+    got = []
+    for argv in _SESSION:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    assert [g[0] for g in got] == [1, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert got == expected
+    assert _files(tmp_path / "one") == _files(fresh)
+
+
+def test_handlers_are_looked_up_at_call_time(tmp_path, schottky_file, monkeypatch, capsys):
+    argv = ["orbit", schottky_file, "--depth", "3", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_orbit", lambda args: calls.append(args.command) or 7)
+    assert main(argv) == 7
+    assert calls == ["orbit"]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
 
 
 def test_overflowing_products_report_one_error(cyclic_file, tmp_path, capsys):

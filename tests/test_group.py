@@ -323,6 +323,52 @@ def test_resource_cap(monkeypatch):
     assert "word length" in str(exc.value)
 
 
+def _capped_build(monkeypatch, presentation, cap, depth):
+    """build_ball under ORBIT_CAP = cap: the error (or None) and the rows of each product batch."""
+    batches = []
+
+    def recorded(left, right, model):
+        batches.append(left.shape[0])
+        return product_entries(left, right, model)
+
+    monkeypatch.setattr(group, "ORBIT_CAP", cap)
+    monkeypatch.setattr(group, "product_entries", recorded)
+    try:
+        build_ball(presentation, depth)
+    except ResourceLimitError as err:
+        return str(err), batches
+    return None, batches
+
+
+@pytest.mark.parametrize("cap", [4, 5, 16, 17, 100, 160, 161, 484, 485])
+def test_resource_cap_free_group_before_the_products(monkeypatch, cap):
+    # reduced words of length <= L in F2: 1 + 2(3^L - 1); dedup drops none
+    sizes = [1 + 2 * (3 ** length - 1) for length in range(6)]
+    error, batches = _capped_build(monkeypatch, schottky_f2(), cap, 5)
+    over = [length for length, size in enumerate(sizes) if size > cap]
+    if over:
+        assert error == f"orbit enumeration exceeded {cap} elements at word length {over[0]}"
+    else:
+        assert error is None
+    # the last batch multiplied out is the last level that fits
+    assert batches == [sizes[n] - sizes[n - 1] for n in range(1, over[0] if over else 6)]
+    assert max(batches, default=0) <= cap
+
+
+@pytest.mark.parametrize("cap", [50, 400, 3000])
+def test_resource_cap_with_relations_before_the_products(monkeypatch, lattice, cap):
+    # the uncapped ball has the capped build's levels up to where it stops
+    levels = np.bincount(build_ball(lattice, 14).word_lengths).tolist()
+    kept = np.cumsum(levels).tolist()  # kept[L - 1]: elements before word length L
+    candidates = [2 * len(lattice.generators)] + [
+        (2 * len(lattice.generators) - 1) * n for n in levels[1:]]  # per word length 1, 2, ...
+    error, batches = _capped_build(monkeypatch, lattice, cap, 14)
+    stop = next(L for L in range(1, 15) if kept[L - 1] + candidates[L - 1] > cap)
+    assert error == f"orbit enumeration exceeded {cap} elements at word length {stop}"
+    assert batches == candidates[:stop - 1]
+    assert all(kept[L - 1] + batch <= cap for L, batch in enumerate(batches, 1))
+
+
 def test_find_loxodromic_schottky(schottky, schottky_h):
     ball = build_ball(schottky, 6)
     i = ball.first_loxodromic()

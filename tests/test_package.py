@@ -31,6 +31,23 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_scipy_spatial_loads_only_with_a_kd_tree(tmp_path):
+    kleindim.save_group(kleindim.schottky_f2(), tmp_path / "group.json")
+    probe = "import sys, kleindim; {} print('scipy.spatial' in sys.modules)"
+    run = "from kleindim.cli import main; assert main({!r}) == 0;"
+    group = str(tmp_path / "group.json")
+    cases = {
+        "import": ("", "False"),
+        "orbit": (run.format(["orbit", group, "--depth", "7",
+                              "--out", str(tmp_path / "orbit.csv")]), "False"),
+        "boxdim": (run.format(["boxdim", group, "--depth", "7",
+                               "--out", str(tmp_path / "boxdim.csv")]), "True"),
+    }
+    for name, (command, loaded) in cases.items():
+        out = _fresh_python("-c", probe.format(command))
+        assert out.stdout.splitlines()[-1] == loaded, name
+
+
 def test_python_dash_m_runs_the_cli():
     out = _fresh_python("-m", "kleindim", "fixtures", "--list")
     assert out.stdout.split() == [

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from kleindim import (
     GroupPresentation,
@@ -18,7 +19,7 @@ from kleindim import (
     truncated_series,
     verify_inequality,
 )
-from kleindim import cli, group, limitset, verify
+from kleindim import verify
 from kleindim.verify import pipeline_front
 
 
@@ -184,14 +185,14 @@ def test_chain_builds_one_sample_tree(schottky, monkeypatch):
         return samples[-1]
 
     monkeypatch.setattr(verify, "sample_limit_set", recording_sample)
-    for module in (cli, group, limitset, verify):
-        real_tree = getattr(module, "cKDTree", None)
-        if real_tree is not None:
-            def recording_tree(data, *args, _real=real_tree, **kwargs):
-                trees.append(np.array(data, dtype=float))
-                return _real(data, *args, **kwargs)
+    real_tree = scipy.spatial.cKDTree
 
-            monkeypatch.setattr(module, "cKDTree", recording_tree)
+    def recording_tree(data, *args, **kwargs):
+        trees.append(np.array(data, dtype=float))
+        return real_tree(data, *args, **kwargs)
+
+    # kleindim imports cKDTree from scipy.spatial where it builds each tree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", recording_tree)
     series_chain_report(schottky, 8, 1.06, 0.86)
     assert len(samples) == 1
     over_sample = [t for t in trees if np.array_equal(t, samples[0].points)]
@@ -209,3 +210,6 @@ def test_chain_usage_errors(schottky, cyclic):
     for s, t in ((math.inf, 0.4), (math.nan, 0.4), (0.6, math.nan)):
         with pytest.raises(UsageError, match="finite"):
             series_chain_report(cyclic, 8, s, t)
+    for k_max in (0, -3):
+        with pytest.raises(UsageError, match="^chain k_max must be at least 1"):
+            series_chain_report(cyclic, 8, 0.4, 0.2, k_max=k_max)

@@ -17,7 +17,9 @@ The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 basepoint, `exponent` by both methods, `limitset` (with `--image` on the
 planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
 plus `fixtures --list` and `fixtures --emit` of every fixture, group and
-point set alike.  It takes no options.
+point set alike, and last two commands whose arguments must be rejected
+before any group ball is built (an s-grid whose value count overflows,
+`chain --kmax 0`): 95 commands, so 95 lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -71,6 +73,15 @@ def group_commands(name, depth, basepoint):
     ]
 
 
+# rejected arguments, run after the matrix so the lines before them keep their order
+BAD_ARGUMENTS = [
+    ["poincare", "{tmp}/schottky_f2.json", "--depth", "7", "--s-grid", "0:1e308:1e-308",
+     "--out", "{tmp}/series.csv"],
+    ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
+     "--kmax", "0", "--out", "{tmp}/chain.csv"],
+]
+
+
 def digest(argv, fixtures):
     """Run one command in a fresh process and directory; return the sha256 of its outputs.
 
@@ -105,7 +116,7 @@ def main():
         for name, (depths, basepoint) in GROUPS.items()
         for depth in depths
         for argv in group_commands(name, depth, basepoint)
-    ]
+    ] + BAD_ARGUMENTS
     with tempfile.TemporaryDirectory() as root:
         fixtures = Path(root) / "fixtures"
         fixtures.mkdir()
