@@ -14,6 +14,9 @@ fixtures  list built-in fixtures or write one to a file
 Exit codes: 0 on success (and verification pass), 2 when a verification ran
 to completion and failed, 1 on usage or resource errors.
 
+Every setting is checked by its owning module (`poincare`, `limitset`,
+`verify`) before the group ball is built, so a bad one writes nothing.
+
 A process builds one argument parser, on its first `main` call, and parses
 every later call with it.  The parser records which subcommand ran; `main`
 looks its handler `_cmd_<name>` up in this module at call time, so a handler
@@ -41,11 +44,10 @@ from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
 from .groupio import atomic_write_bytes, load_group, save_group
-from .limitset import K_RANGE, box_dimension_estimate
-from .poincare import exponent_estimate, truncated_series
+from .limitset import K_RANGE, box_dimension_estimate, check_window
+from .poincare import METHODS, check_bin_width, exponent_estimate, truncated_series
 from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
-_METHODS = ("counting_fit", "divergence_scan")
 S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
 
 
@@ -169,6 +171,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_exponent(args):
+    check_bin_width(args.bin_width)
     orbit = _front_orbit(args)
     est = exponent_estimate(orbit, method=args.method, bin_width=args.bin_width)
     print(f"method={est.method}")
@@ -232,8 +235,9 @@ def _cmd_limitset(args):
 
 
 def _cmd_boxdim(args):
+    k_range = check_window((args.kmin, args.kmax))
     _, sample = sampling_front(load_group(args.groupfile), args.depth)
-    est = box_dimension_estimate(sample, k_range=(args.kmin, args.kmax))
+    est = box_dimension_estimate(sample, k_range=k_range)
     recs = est.records
     header = ["k", "r", "cell_count", "volume", "local_slope"]
     # the last scale has no forward difference: its slope cell is empty
@@ -375,7 +379,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = _add_group_command(sub, "exponent", "estimate the growth exponent")
-    p.add_argument("--method", choices=_METHODS, default="counting_fit")
+    p.add_argument("--method", choices=METHODS, default=METHODS[0])
     p.add_argument("--bin-width", type=float, default=0.5, dest="bin_width",
                    help="counting-function bin width (counting_fit only)")
 
@@ -391,7 +395,7 @@ def build_parser():
 
     p = _add_group_command(sub, "verify", "check delta_est <= dim_est + tolerance")
     p.add_argument("--tolerance", type=float, default=0.1)
-    p.add_argument("--method", choices=_METHODS, default="counting_fit",
+    p.add_argument("--method", choices=METHODS, default=METHODS[0],
                    help="exponent estimator")
     p.add_argument("--out", help="optional report CSV path")
 

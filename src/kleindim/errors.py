@@ -37,10 +37,6 @@ class InsufficientDataError(KleindimError):
     """Too few bins or shells to run an estimator."""
 
 
-class ResolutionError(KleindimError):
-    """The sample is too sparse for the requested scale."""
-
-
 class StageFailure(KleindimError):
     """A verification pipeline stage failed; carries the stage name."""
 

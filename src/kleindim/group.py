@@ -354,7 +354,7 @@ def choose_basepoint(h, presentation, search_depth):
 
 @dataclass
 class PackingRadius:
-    """Half the smallest orbit displacement, shrunk by a safety factor.
+    """Half the smallest orbit displacement, shrunk by the factor PACKING_SAFETY.
 
     Hyperbolic balls of this radius about distinct orbit points of the
     fully enumerated group are pairwise disjoint; at a finite search depth
@@ -363,7 +363,6 @@ class PackingRadius:
 
     radius: float
     min_displacement: float
-    safety_factor: float
 
 
 def packing_radius(orbit):
@@ -379,7 +378,6 @@ def packing_radius(orbit):
     return PackingRadius(
         radius=0.5 * PACKING_SAFETY * min_disp,
         min_displacement=min_disp,
-        safety_factor=PACKING_SAFETY,
     )
 
 

@@ -32,7 +32,7 @@ nearest of p whenever the 4th lies far enough off, with the same distance
 bits as the tree's own query (`_projected_nearest`).
 
 Samples record witnesses as group-ball rows; the words are spelled only
-where they are printed.
+where they are printed.  `check_window` alone checks a box-counting window.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalError, ResolutionError, UsageError
+from .errors import InternalError, UsageError
 from .geometry import MapClass, boundary_images, classify, fixed_points
 
 _LN2 = math.log(2.0)
@@ -468,29 +468,27 @@ class BoxDimensionEstimate:
     method_note: str
 
 
-def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
-    """Upper box dimension of the sample across dyadic scales.
+def check_window(k_range):
+    """The window (k_min, k_max) as ints: 1 <= k_min < k_max <= 24, k_max - k_min >= 3."""
+    k_min, k_max = int(k_range[0]), int(k_range[1])
+    if not (1 <= k_min < k_max <= 24 and k_max - k_min >= 3):
+        raise UsageError(f"need 1 <= k_min < k_max <= 24 spanning >= 3, got {k_range}")
+    return k_min, k_max
 
-    Parameters
-    ----------
-    sample : LimitSample
-    k_range : inclusive (k_min, k_max) with k_max - k_min >= 3.
-    require_resolved : raise ResolutionError when the sample's largest
-        nearest-neighbor spacing exceeds the smallest scale (off by
-        default: genuinely finite sets are legitimately 0-dimensional).
+
+def box_dimension_estimate(sample, k_range=K_RANGE):
+    """Upper box dimension of the sample across the dyadic scales of `check_window(k_range)`.
 
     The estimate is the least-squares slope of log cell_count against
     k*log 2, clamped to [0, n]; the local slopes between neighboring scales
     ride along, and their minimum, a liminf proxy, is quoted in the note.
-
-    The spacing check queries only the points alone in their cell of side
-    2^-(k_max+1) in the dyadic index.  Any other point has a neighbor within
-    2^-(k_max+1)*sqrt(n) < 2^-k_max, so it cannot carry a spacing above
-    2^-k_max, and the note and the error are those of the full query.
+    The note flags a nearest-neighbor spacing above 2^-k_max, which may mean
+    an under-resolved sample.  The spacing check queries only the points alone
+    in their cell of side 2^-(k_max+1) in the dyadic index; any other point has
+    a neighbor within 2^-(k_max+1)*sqrt(n) < 2^-k_max, so the note is that of
+    the full query.
     """
-    k_min, k_max = int(k_range[0]), int(k_range[1])
-    if not (1 <= k_min < k_max <= 24 and k_max - k_min >= 3):
-        raise UsageError(f"need 1 <= k_min < k_max <= 24 spanning >= 3, got {k_range}")
+    k_min, k_max = check_window(k_range)
     spacing = None
     if len(sample) > 1:
         index = sample.dyadic_index
@@ -500,13 +498,10 @@ def box_dimension_estimate(sample, k_range=K_RANGE, require_resolved=False):
         spacing = float(d2[:, 1].max(initial=0.0))
     note_bits = []
     if spacing is not None and spacing > 2.0 ** -k_max:
-        msg = (
+        note_bits.append(
             f"nearest-neighbor spacing {spacing:.3g} exceeds scale 2^-{k_max}; "
             "sample may under-resolve, enumerate deeper"
         )
-        if require_resolved:
-            raise ResolutionError(msg)
-        note_bits.append(msg)
     records = [neighborhood_volume(sample, 2.0 ** -k) for k in range(k_min, k_max + 1)]
     ks = np.arange(k_min, k_max + 1, dtype=float)
     logs = np.log([rec.cell_count for rec in records])
@@ -591,7 +586,6 @@ class BallContainmentReport:
     max_distances: np.ndarray  # (m,) worst distance of each shell
     c: np.ndarray              # (m,) c_k = max_distance / 2^-k
     c_hat: float
-    radius: float
 
 
 def _projected_nearest(sample, pts):
@@ -653,9 +647,6 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     """
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
-    k_max = int(k_max)
-    if k_max < 1:
-        raise UsageError("k_max must be at least 1")
     mesh = _sphere_mesh(orbit.model)
     runs = orbit.shell_runs
     lo, hi = np.searchsorted(runs.shells, [1, k_max + 1])
@@ -682,5 +673,4 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
         max_distances=np.array(worsts),
         c=c,
         c_hat=float(c.max()),
-        radius=radius,
     )

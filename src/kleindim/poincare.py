@@ -3,6 +3,9 @@
 The series term for an orbit point w is ((1-|w|)/(1+|w|))^s, the radial
 form of exp(-s * distance from the ball center).  Shell partial sums group
 the terms by the dyadic shell of 1-|w|.
+
+Each estimator setting has one check, `check_method` (against METHODS) or
+`check_bin_width`, which callers run before they build an orbit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .group import OrbitSet, build_ball
 from .limitset import _linear_fit
 
 _LN2 = math.log(2.0)
+METHODS = ("counting_fit", "divergence_scan")  # exponent estimators, the default first
 
 
 @dataclass
@@ -25,7 +29,6 @@ class SeriesEvaluation:
     """Value and per-shell breakdown of a truncated orbital series."""
 
     s: float
-    truncation_word_length: int
     value: float
     shells: np.ndarray    # (m,) occupied shells, ascending; 0 holds the points at the center
     partials: np.ndarray  # (m,) sum of the terms of each shell
@@ -42,7 +45,6 @@ def truncated_series(orbit, s):
     terms = (orbit.gaps / (2.0 - orbit.gaps)) ** s
     return SeriesEvaluation(
         s=s,
-        truncation_word_length=orbit.max_word_length,
         value=float(terms.sum()),
         shells=orbit.shell_runs.shells,
         partials=orbit.shell_runs.sums(terms),
@@ -53,21 +55,32 @@ def truncated_series(orbit, s):
 class CountingFunction:
     """N(T) = number of enumerated g with d(z, g(z)) <= T, on a uniform grid."""
 
-    bin_width: float
-    thresholds: np.ndarray  # T = i * bin_width, i = 0, 1, ...
+    thresholds: np.ndarray  # T = i * bin width, i = 0, 1, ...
     counts: np.ndarray      # N(T) at each threshold
+
+
+def check_method(method):
+    """Reject a name that is not one of METHODS."""
+    if method not in METHODS:
+        raise UsageError(f"unknown exponent method {method!r}")
+
+
+def check_bin_width(bin_width):
+    """The counting-function bin width as a float, which must be positive and finite."""
+    bin_width = float(bin_width)
+    if not 0.0 < bin_width < math.inf:
+        raise UsageError(f"bin width must be positive and finite, got {bin_width}")
+    return bin_width
 
 
 def counting_function(orbit, bin_width=0.5):
     """Orbital counting function on bins of the displacement range."""
-    bin_width = float(bin_width)
-    if not 0.0 < bin_width < math.inf:
-        raise UsageError(f"bin width must be positive and finite, got {bin_width}")
+    bin_width = check_bin_width(bin_width)
     disp = np.sort(orbit.displacements)
     n_bins = int(math.ceil(float(disp[-1]) / bin_width))
     ts = np.arange(n_bins + 1) * bin_width
     ns = np.searchsorted(disp, ts, side="right")
-    return CountingFunction(bin_width=bin_width, thresholds=ts, counts=ns)
+    return CountingFunction(thresholds=ts, counts=ns)
 
 
 @dataclass
@@ -184,7 +197,7 @@ def _divergence_scan(orbit):
     )
 
 
-def exponent_estimate(orbit, method="counting_fit", bin_width=0.5):
+def exponent_estimate(orbit, method=METHODS[0], bin_width=0.5):
     """Estimate the series' critical exponent from one enumerated orbit.
 
     method "counting_fit": least-squares slope of log N(T) over the middle
@@ -192,11 +205,11 @@ def exponent_estimate(orbit, method="counting_fit", bin_width=0.5):
     method "divergence_scan": bisection on s, classifying divergence by the
     growth of shell partial sums (last third vs middle third > 1.05).
     """
-    if method == "counting_fit":
-        return _counting_fit(orbit, bin_width)
+    check_method(method)
+    bin_width = check_bin_width(bin_width)
     if method == "divergence_scan":
         return _divergence_scan(orbit)
-    raise UsageError(f"unknown exponent method {method!r}")
+    return _counting_fit(orbit, bin_width)
 
 
 @dataclass
@@ -219,17 +232,17 @@ class BasepointIndependenceReport:
     n_elements: int
 
 
-def basepoint_independence_check(presentation, z1, z2, depth, method="counting_fit"):
+def basepoint_independence_check(presentation, z1, z2, depth):
     """Run the exponent pipeline from two basepoints and compare.
 
     Maps one group ball to both basepoints, estimates the exponent from each
-    orbit, and checks the termwise triangle-inequality ratio bound element
-    by element.
+    orbit with the default estimator, and checks the termwise
+    triangle-inequality ratio bound element by element.
     """
     ball = build_ball(presentation, depth)
     orbit1, orbit2 = OrbitSet(ball, z1), OrbitSet(ball, z2)
-    est1 = exponent_estimate(orbit1, method)
-    est2 = exponent_estimate(orbit2, method)
+    est1 = exponent_estimate(orbit1)
+    est2 = exponent_estimate(orbit2)
     # exp(-d(0, w)) = gap / (2 - gap) in the radial form
     ratios = (orbit1.gaps / (2.0 - orbit1.gaps)) / (orbit2.gaps / (2.0 - orbit2.gaps))
     separation = hyperbolic_distance(z1, z2)

@@ -14,6 +14,9 @@ comparability constant instead of assuming it:
                                                   rate, t above dim_est)
 
 and the tails sum to a finite geometric series whenever s > t.
+
+Both check every setting before the group ball is built, and the chain
+checks t > the box-dimension estimate before its packing stages.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .limitset import (
     neighborhood_volume,
     sample_limit_set,
 )
-from .poincare import ExponentEstimate, exponent_estimate, truncated_series
+from .poincare import METHODS, ExponentEstimate, check_method, exponent_estimate, truncated_series
 
 _REL_SLACK = 1.0 + 1e-9
 
@@ -110,7 +113,7 @@ class VerificationReport:
         return self.dim_estimate.dim_est
 
 
-def verify_inequality(presentation, depth, tolerance=0.1, exponent_method="counting_fit"):
+def verify_inequality(presentation, depth, tolerance=0.1, exponent_method=METHODS[0]):
     """Estimate both sides of delta <= upper box dimension and compare.
 
     Pipeline: build the group ball to `depth`, find a loxodromic element in
@@ -126,6 +129,7 @@ def verify_inequality(presentation, depth, tolerance=0.1, exponent_method="count
     tolerance = float(tolerance)
     if not 0.0 < tolerance < math.inf:
         raise UsageError(f"tolerance must be positive and finite, got {tolerance}")
+    check_method(exponent_method)
     orbit, sample = sampling_front(presentation, depth)
     with _stage("exponent_estimate"):
         delta = exponent_estimate(orbit, method=exponent_method)
@@ -193,33 +197,33 @@ class SeriesChainReport:
 def series_chain_report(presentation, depth, s, t, k_max=12):
     """Measure every link of the shell-by-shell convergence chain.
 
-    Requires depth >= 8, finite s and t, and k_max >= 1, all checked before
-    the group ball is built, and s > t > the box-dimension estimate computed
-    in the same run; the chain then exhibits the truncated series as bounded
-    by a convergent geometric series, which is the whole content of the
-    inequality.
+    Requires depth >= 8, finite s > t, and k_max >= 1, all checked before
+    the group ball is built, and t > the box-dimension estimate computed in
+    the same run, checked before the packing stages; the chain then exhibits
+    the truncated series as bounded by a convergent geometric series, which
+    is the whole content of the inequality.
     """
     depth = int(depth)
     if depth < 8:
         raise UsageError(f"chain report depth must be at least 8, got {depth}")
     s, t = float(s), float(t)
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise UsageError(f"chain exponents must be finite, got s={s}, t={t}")
+    if not (math.isfinite(s) and math.isfinite(t) and s > t):
+        raise UsageError(f"chain exponents must be finite with s > t, got s={s}, t={t}")
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError(f"chain k_max must be at least 1, got {k_max}")
     orbit, sample = sampling_front(presentation, depth)
-    with _stage("packing_radius"):
-        pack = packing_radius(orbit)
-    with _stage("packing_check"):
-        packing = check_packing_disjoint(orbit, pack.radius)
     with _stage("box_dimension"):
         dim = box_dimension_estimate(sample)
-    if not s > t > dim.dim_est:
+    if not t > dim.dim_est:
         raise UsageError(
             f"requires s > t > box-dimension estimate, got s={s:.6g}, t={t:.6g}, "
             f"dim_est={dim.dim_est:.6g}"
         )
+    with _stage("packing_radius"):
+        pack = packing_radius(orbit)
+    with _stage("packing_check"):
+        packing = check_packing_disjoint(orbit, pack.radius)
     with _stage("ball_containment"):
         containment = ball_containment_check(orbit, pack.radius, sample, k_max=k_max)
     c_hat = containment.c_hat
@@ -251,7 +255,9 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
     k_top = int(ks[-1])
     q = 2.0 ** -(s - t)
     tail_partial = sum(q ** k for k in range(1, k_top + 1))
-    tail_closed = q * (1.0 - q ** k_top) / (1.0 - q)
+    # q (1 - q^K) / (1 - q) with q = e^l, in expm1 so a tiny s - t does not cancel
+    log_q = -(s - t) * math.log(2.0)
+    tail_closed = q * math.expm1(k_top * log_q) / math.expm1(log_q)
     tail_ok = abs(tail_partial - tail_closed) <= 1e-9 * tail_closed
     finite = all(math.isfinite(c) for c in (c1, c2, c3))
     return SeriesChainReport(

@@ -7,6 +7,7 @@ suite from re-enumerating the same orbits in every module.
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from kleindim import (
     GroupPresentation,
     MoebiusMap,
     OrbitSet,
+    build_ball,
     choose_basepoint,
     cyclic_loxodromic,
     enumerate_orbit,
@@ -38,6 +40,21 @@ def identity_only_orbit(model=2):
                      np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex),
                      np.array([-1]), np.array([0]), np.array([0]), 1)
     return OrbitSet(ball, origin(model))
+
+
+@pytest.fixture()
+def ball_builds(monkeypatch):
+    """Calls to build_ball, counted at every module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_ball(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleindim") and getattr(module, "build_ball", None) is build_ball:
+            monkeypatch.setattr(module, "build_ball", counted)
+    return calls
 
 
 def _timed(fn, *args, **kwargs):

@@ -232,7 +232,6 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
         max_distances=np.array(worsts),
         c=np.array(c),
         c_hat=max(c),
-        radius=radius,
     )
 
 

@@ -22,7 +22,6 @@ from kleindim import (
     UsageError,
     basepoint_independence_check,
     box_dimension_estimate,
-    build_ball,
     cantor_test,
     classify,
     enumerate_orbit,
@@ -164,21 +163,6 @@ def test_pgm_matches_brute_force_distances(tmp_path):
         payload = path.read_bytes().split(b"\n", 1)[1]
         assert payload == expected.tobytes()
         assert 0 < expected.tobytes().count(128) < size * size
-
-
-@pytest.fixture()
-def ball_builds(monkeypatch):
-    """Calls to build_ball, counted at every module that binds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_ball(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kleindim") and getattr(module, "build_ball", None) is build_ball:
-            monkeypatch.setattr(module, "build_ball", counted)
-    return calls
 
 
 def test_one_ball_per_run(tmp_path, schottky_file, ball_builds, capsys):
@@ -349,12 +333,18 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
     (["poincare", "--depth", "6", "--s-grid", f"0:{cli.S_GRID_CAP}:1"],
      "s-grid must hold at most"),
     (["chain", "--depth", "8", "--s", "1.5", "--t", "1.3", "--kmax", "0"], "k_max"),
+    (["chain", "--depth", "8", "--s", "1.0", "--t", "1.2"], "s > t"),
+    (["exponent", "--depth", "6", "--bin-width", "0"], "bin width"),
+    (["boxdim", "--depth", "6", "--kmin", "9", "--kmax", "3"], "k_min"),
+    (["boxdim", "--depth", "6", "--kmin", "0"], "k_min"),
 ])
 def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_builds, argv, message,
                                              capsys):
     out = tmp_path / "out.csv"
     command, *rest = argv
-    assert main([command, schottky_file, *rest, "--out", str(out)]) == 1
+    if command != "exponent":  # the one command here without --out
+        rest += ["--out", str(out)]
+    assert main([command, schottky_file, *rest]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]

@@ -431,7 +431,6 @@ def test_packing_radius_cyclic_exact(cyclic_orbit10):
     pk = packing_radius(cyclic_orbit10)
     assert abs(pk.min_displacement - LN9) < 1e-9
     assert abs(pk.radius - 0.49 * LN9) < 1e-9
-    assert pk.safety_factor == 0.98
 
 
 def test_packing_radius_depth_monotone(schottky):

@@ -76,7 +76,7 @@ def test_verify_cross_model_agreement(schottky):
     assert abs(planar.dim_est - ball.dim_est) <= 0.01
 
 
-def test_verify_usage_errors(cyclic):
+def test_verify_usage_errors(cyclic, ball_builds):
     with pytest.raises(UsageError):
         verify_inequality(cyclic, 5)
     with pytest.raises(UsageError):
@@ -84,6 +84,10 @@ def test_verify_usage_errors(cyclic):
     for tolerance in (math.nan, math.inf):
         with pytest.raises(UsageError, match="finite"):
             verify_inequality(cyclic, 10, tolerance=tolerance)
+    # an unknown estimator is a usage error before the front, not a failed stage
+    with pytest.raises(UsageError, match="unknown exponent method 'bogus'"):
+        verify_inequality(cyclic, 10, exponent_method="bogus")
+    assert ball_builds == []
 
 
 def test_verify_stage_failure_names_stage():
@@ -199,17 +203,35 @@ def test_chain_builds_one_sample_tree(schottky, monkeypatch):
     assert len(over_sample) == 1
 
 
-def test_chain_usage_errors(schottky, cyclic):
+def test_chain_usage_errors(schottky, cyclic, ball_builds, monkeypatch):
+    packing_checks = []
+    monkeypatch.setattr(verify, "check_packing_disjoint",
+                        lambda *args: packing_checks.append(args))
     with pytest.raises(UsageError):
         series_chain_report(cyclic, 7, 0.4, 0.2)
     with pytest.raises(UsageError) as exc:
         series_chain_report(schottky, 8, 0.7, 0.5)
     assert "box-dimension estimate" in str(exc.value)
-    with pytest.raises(UsageError):
-        series_chain_report(cyclic, 8, 0.2, 0.4)
+    # t <= dim_est is known once the box estimate is in, before the packing check
+    assert len(ball_builds) == 1 and packing_checks == []
+    ball_builds.clear()
+    for s, t in ((0.2, 0.4), (0.4, 0.4)):
+        with pytest.raises(UsageError, match="s > t"):
+            series_chain_report(cyclic, 8, s, t)
+    assert ball_builds == []
     for s, t in ((math.inf, 0.4), (math.nan, 0.4), (0.6, math.nan)):
         with pytest.raises(UsageError, match="finite"):
             series_chain_report(cyclic, 8, s, t)
     for k_max in (0, -3):
         with pytest.raises(UsageError, match="^chain k_max must be at least 1"):
             series_chain_report(cyclic, 8, 0.4, 0.2, k_max=k_max)
+
+
+@pytest.mark.parametrize("gap", [2e-9, 1e-9])
+def test_chain_tail_closed_form_at_a_tiny_gap(lattice, gap):
+    # q = 2^-(s - t) lies within 1.4e-9 of 1, where q(1 - q^K)/(1 - q) in plain
+    # subtractions cancels past the 1e-9 tail test
+    rep = series_chain_report(lattice, 8, 1.3, 1.3 - gap)
+    assert rep.radial_ok and rep.volume_ok and rep.packing_ok
+    assert rep.tail_ok and rep.chain_ok
+    assert abs(rep.tail_partial_sum - rep.tail_closed_form) <= 1e-12 * rep.tail_closed_form

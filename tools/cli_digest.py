@@ -17,9 +17,10 @@ The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 basepoint, `exponent` by both methods, `limitset` (with `--image` on the
 planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
 plus `fixtures --list` and `fixtures --emit` of every fixture, group and
-point set alike, and last two commands whose arguments must be rejected
+point set alike, and last five commands whose arguments must be rejected
 before any group ball is built (an s-grid whose value count overflows,
-`chain --kmax 0`): 95 commands, so 95 lines.  It takes no options.
+`chain --kmax 0`, `exponent --bin-width 0`, `boxdim --kmin 9 --kmax 3`,
+`chain --s 1.0 --t 1.2`): 98 commands, so 98 lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ BAD_ARGUMENTS = [
      "--out", "{tmp}/series.csv"],
     ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
      "--kmax", "0", "--out", "{tmp}/chain.csv"],
+    ["exponent", "{tmp}/schottky_f2.json", "--depth", "7", "--bin-width", "0"],
+    ["boxdim", "{tmp}/schottky_f2.json", "--depth", "7", "--kmin", "9", "--kmax", "3",
+     "--out", "{tmp}/scales.csv"],
+    ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.0", "--t", "1.2",
+     "--out", "{tmp}/chain.csv"],
 ]
 
 
