@@ -14,8 +14,8 @@ fixtures  list built-in fixtures or write one to a file
 Exit codes: 0 on success (and verification pass), 2 when a verification ran
 to completion and failed, 1 on usage or resource errors.
 
-Every setting is checked by its owning module (`poincare`, `limitset`,
-`verify`) before the group ball is built, so a bad one writes nothing.
+Each setting's default and check live in its owning module (`poincare`,
+`limitset`, `verify`); a bad setting fails before any ball, writing nothing.
 
 A process builds one argument parser, on its first `main` call, and parses
 every later call with it.  The parser records which subcommand ran; `main`
@@ -40,12 +40,13 @@ import sys
 
 import numpy as np
 
+from . import limitset, poincare, verify
 from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
 from .groupio import atomic_write_bytes, load_group, save_group
-from .limitset import K_RANGE, box_dimension_estimate, check_window
-from .poincare import METHODS, check_bin_width, exponent_estimate, truncated_series
+from .limitset import box_dimension_estimate, check_window
+from .poincare import check_bin_width, exponent_estimate, truncated_series
 from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
 
 S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
@@ -326,7 +327,7 @@ def _cmd_fixtures(args):
         # synthetic label words, dotted digit by digit
         _write_table(path, ["x", "y", "witness"], "%.9g,%.9g,%s", [
             *sample.points.T.tolist(),
-            [".".join(map(str, word)) for word in sample.witnesses],
+            [".".join(map(str, word)) for word in sample.witnesses.tolist()],
         ])
         print(f"wrote point fixture {name} ({len(sample)} points) to {path}")
         return 0
@@ -379,8 +380,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = _add_group_command(sub, "exponent", "estimate the growth exponent")
-    p.add_argument("--method", choices=METHODS, default=METHODS[0])
-    p.add_argument("--bin-width", type=float, default=0.5, dest="bin_width",
+    p.add_argument("--method", choices=poincare.METHODS, default=poincare.METHODS[0])
+    p.add_argument("--bin-width", type=float, default=poincare.BIN_WIDTH, dest="bin_width",
                    help="counting-function bin width (counting_fit only)")
 
     p = _add_group_command(sub, "limitset", "sample the limit set")
@@ -389,13 +390,13 @@ def build_parser():
     p.add_argument("--k", type=int, default=8, help="raster scale, pixels of side 2^-k")
 
     p = _add_group_command(sub, "boxdim", "dyadic scale series and dimension")
-    p.add_argument("--kmin", type=int, default=K_RANGE[0])
-    p.add_argument("--kmax", type=int, default=K_RANGE[1])
+    p.add_argument("--kmin", type=int, default=limitset.K_RANGE[0])
+    p.add_argument("--kmax", type=int, default=limitset.K_RANGE[1])
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = _add_group_command(sub, "verify", "check delta_est <= dim_est + tolerance")
-    p.add_argument("--tolerance", type=float, default=0.1)
-    p.add_argument("--method", choices=METHODS, default=METHODS[0],
+    p.add_argument("--tolerance", type=float, default=verify.TOLERANCE)
+    p.add_argument("--method", choices=poincare.METHODS, default=poincare.METHODS[0],
                    help="exponent estimator")
     p.add_argument("--out", help="optional report CSV path")
 
@@ -403,7 +404,7 @@ def build_parser():
     p.add_argument("--s", type=float, required=True, help="series exponent, s > t")
     p.add_argument("--t", type=float, required=True,
                    help="comparison exponent, t above the dimension estimate")
-    p.add_argument("--kmax", type=int, default=12, help="deepest shell to measure")
+    p.add_argument("--kmax", type=int, default=verify.CHAIN_K_MAX, help="deepest shell to measure")
     p.add_argument("--out", help="optional per-shell CSV path")
 
     p = sub.add_parser("fixtures", help="list or emit built-in fixtures")

@@ -52,22 +52,24 @@ def cantor_test(depth=12):
     """Middle-thirds Cantor points bent onto the unit circle by arc length.
 
     The bend is bi-Lipschitz, so the box dimension log 2 / log 3 carries
-    over; points are the 2^depth left endpoints at stage `depth`.
+    over; points are the 2^depth left endpoints at stage `depth`.  Each
+    point's witness is its row of ternary digits (0 or 2), (N, depth) uint8.
     """
     depth = int(depth)
     if not 1 <= depth <= 20:
         raise UsageError("cantor depth must be in [1, 20]")
-    xs = [0.0]
-    words = [()]
+    xs = np.zeros(1)
     for i in range(1, depth + 1):
-        step = 2.0 * 3.0 ** -i
-        xs = xs + [x + step for x in xs]
-        words = [w + (0,) for w in words] + [w + (2,) for w in words]
+        xs = np.concatenate([xs, xs + 2.0 * 3.0 ** -i])
     order = np.argsort(xs)
-    arr = np.asarray(xs)[order]
-    words = [words[i] for i in order]
+    arr = xs[order]
+    # stage i + 1 appended the copy shifted by 2*3^-(i+1), so bit i of a
+    # point's construction index is its digit i + 1 halved
+    digits = np.empty((order.size, depth), dtype=np.uint8)
+    for i in range(depth):
+        digits[:, i] = (order >> i & 1) * 2
     pts = np.column_stack([np.cos(arr), np.sin(arr)])
-    return LimitSample(points=pts, witnesses=words, source=SOURCE_SYNTHETIC)
+    return LimitSample(points=pts, witnesses=digits, source=SOURCE_SYNTHETIC)
 
 
 GROUP_FIXTURES = {

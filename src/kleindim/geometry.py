@@ -469,6 +469,14 @@ def hyperbolic_distance(x, y):
     return float(distances_from(x.coords, y.coords[None, :])[0])
 
 
+def check_radius(radius):
+    """A hyperbolic ball radius as a float, which must be finite and >= 0."""
+    radius = float(radius)
+    if not 0.0 <= radius < math.inf:
+        raise UsageError(f"hyperbolic radius must be finite and nonnegative, got {radius}")
+    return radius
+
+
 def distances_from(point_coords, points, gaps_sq=None):
     """Vector of hyperbolic distances from one interior point to many.
 

@@ -31,6 +31,7 @@ from .geometry import (
     BoundaryGeodesic,
     MapClass,
     MoebiusMap,
+    check_radius,
     classify,
     classify_entries,
     compose,
@@ -110,6 +111,11 @@ class ShellRuns:
         self.bounds = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [ordered.size]])
         self.shells = ordered[self.bounds[:-1]]
         self.counts = np.diff(self.bounds)
+
+    def window(self, k_lo, k_hi):
+        """Positions lo..hi - 1 of the occupied shells k_lo <= k <= k_hi (hi >= lo)."""
+        lo, hi = np.searchsorted(self.shells, [k_lo, k_hi + 1]).tolist()
+        return lo, max(lo, hi)
 
     def rows(self, start, stop):
         """Rows of the shells at positions start..stop - 1, shell by shell."""
@@ -407,8 +413,9 @@ def check_packing_disjoint(orbit, radius):
     KD-tree counts each ball, _PACKING_CHUNK rows at a time; rows with a
     partner list candidates for the exact test in row order, in runs of
     about _PACKING_CHUNK, up to the first run with a violating pair, which
-    holds the first pair.
+    holds the first pair.  The radius must be finite and >= 0 (`check_radius`).
     """
+    radius = check_radius(radius)
     from scipy.spatial import cKDTree  # here, so `import kleindim` does not load it
 
     pts, qa = orbit.points, orbit.gaps_squared()

@@ -93,7 +93,10 @@ def load_group(path):
 
     mats = []
     for idx, entry in enumerate(gens_raw):
-        arr = np.asarray(entry, dtype=float)
+        try:
+            arr = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise UsageError(f"generator {idx} must be four [re, im] pairs of numbers") from err
         if arr.shape != (4, 2):
             raise UsageError(f"generator {idx} must be four [re, im] pairs, got shape {arr.shape}")
         vals = arr[:, 0] + 1j * arr[:, 1]

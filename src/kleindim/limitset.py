@@ -31,8 +31,9 @@ on the sphere, where it prunes well: |p - x|^2 = rho*|u - x|^2 + (1 - rho)*
 nearest of p whenever the 4th lies far enough off, with the same distance
 bits as the tree's own query (`_projected_nearest`).
 
-Samples record witnesses as group-ball rows; the words are spelled only
-where they are printed.  `check_window` alone checks a box-counting window.
+Samples record witnesses as group-ball rows, or label words as array rows;
+the words are spelled only where they are printed.  `check_window` alone
+checks a box-counting window, and `ShellRuns.window` the containment shells.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalError, UsageError
-from .geometry import MapClass, boundary_images, classify, fixed_points
+from .geometry import MapClass, boundary_images, check_radius, classify, fixed_points
 
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
@@ -77,8 +78,8 @@ class LimitSample:
     spacing check read.
     """
 
-    points: np.ndarray   # (N, n) unit rows
-    witnesses: np.ndarray | list  # (N,) ball rows, or one label word per point
+    points: np.ndarray     # (N, n) unit rows
+    witnesses: np.ndarray  # (N,) ball rows, or (N, m) label words, one row per point
     source: str
     norm_spread: float = field(init=False, repr=False)  # max | |x|^2 - 1 | over the points
 
@@ -87,8 +88,11 @@ class LimitSample:
         if pts.ndim != 2 or pts.shape[1] not in (2, 3) or pts.shape[0] == 0:
             raise UsageError("sample needs a nonempty (N, 2) or (N, 3) point array")
         norms = np.linalg.norm(pts, axis=1)
+        if not np.isfinite(norms).all():
+            raise UsageError("sample points must be finite")
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise UsageError("sample points must be unit norm within 1e-9")
+        self.witnesses = np.asarray(self.witnesses)
         if len(self.witnesses) != pts.shape[0]:
             raise UsageError("one witness per sample point")
         self.points = pts
@@ -430,8 +434,8 @@ def neighborhood_volume(sample, r, radius=None):
     if m != 0.5 or not 1 <= 1 - e <= 24:
         raise UsageError(f"scale must be 2^-k with 1 <= k <= 24, got {r:.6g}")
     radius = r if radius is None else float(radius)
-    if radius <= 0.0:
-        raise UsageError("neighborhood radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise UsageError(f"neighborhood radius must be positive and finite, got {radius}")
     k = 1 - e
     n = sample.model
     count = _grid_cell_count(sample, radius, r)
@@ -533,10 +537,12 @@ def euclidean_balls(points, radius, gaps):
     Euclidean diameter of the ball (the realization is a round ball whose
     center sits on that radius by symmetry).  `gaps` are the stable radial
     gaps 1-|w|, which keep deep balls accurate where recomputing 1-|w| from
-    the coordinates would cancel.
+    the coordinates would cancel.  The radius must be finite and >= 0
+    (`check_radius`).
 
     Returns (centers (N, n), radii (N,)).
     """
+    radius = check_radius(radius)
     points = np.asarray(points, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     norms = 1.0 - gaps
@@ -582,9 +588,8 @@ class BallContainmentReport:
     their own scale.  c_hat is the max over computed shells.
     """
 
-    shells: np.ndarray         # (m,) nonempty shells k, ascending
-    max_distances: np.ndarray  # (m,) worst distance of each shell
-    c: np.ndarray              # (m,) c_k = max_distance / 2^-k
+    shells: np.ndarray  # (m,) nonempty shells k, ascending
+    c: np.ndarray       # (m,) c_k = worst distance of shell k / 2^-k
     c_hat: float
 
 
@@ -631,7 +636,7 @@ def _projected_nearest(sample, pts):
     return dist
 
 
-def ball_containment_check(orbit, radius, sample, k_max=12):
+def ball_containment_check(orbit, radius, sample, k_max):
     """Measure shell-normalized distances from ball boundaries to the sample.
 
     The worst distance of a shell is the exact maximum over every mesh point
@@ -644,12 +649,14 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     the running maximum reaches the next U_i: no later mesh can exceed it.
     Each mesh point's distance is the tree's own, bit for bit, found from
     its radial projection where the bound of `_projected_nearest` allows.
+    The radius must be finite and >= 0 (`check_radius`).
     """
+    radius = check_radius(radius)
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
     mesh = _sphere_mesh(orbit.model)
     runs = orbit.shell_runs
-    lo, hi = np.searchsorted(runs.shells, [1, k_max + 1])
+    lo, hi = runs.window(1, k_max)
     shells, worsts = runs.shells[lo:hi], []
     for at in range(lo, hi):
         idx = runs.rows(at, at + 1)
@@ -668,9 +675,4 @@ def ball_containment_check(orbit, radius, sample, k_max=12):
     if not worsts:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
     c = np.ldexp(worsts, shells)  # worst / 2^-k, exactly
-    return BallContainmentReport(
-        shells=shells,
-        max_distances=np.array(worsts),
-        c=c,
-        c_hat=float(c.max()),
-    )
+    return BallContainmentReport(shells=shells, c=c, c_hat=float(c.max()))

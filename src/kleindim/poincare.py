@@ -4,8 +4,8 @@ The series term for an orbit point w is ((1-|w|)/(1+|w|))^s, the radial
 form of exp(-s * distance from the ball center).  Shell partial sums group
 the terms by the dyadic shell of 1-|w|.
 
-Each estimator setting has one check, `check_method` (against METHODS) or
-`check_bin_width`, which callers run before they build an orbit.
+Each estimator setting has one default, METHODS[0] or BIN_WIDTH, and one
+check, `check_method` or `check_bin_width`, run before an orbit is built.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .limitset import _linear_fit
 
 _LN2 = math.log(2.0)
 METHODS = ("counting_fit", "divergence_scan")  # exponent estimators, the default first
+BIN_WIDTH = 0.5  # the counting fit's default bin width
 
 
 @dataclass
@@ -30,25 +31,19 @@ class SeriesEvaluation:
 
     s: float
     value: float
-    shells: np.ndarray    # (m,) occupied shells, ascending; 0 holds the points at the center
-    partials: np.ndarray  # (m,) sum of the terms of each shell
+    partials: np.ndarray  # (m,) sum of the terms of each of the orbit's m occupied shells
 
 
 def truncated_series(orbit, s):
     """Exact truncated series over the enumerated elements, about the ball center.
 
-    One partial sum, at exponent s >= 0, per occupied shell of `orbit.shell_runs`.
+    One partial sum per occupied shell of `orbit.shell_runs`, at finite s >= 0.
     """
     s = float(s)
-    if s < 0.0:
-        raise UsageError(f"series exponent must be nonnegative, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise UsageError(f"series exponent must be finite and nonnegative, got {s}")
     terms = (orbit.gaps / (2.0 - orbit.gaps)) ** s
-    return SeriesEvaluation(
-        s=s,
-        value=float(terms.sum()),
-        shells=orbit.shell_runs.shells,
-        partials=orbit.shell_runs.sums(terms),
-    )
+    return SeriesEvaluation(s=s, value=float(terms.sum()), partials=orbit.shell_runs.sums(terms))
 
 
 @dataclass
@@ -73,7 +68,7 @@ def check_bin_width(bin_width):
     return bin_width
 
 
-def counting_function(orbit, bin_width=0.5):
+def counting_function(orbit, bin_width):
     """Orbital counting function on bins of the displacement range."""
     bin_width = check_bin_width(bin_width)
     disp = np.sort(orbit.displacements)
@@ -140,8 +135,8 @@ def _available_shells(orbit, diagnostics):
     would masquerade as convergence, so fewer than 5 shells within the cut
     raise InsufficientDataError.
     """
-    shells = orbit.shell_runs.shells
-    lo, hi = np.searchsorted(shells, 1), shells.size
+    runs = orbit.shell_runs
+    lo, hi = runs.window(1, math.inf)
     if lo == hi:
         raise InsufficientDataError("orbit has no shelled elements")
     cut = ""
@@ -150,12 +145,12 @@ def _available_shells(orbit, diagnostics):
         gap_horizon = float(orbit.gaps[start:stop].max())
         d_horizon = math.log((2.0 - gap_horizon) / gap_horizon)
         k_cut = int(math.floor(d_horizon / _LN2)) - 1
-        hi = max(lo, np.searchsorted(shells, k_cut, side="right"))
+        lo, hi = runs.window(1, k_cut)
         diagnostics["horizon_shell_cut"] = k_cut
         cut = f" within the horizon cut k <= {k_cut}"
     if hi - lo < 5:
         raise InsufficientDataError(f"{hi - lo} nonempty shells{cut}; need 5")
-    diagnostics["shells_used"] = (int(shells[lo]), int(shells[hi - 1]))
+    diagnostics["shells_used"] = (int(runs.shells[lo]), int(runs.shells[hi - 1]))
     return np.arange(lo, hi)
 
 
@@ -197,7 +192,7 @@ def _divergence_scan(orbit):
     )
 
 
-def exponent_estimate(orbit, method=METHODS[0], bin_width=0.5):
+def exponent_estimate(orbit, method=METHODS[0], bin_width=BIN_WIDTH):
     """Estimate the series' critical exponent from one enumerated orbit.
 
     method "counting_fit": least-squares slope of log N(T) over the middle

@@ -15,8 +15,8 @@ comparability constant instead of assuming it:
 
 and the tails sum to a finite geometric series whenever s > t.
 
-Both check every setting before the group ball is built, and the chain
-checks t > the box-dimension estimate before its packing stages.
+Both check every setting (defaults TOLERANCE, CHAIN_K_MAX) before the group
+ball is built, and the chain checks t > dim_est before its packing stages.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .limitset import (
 from .poincare import METHODS, ExponentEstimate, check_method, exponent_estimate, truncated_series
 
 _REL_SLACK = 1.0 + 1e-9
+TOLERANCE = 0.1   # default slack of delta_est <= dim_est + tolerance
+CHAIN_K_MAX = 12  # default deepest shell of the chain report
 
 
 @contextmanager
@@ -113,7 +115,7 @@ class VerificationReport:
         return self.dim_estimate.dim_est
 
 
-def verify_inequality(presentation, depth, tolerance=0.1, exponent_method=METHODS[0]):
+def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=METHODS[0]):
     """Estimate both sides of delta <= upper box dimension and compare.
 
     Pipeline: build the group ball to `depth`, find a loxodromic element in
@@ -171,7 +173,6 @@ class SeriesChainReport:
     depth: int
     s: float
     t: float
-    model: int
     packing_radius: float
     c_hat: float
     dim_estimate: BoxDimensionEstimate
@@ -194,7 +195,7 @@ class SeriesChainReport:
     chain_ok: bool
 
 
-def series_chain_report(presentation, depth, s, t, k_max=12):
+def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     """Measure every link of the shell-by-shell convergence chain.
 
     Requires depth >= 8, finite s > t, and k_max >= 1, all checked before
@@ -228,11 +229,9 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         containment = ball_containment_check(orbit, pack.radius, sample, k_max=k_max)
     c_hat = containment.c_hat
     n = orbit.model
-    ks = containment.shells
-    # the chain's shells, 1..k_max, are the runs at positions lo..hi - 1
     runs = orbit.shell_runs
-    lo = int(np.searchsorted(runs.shells, ks[0]))
-    hi = lo + ks.size
+    lo, hi = runs.window(1, k_max)  # the containment check's shells
+    ks = runs.shells[lo:hi]
     series_partial = truncated_series(orbit, s).partials[lo:hi]
     rows = runs.rows(lo, hi)
     gaps = orbit.gaps[rows]
@@ -265,7 +264,6 @@ def series_chain_report(presentation, depth, s, t, k_max=12):
         depth=depth,
         s=s,
         t=t,
-        model=n,
         packing_radius=pack.radius,
         c_hat=c_hat,
         dim_estimate=dim,

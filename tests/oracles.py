@@ -229,7 +229,6 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
     c = [worst / (2.0 ** -k) for k, worst in zip(shells, worsts)]
     return BallContainmentReport(
         shells=np.array(shells),
-        max_distances=np.array(worsts),
         c=np.array(c),
         c_hat=max(c),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from kleindim import (
     cantor_test,
     classify,
     enumerate_orbit,
+    exponent_estimate,
     find_loxodromic,
     load_group,
     origin,
@@ -35,7 +37,7 @@ from kleindim import (
     truncated_series,
     verify_inequality,
 )
-from kleindim import cli, limitset
+from kleindim import cli, limitset, poincare, verify
 from kleindim.cli import _spell_words, _write_pgm, main
 from kleindim.geometry import MoebiusMap
 from kleindim.group import GroupPresentation
@@ -328,6 +330,16 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
     assert "result=" not in captured.out and not out.exists()
 
 
+_IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+# the second generator of a malformed group file, by the file's name
+_MALFORMED_GENERATORS = {
+    "text_entry.json": [["a", 0], [0, 0], [0, 0], [1, 0]],
+    "ragged_pair.json": [[1, 0], [0], [0, 0], [1, 0]],
+    "string_generator.json": "zz",
+    "object_generator.json": {},
+}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["poincare", "--depth", "6", "--s-grid", "0:1e308:1e-308"], "s-grid must hold at most"),
     (["poincare", "--depth", "6", "--s-grid", f"0:{cli.S_GRID_CAP}:1"],
@@ -337,19 +349,54 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
     (["exponent", "--depth", "6", "--bin-width", "0"], "bin width"),
     (["boxdim", "--depth", "6", "--kmin", "9", "--kmax", "3"], "k_min"),
     (["boxdim", "--depth", "6", "--kmin", "0"], "k_min"),
+    *((["orbit", name, "--depth", "2"], "generator 1") for name in _MALFORMED_GENERATORS),
 ])
 def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_builds, argv, message,
                                              capsys):
     out = tmp_path / "out.csv"
     command, *rest = argv
+    group = schottky_file
+    if rest[0] in _MALFORMED_GENERATORS:
+        group = tmp_path / rest.pop(0)
+        group.write_text(json.dumps({"name": "bad", "model_dimension": 2, "chart": "disc",
+                                     "generators": [_IDENTITY, _MALFORMED_GENERATORS[group.name]]}))
     if command != "exponent":  # the one command here without --out
         rest += ["--out", str(out)]
-    assert main([command, schottky_file, *rest]) == 1
+    assert main([command, str(group), *rest]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "stage" not in lines[0]
     assert captured.out == "" and not out.exists() and ball_builds == []
+
+
+def test_parser_defaults_are_the_library_constants(monkeypatch):
+    # each default has one owner: the library signature and the CLI read the same constant
+    assert inspect.signature(verify_inequality).parameters["tolerance"].default == verify.TOLERANCE
+    assert inspect.signature(series_chain_report).parameters["k_max"].default == verify.CHAIN_K_MAX
+    params = inspect.signature(exponent_estimate).parameters
+    assert params["bin_width"].default == poincare.BIN_WIDTH
+    assert params["method"].default == poincare.METHODS[0]
+    assert inspect.signature(box_dimension_estimate).parameters["k_range"].default == \
+        limitset.K_RANGE
+    for module, name, value in [
+        (verify, "TOLERANCE", 0.25), (verify, "CHAIN_K_MAX", 7), (poincare, "BIN_WIDTH", 0.125),
+        (poincare, "METHODS", ("divergence_scan", "counting_fit")), (limitset, "K_RANGE", (2, 8)),
+    ]:
+        monkeypatch.setattr(module, name, value)
+    cli.build_parser.cache_clear()
+    try:
+        parse = cli.build_parser().parse_args
+        group = ["g.json", "--depth", "8"]
+        args = parse(["verify", *group])
+        assert (args.tolerance, args.method) == (0.25, "divergence_scan")
+        assert parse(["chain", *group, "--s", "1.5", "--t", "1.3"]).kmax == 7
+        args = parse(["exponent", *group])
+        assert (args.bin_width, args.method) == (0.125, "divergence_scan")
+        args = parse(["boxdim", *group, "--out", "b.csv"])
+        assert (args.kmin, args.kmax) == (2, 8)
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_s_grid_cap():
@@ -539,9 +586,9 @@ def test_poincare_table_bytes(request, tmp_path, fixture, depth, s_grid, grid, c
     evals = [truncated_series(orbit, s) for s in grid]
     rows = []
     for k in sorted(set(orbit.shells.tolist())):
-        i = [ev.shells.tolist().index(k) for ev in evals]
+        j = orbit.shell_runs.shells.tolist().index(k)
         count = int(np.count_nonzero(orbit.shells == k))
-        rows.append([k, 2.0 ** -k, count, *(float(ev.partials[j]) for ev, j in zip(evals, i))])
+        rows.append([k, 2.0 ** -k, count, *(float(ev.partials[j]) for ev in evals)])
     header = ["k", "r", "shell_count", *(f"partial_s={s:.9g}" for s in grid)]
     assert out.read_bytes() == csv_bytes(header, rows)
     if fixture == "cyclic":

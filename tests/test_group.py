@@ -40,6 +40,7 @@ from kleindim import (
     compose,
     cyclic_loxodromic,
     enumerate_orbit,
+    euclidean_balls,
     find_loxodromic,
     fixed_points,
     fuchsian_lattice,
@@ -62,6 +63,7 @@ from kleindim.group import (
     _fresh,
     _shell_indices,
 )
+from kleindim.verify import CHAIN_K_MAX
 
 LN9 = math.log(9.0)
 
@@ -466,6 +468,18 @@ def test_packing_negative_control():
     assert abs(result.distance - pk.min_displacement) < 1e-9
 
 
+@pytest.mark.parametrize("factor", [-1.0, -3.0, math.nan, math.inf])
+def test_hyperbolic_radius_checked_first(schottky_orbit10, schottky_sample10, factor):
+    orbit = schottky_orbit10
+    radius = factor * packing_radius(orbit).radius
+    with pytest.raises(UsageError, match="hyperbolic radius"):
+        check_packing_disjoint(orbit, radius)
+    with pytest.raises(UsageError, match="hyperbolic radius"):
+        euclidean_balls(orbit.points, radius, gaps=orbit.gaps)
+    with pytest.raises(UsageError, match="hyperbolic radius"):
+        ball_containment_check(orbit, radius, schottky_sample10, CHAIN_K_MAX)
+
+
 def test_packing_singleton_vacuous():
     orbit = identity_only_orbit()
     result = check_packing_disjoint(orbit, 1.0)
@@ -575,6 +589,10 @@ def test_packing_matches_brute_force_oracle(name, depth, offset, which):
     except DegenerateBasepointError:
         reject()  # a random basepoint on an elliptic fixed point
     radius = NAMED_RADII[which](pk) if isinstance(which, str) else which * pk.radius
+    if radius < 0.0:  # the oracle reads -r as r; the check rejects it
+        with pytest.raises(UsageError, match="hyperbolic radius"):
+            check_packing_disjoint(orbit, radius)
+        return
     assert check_packing_disjoint(orbit, radius) == _brute_packing(name, depth, offset, radius)
 
 
@@ -662,11 +680,10 @@ def test_containment_matches_exhaustive_oracle(name, depth, offset, factor):
         expected = containment_exhaustive(orbit, radius, sample)
     except UsageError:
         with pytest.raises(UsageError):
-            ball_containment_check(orbit, radius, sample)
+            ball_containment_check(orbit, radius, sample, CHAIN_K_MAX)
         return
-    report = ball_containment_check(orbit, radius, sample)
+    report = ball_containment_check(orbit, radius, sample, CHAIN_K_MAX)
     assert report.shells.tolist() == expected.shells.tolist()
-    assert report.max_distances.tolist() == expected.max_distances.tolist()
     assert report.c.tolist() == expected.c.tolist()
     assert report.c_hat == expected.c_hat
     skipped = [k for k in range(1, 13) if not np.any(orbit.shells == k)]
@@ -691,6 +708,8 @@ def test_shell_runs_match_masks(name, depth, offset, s, span):
         assert runs.counts[at] == np.count_nonzero(orbit.shells == k)
         # a window of consecutive shells, shell by shell, as the chain report reads it
         stop = int(np.searchsorted(runs.shells, k + span, side="right"))
+        assert runs.window(k, k + span) == (at, stop)
+        assert runs.window(k, k - 1 - span) == (at, at)  # an empty window
         window = np.concatenate([runs.rows(w, w + 1) for w in range(at, stop)])
         assert runs.rows(at, stop).tolist() == window.tolist()
         assert sorted(window.tolist()) == np.flatnonzero(

@@ -42,7 +42,7 @@ from kleindim.limitset import (
     _linear_fit,
     _projected_nearest,
 )
-from kleindim.verify import sampling_front
+from kleindim.verify import CHAIN_K_MAX, sampling_front
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -63,6 +63,9 @@ def test_sample_validation():
         _synthetic([[0.5, 0.0]])
     with pytest.raises(UsageError):
         LimitSample(points=np.empty((0, 2)), witnesses=[], source="synthetic_test_set")
+    for points in ([[math.nan, 0.0]], [[1.0, 0.0], [0.0, math.nan]], [[math.inf, 0.0]]):
+        with pytest.raises(UsageError, match="finite"):
+            _synthetic(points)
 
 
 def test_cyclic_sample_is_fixed_pair(cyclic_orbit10, cyclic_h):
@@ -119,6 +122,9 @@ def test_neighborhood_volume_validation():
         neighborhood_volume(sample, 2.0 ** -25)
     with pytest.raises(UsageError):
         neighborhood_volume(sample, 0.25, radius=-0.25)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite"):
+            neighborhood_volume(sample, 0.25, radius=radius)
 
 
 def test_neighborhood_volume_single_point():
@@ -159,6 +165,18 @@ def test_box_dimension_circle():
 def test_box_dimension_two_points():
     sample = _synthetic([[1.0, 0.0], [-1.0, 0.0]])
     assert abs(box_dimension_estimate(sample, k_range=(3, 9)).dim_est) <= 0.05
+
+
+def test_cantor_witnesses_are_digit_rows():
+    sample = cantor_test(6)
+    digits = sample.witnesses
+    assert digits.dtype == np.uint8 and digits.shape == (64, 6)
+    assert set(np.unique(digits).tolist()) == {0, 2}
+    # a point's arc length is the ternary expansion of its digits
+    arcs = digits @ 3.0 ** -np.arange(1, 7)
+    assert np.abs(np.arctan2(sample.points[:, 1], sample.points[:, 0]) - arcs).max() < 1e-12
+    # label words given as a list of tuples are stored as an array too
+    assert _synthetic([[1.0, 0.0], [0.0, 1.0]]).witnesses.tolist() == [[0], [1]]
 
 
 def test_box_dimension_cantor():
@@ -270,7 +288,7 @@ def test_containment_cyclic_stable(cyclic_orbit10, cyclic_h):
 
 def test_containment_schottky_constancy(schottky_orbit10, schottky_sample10):
     pk = packing_radius(schottky_orbit10)
-    report = ball_containment_check(schottky_orbit10, pk.radius, schottky_sample10)
+    report = ball_containment_check(schottky_orbit10, pk.radius, schottky_sample10, CHAIN_K_MAX)
     cs = report.c
     assert report.c_hat == cs.max()
     assert np.all(cs <= 4.0 * np.median(cs))
@@ -558,7 +576,7 @@ def test_grid_count_pipeline_samples(request, monkeypatch, group, depth):
     for k in range(K_RANGE[0], K_RANGE[1] + 1):
         budgets = _PASS_BUDGETS if k <= 4 else _PASS_BUDGETS[1:]
         _assert_every_budget(monkeypatch, sample.points, 2.0 ** -k, 2.0 ** -k, budgets)
-    containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample)
+    containment = ball_containment_check(orbit, packing_radius(orbit).radius, sample, CHAIN_K_MAX)
     for k in containment.shells.tolist():
         _assert_every_budget(monkeypatch, sample.points, containment.c_hat * 2.0 ** -k,
                              2.0 ** -k, _PASS_BUDGETS[1:])

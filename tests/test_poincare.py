@@ -29,7 +29,7 @@ from kleindim import (
     translation_to_origin,
     truncated_series,
 )
-from kleindim.poincare import _available_shells
+from kleindim.poincare import BIN_WIDTH, _available_shells
 
 LN9 = math.log(9.0)
 
@@ -64,7 +64,7 @@ def test_series_shell_partials_sum_to_value(schottky_orbit8):
     ev = truncated_series(schottky_orbit8, 0.8)
     total = sum(ev.partials.tolist())
     assert abs(total - ev.value) < 1e-9
-    assert ev.shells.shape == ev.partials.shape
+    assert schottky_orbit8.shell_runs.shells.shape == ev.partials.shape
 
 
 def _ball_schottky():
@@ -115,7 +115,7 @@ def test_series_shells_and_partials_match_oracle(name, depth, pick, s):
     orbit = enumerate_orbit(build(), InteriorPoint(basepoints[pick]), depth)
     ev = truncated_series(orbit, s)
     expected = _series_oracle(orbit, s)
-    shells = ev.shells.tolist()
+    shells = orbit.shell_runs.shells.tolist()
     assert shells == sorted(set(shells)) == sorted(expected)
     # shell 0 points sit at the center, and the identity keeps the origin there
     assert np.linalg.norm(orbit.points[orbit.shells == 0], axis=1).max(initial=0.0) < 1e-15
@@ -163,6 +163,12 @@ def test_counting_function_rejects_bad_bin_width(schottky_orbit8, bin_width):
         counting_function(schottky_orbit8, bin_width)
 
 
+@pytest.mark.parametrize("s", [-0.5, math.nan, math.inf])
+def test_series_rejects_bad_exponent(schottky_orbit8, s):
+    with pytest.raises(UsageError, match="finite and nonnegative"):
+        truncated_series(schottky_orbit8, s)
+
+
 def test_series_radial_form_matches_distance_form():
     # exp(-s d(z', g(z))) equals the radial form of g(z) translated so that
     # z' sits at the origin -- the identity behind reading the series off
@@ -195,18 +201,18 @@ def test_series_from_shifted_basepoint_within_translation_bound():
 
 
 def test_counting_identity_only():
-    cf = counting_function(identity_only_orbit())
+    cf = counting_function(identity_only_orbit(), BIN_WIDTH)
     assert all(n == 1 for n in cf.counts)
 
 
 def test_counting_cyclic_formula(cyclic_orbit10):
-    cf = counting_function(cyclic_orbit10)
+    cf = counting_function(cyclic_orbit10, BIN_WIDTH)
     for t, n in zip(cf.thresholds.tolist(), cf.counts.tolist()):
         assert n == 1 + 2 * math.floor(t / LN9)
 
 
 def test_counting_nondecreasing(schottky_orbit8):
-    ns = counting_function(schottky_orbit8).counts
+    ns = counting_function(schottky_orbit8, BIN_WIDTH).counts
     assert np.all(np.diff(ns) >= 0)
     assert ns[0] >= 1
 

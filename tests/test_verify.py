@@ -109,14 +109,14 @@ def test_divergence_scan_raises_when_the_horizon_leaves_too_few_shells(lattice):
     assert "horizon cut k <= 4" in str(exc.value)
 
 
-def test_chain_schottky(chain_schottky10):
+def test_chain_schottky(schottky_orbit10, chain_schottky10):
     rep = chain_schottky10
     assert rep.chain_ok
     assert rep.radial_ok and rep.volume_ok and rep.packing_ok and rep.tail_ok
     for c in (rep.c1, rep.c2, rep.c3):
         assert math.isfinite(c) and c > 0.0
     # quantization slack on the volume comparison is the cell-count factor 2^n
-    assert rep.c2 <= 2.0 ** rep.model * (1.0 + 1e-9)
+    assert rep.c2 <= 2.0 ** schottky_orbit10.model * (1.0 + 1e-9)
     s_minus_t = rep.s - rep.t
     geometric_bound = 1.0 / (2.0 ** s_minus_t - 1.0) + 1.0
     assert rep.tail_partial_sum <= geometric_bound
@@ -138,7 +138,7 @@ def test_chain_columns_match_the_orbit(schottky, chain_schottky10):
     rep = chain_schottky10
     orbit = pipeline_front(schottky, rep.depth)[1]
     series = truncated_series(orbit, rep.s)
-    partial = dict(zip(series.shells.tolist(), series.partials.tolist()))
+    partial = dict(zip(orbit.shell_runs.shells.tolist(), series.partials.tolist()))
     assert rep.k.tolist() == [k for k in range(1, 13) if np.any(orbit.shells == k)]
     for k, count, series_partial, lhs, tail in zip(
         rep.k.tolist(), rep.count.tolist(), rep.series_partial.tolist(), rep.lhs.tolist(),

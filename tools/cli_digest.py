@@ -17,10 +17,12 @@ The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 basepoint, `exponent` by both methods, `limitset` (with `--image` on the
 planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
 plus `fixtures --list` and `fixtures --emit` of every fixture, group and
-point set alike, and last five commands whose arguments must be rejected
+point set alike, then five commands whose arguments must be rejected
 before any group ball is built (an s-grid whose value count overflows,
 `chain --kmax 0`, `exponent --bin-width 0`, `boxdim --kmin 9 --kmax 3`,
-`chain --s 1.0 --t 1.2`): 98 commands, so 98 lines.  It takes no options.
+`chain --s 1.0 --t 1.2`), and last `orbit` on four malformed group files,
+whose second generator holds a non-numeric entry, a ragged pair, a string
+or an object: 102 commands, so 102 lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ def group_commands(name, depth, basepoint):
     ]
 
 
+# the second generator of each malformed group file, by the file's name
+MALFORMED_GENERATORS = {
+    "text_entry.json": [["a", 0], [0, 0], [0, 0], [1, 0]],
+    "ragged_pair.json": [[1, 0], [0], [0, 0], [1, 0]],
+    "string_generator.json": "zz",
+    "object_generator.json": {},
+}
+
 # rejected arguments, run after the matrix so the lines before them keep their order
 BAD_ARGUMENTS = [
     ["poincare", "{tmp}/schottky_f2.json", "--depth", "7", "--s-grid", "0:1e308:1e-308",
@@ -85,6 +95,9 @@ BAD_ARGUMENTS = [
      "--out", "{tmp}/scales.csv"],
     ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.0", "--t", "1.2",
      "--out", "{tmp}/chain.csv"],
+] + [
+    ["orbit", f"{{tmp}}/{name}", "--depth", "2", "--out", "{tmp}/orbit.csv"]
+    for name in MALFORMED_GENERATORS
 ]
 
 
@@ -127,6 +140,11 @@ def main():
         fixtures = Path(root) / "fixtures"
         fixtures.mkdir()
         (fixtures / "schottky_ball.json").write_text(json.dumps(BALL_GROUP, indent=2) + "\n")
+        identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
+        for name, generator in MALFORMED_GENERATORS.items():
+            doc = {"name": "malformed", "model_dimension": 2, "chart": "disc",
+                   "generators": [identity, generator]}
+            (fixtures / name).write_text(json.dumps(doc) + "\n")
         for argv in matrix:
             print(digest(argv, fixtures), " ".join(argv), flush=True)
 

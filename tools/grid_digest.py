@@ -59,7 +59,8 @@ GROUPS = [
     ("schottky_ball", ball_schottky, 8),
 ]
 SEEDS = (0, 29)
-CHAIN_K = range(1, 13)
+K_MAX = 12  # the deepest shell of the containment checks and chain counts
+CHAIN_K = range(1, K_MAX + 1)
 SERIES_S = (0.0, 0.5, 1.0, 1.5)
 PACKING_FACTORS = (1.0, 2.0, 8.0)
 FINE_K = (18, 24)
@@ -84,16 +85,17 @@ def _estimate(orbit, method):
 
 def _per_shell(presentation, depth, orbit, sample):
     parts = []
+    shells = orbit.shell_runs.shells.tolist()
     for s in SERIES_S:
         ev = truncated_series(orbit, s)
-        parts.append(f"series {s} {ev.shells.tolist()} {_hex(ev.partials)} {ev.value.hex()}")
+        parts.append(f"series {s} {shells} {_hex(ev.partials)} {ev.value.hex()}")
     parts += [_estimate(orbit, method) for method in ("counting_fit", "divergence_scan")]
     radius = packing_radius(orbit).radius
     for factor in PACKING_FACTORS:
         check = check_packing_disjoint(orbit, factor * radius)
         distance = None if check.distance is None else check.distance.hex()
         parts.append(f"packing {factor} {check.ok} {check.pair} {distance}")
-        containment = ball_containment_check(orbit, factor * radius, sample)
+        containment = ball_containment_check(orbit, factor * radius, sample, k_max=K_MAX)
         parts.append(f"containment {factor} {containment.shells.tolist()} {_hex(containment.c)}")
     dim = box_dimension_estimate(sample).dim_est
     chain = series_chain_report(presentation, depth, dim + 0.4, dim + 0.2)
@@ -114,7 +116,8 @@ def main():
                 for k in range(K_RANGE[0], K_RANGE[1] + 1):
                     rec = neighborhood_volume(sample, 2.0 ** -k)
                     box.append(f"{k} {rec.r.hex()} {rec.cell_count}")
-                c_hat = ball_containment_check(orbit, packing_radius(orbit).radius, sample).c_hat
+                pack = packing_radius(orbit).radius
+                c_hat = ball_containment_check(orbit, pack, sample, k_max=K_MAX).c_hat
                 chain = [c_hat.hex()]
                 for k in CHAIN_K:
                     radius = c_hat * 2.0 ** -k
