@@ -7,6 +7,17 @@ one ball per run is built and then mapped to each basepoint by array code.
 An orbit groups its rows by dyadic shell once, on first use (`ShellRuns`), and
 every per-shell stage reads a shell or a window of shells as one slice of it.
 The packing check reads no shells: it queries one KD-tree of the whole orbit.
+
+A ball depends only on its key (`ball_key`): the model, the bytes of the
+generators' canonical entries, the word length, and the current DEDUP_TOL
+and ORBIT_CAP.  The verifier shares the ball of each report it returns
+(`share_ball`), held weakly under its key, so only while the report or
+another holder keeps it alive.  The benchmark harness's `enumerate_orbit`,
+`find_loxodromic` and `choose_basepoint` read a shared ball of their group
+at their word length or deeper, cut by `GroupBall.head` (breadth-first
+levels do not depend on the horizon), and otherwise build a ball they do
+not share.  The arrays the library allocates for a ball, an orbit and an
+orbit sample are read-only, so no holder can alter what another reads.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,6 +167,15 @@ class GroupBall:
         """Element i as a MoebiusMap, its entries exactly as stored."""
         return MoebiusMap.from_canonical(self.entries[i], self.presentation.model)
 
+    def head(self, length):
+        """The words of length <= `length` <= max_word_length: build_ball(length), as views."""
+        length = int(length)
+        if not 1 <= length <= self.max_word_length:
+            raise UsageError(f"head length must lie in 1..{self.max_word_length}, got {length}")
+        stop = self.level_bounds(length)[1]
+        return GroupBall(self.presentation, self.entries[:stop], self.parents[:stop],
+                         self.letters[:stop], self.word_lengths[:stop], length)
+
     def level_bounds(self, length):
         """Rows start..stop - 1, the elements of word length `length` (one run in ball order)."""
         start, stop = np.searchsorted(self.word_lengths, [length, length + 1]).tolist()
@@ -293,8 +314,39 @@ def build_ball(presentation, max_word_length):
         entries = np.concatenate([entries, level])
         if not level.shape[0]:
             break
-    return GroupBall(presentation, entries, np.concatenate(parents), np.concatenate(letters),
-                     np.concatenate(lengths), max_word_length)
+    arrays = [entries, np.concatenate(parents), np.concatenate(letters), np.concatenate(lengths)]
+    for array in arrays:
+        array.setflags(write=False)
+    return GroupBall(presentation, *arrays, max_word_length)
+
+
+def ball_key(presentation, max_word_length):
+    """Everything build_ball(presentation, max_word_length) depends on, as one hashable key.
+
+    The model, the exact bytes of the generators' canonical entries (a, b, c,
+    d) in order, the current DEDUP_TOL and ORBIT_CAP, and the word length last.
+    """
+    entries = np.array([[g.a, g.b, g.c, g.d] for g in presentation.generators], dtype=complex)
+    return presentation.model, entries.tobytes(), DEDUP_TOL, ORBIT_CAP, int(max_word_length)
+
+
+_SHARED = weakref.WeakValueDictionary()  # balls of live verification reports, by ball_key
+
+
+def share_ball(ball):
+    """Let the harness stages read `ball` for as long as anything else holds it."""
+    _SHARED[ball_key(ball.presentation, ball.max_word_length)] = ball
+
+
+def _harness_ball(presentation, max_word_length):
+    """A shared ball of the group at max_word_length or deeper, cut to it; else a new
+    ball, not shared."""
+    key = ball_key(presentation, max_word_length)
+    if key[-1] >= 1:
+        for shared_key, ball in list(_SHARED.items()):
+            if shared_key[:-1] == key[:-1] and shared_key[-1] >= key[-1]:
+                return ball.head(key[-1])
+    return build_ball(presentation, max_word_length)
 
 
 class OrbitSet:
@@ -317,6 +369,8 @@ class OrbitSet:
         self.gaps = one_minus_sq / (1.0 + np.linalg.norm(self.points, axis=1))
         self.shells = _shell_indices(self.gaps)
         self.displacements = distances_from(basepoint.coords, self.points, self.gaps_squared())
+        for array in (self.points, self.gaps, self.shells, self.displacements):
+            array.setflags(write=False)
 
     def __len__(self):
         return len(self.ball)
@@ -332,8 +386,8 @@ class OrbitSet:
 
 
 def enumerate_orbit(presentation, basepoint, max_word_length):
-    """Orbit of basepoint under a new ball of max_word_length; the benchmark harness calls it."""
-    return OrbitSet(build_ball(presentation, max_word_length), basepoint)
+    """Orbit of basepoint under the ball of max_word_length; the benchmark harness calls it."""
+    return OrbitSet(_harness_ball(presentation, max_word_length), basepoint)
 
 
 def find_loxodromic(presentation, search_depth):
@@ -343,7 +397,7 @@ def find_loxodromic(presentation, search_depth):
     group may be elementary (or generated by parabolics and elliptics only),
     or the search may simply need to go deeper.  The benchmark harness calls it.
     """
-    ball = build_ball(presentation, search_depth)
+    ball = _harness_ball(presentation, search_depth)
     i = ball.first_loxodromic()
     if i is None:
         raise LoxodromicNotFoundError(
@@ -354,8 +408,8 @@ def find_loxodromic(presentation, search_depth):
 
 
 def choose_basepoint(h, presentation, search_depth):
-    """GroupBall.basepoint_on_axis on a new ball of search_depth; the benchmark harness calls it."""
-    return build_ball(presentation, search_depth).basepoint_on_axis(h, search_depth)
+    """GroupBall.basepoint_on_axis on the ball of search_depth; the benchmark harness calls it."""
+    return _harness_ball(presentation, search_depth).basepoint_on_axis(h, search_depth)
 
 
 @dataclass

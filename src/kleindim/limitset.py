@@ -204,7 +204,9 @@ def sample_limit_set(orbit, h):
     # interleave: rows 2i and 2i + 1 are element i's images of p+ and p-
     points = np.stack(images, axis=1).reshape(-1, orbit.model)
     keep = _first_unique(points)
-    return LimitSample(points=points[keep], witnesses=keep // 2, source=SOURCE_CONJUGATE)
+    points = points[keep]
+    points.setflags(write=False)  # a sample of the pipeline front may be shared
+    return LimitSample(points=points, witnesses=keep // 2, source=SOURCE_CONJUGATE)
 
 
 def deep_orbit_sample(orbit):
@@ -218,7 +220,9 @@ def deep_orbit_sample(orbit):
         raise UsageError("orbit point at the ball center has no radial projection")
     pts = pts / norms[:, None]
     keep = _first_unique(pts)
-    return LimitSample(points=pts[keep], witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
+    pts = pts[keep]
+    pts.setflags(write=False)
+    return LimitSample(points=pts, witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
 
 
 @dataclass
@@ -427,7 +431,8 @@ def neighborhood_volume(sample, r, radius=None):
 
     The neighborhood radius defaults to r itself (the box-counting case);
     passing `radius` measures a fatter or thinner neighborhood on the same
-    grid.  Returns a DyadicScaleRecord; volume = cell_count * r^n exactly.
+    grid, up to the radius whose ball about one point alone needs 2^53
+    cells.  Returns a DyadicScaleRecord; volume = cell_count * r^n exactly.
     """
     r = float(r)
     m, e = math.frexp(r)
@@ -438,6 +443,11 @@ def neighborhood_volume(sample, r, radius=None):
         raise UsageError(f"neighborhood radius must be positive and finite, got {radius}")
     k = 1 - e
     n = sample.model
+    # the cells that meet the ball of `radius` about one point cover it, and all
+    # count: past 2^53 cells the count's float volume is no longer exact
+    if radius > r * float(2.0 ** 53 / ball_volumes(1.0, n)) ** (1.0 / n):
+        raise UsageError(f"neighborhood radius {radius:.6g} at scale {r:.6g} "
+                         "needs more than 2^53 cells")
     count = _grid_cell_count(sample, radius, r)
     if count > (2.0 * (1.0 + radius) / r + 2.0) ** n:
         raise InternalError("cell count exceeds the bounding box; sample off the sphere?")

@@ -17,21 +17,38 @@ and the tails sum to a finite geometric series whenever s > t.
 
 Both check every setting (defaults TOLERANCE, CHAIN_K_MAX) before the group
 ball is built, and the chain checks t > dim_est before its packing stages.
+
+A VerificationReport holds its front: the orbit, the sample and the box
+estimate.  While the report is alive, `sampling_front` and
+`series_chain_report` on the same group and depth (`group.ball_key`) reuse
+them, and rebuild no ball, orbit, sample, KD-tree, dyadic index or box
+counts.  Live reports, and their balls for the benchmark harness
+(`group.share_ball`), are held weakly, so nothing is kept once the caller
+drops the report.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import KleindimError, LoxodromicNotFoundError, StageFailure, UsageError
 from .geometry import origin
-from .group import OrbitSet, build_ball, check_packing_disjoint, packing_radius
+from .group import (
+    OrbitSet,
+    ball_key,
+    build_ball,
+    check_packing_disjoint,
+    packing_radius,
+    share_ball,
+)
 from .limitset import (
     BoxDimensionEstimate,
+    LimitSample,
     ball_containment_check,
     ball_volumes,
     box_dimension_estimate,
@@ -44,6 +61,7 @@ from .poincare import METHODS, ExponentEstimate, check_method, exponent_estimate
 _REL_SLACK = 1.0 + 1e-9
 TOLERANCE = 0.1   # default slack of delta_est <= dim_est + tolerance
 CHAIN_K_MAX = 12  # default deepest shell of the chain report
+_LIVE = weakref.WeakValueDictionary()  # VerificationReport by ball_key, while one is held
 
 
 @contextmanager
@@ -79,7 +97,13 @@ def pipeline_front(presentation, depth, basepoint=None):
 
 
 def sampling_front(presentation, depth):
-    """pipeline_front plus the limit-set sample, which needs a loxodromic h."""
+    """pipeline_front plus the limit-set sample, which needs a loxodromic h.
+
+    A live report of the same group and depth gives its orbit and sample.
+    """
+    live = _LIVE.get(ball_key(presentation, depth))
+    if live is not None:
+        return live.orbit, live.sample
     h, orbit = pipeline_front(presentation, depth)
     with _stage("loxodromic_search"):
         if h is None:
@@ -94,7 +118,11 @@ def sampling_front(presentation, depth):
 
 @dataclass
 class VerificationReport:
-    """Both sides of the inequality for one group, with the pass verdict."""
+    """Both sides of the inequality for one group, with the pass verdict.
+
+    It holds the orbit and sample it was computed from: while it is alive,
+    they are the front of its group and depth (see the module docstring).
+    """
 
     group_name: str
     depth: int
@@ -103,8 +131,16 @@ class VerificationReport:
     margin: float        # dim_est - delta_est
     tolerance: float
     passed: bool         # margin >= -tolerance
-    orbit_size: int
-    sample_size: int
+    orbit: OrbitSet = field(repr=False, compare=False)
+    sample: LimitSample = field(repr=False, compare=False)
+
+    @property
+    def orbit_size(self):
+        return len(self.orbit)
+
+    @property
+    def sample_size(self):
+        return len(self.sample)
 
     @property
     def delta_est(self):
@@ -138,7 +174,7 @@ def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=
     with _stage("box_dimension"):
         dim = box_dimension_estimate(sample)
     margin = dim.dim_est - delta.delta_est
-    return VerificationReport(
+    report = _LIVE[ball_key(presentation, depth)] = VerificationReport(
         group_name=presentation.name,
         depth=depth,
         delta_estimate=delta,
@@ -146,9 +182,11 @@ def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=
         margin=margin,
         tolerance=tolerance,
         passed=bool(margin >= -tolerance),
-        orbit_size=len(orbit),
-        sample_size=len(sample),
+        orbit=orbit,
+        sample=sample,
     )
+    share_ball(orbit.ball)
+    return report
 
 
 @dataclass
@@ -199,8 +237,9 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     """Measure every link of the shell-by-shell convergence chain.
 
     Requires depth >= 8, finite s > t, and k_max >= 1, all checked before
-    the group ball is built, and t > the box-dimension estimate computed in
-    the same run, checked before the packing stages; the chain then exhibits
+    the group ball is built, and t > the box-dimension estimate, checked
+    before the packing stages.  A live report of the same group and depth
+    gives the orbit, sample and box estimate; the chain then exhibits
     the truncated series as bounded by a convergent geometric series, which
     is the whole content of the inequality.
     """
@@ -213,9 +252,13 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError(f"chain k_max must be at least 1, got {k_max}")
-    orbit, sample = sampling_front(presentation, depth)
-    with _stage("box_dimension"):
-        dim = box_dimension_estimate(sample)
+    live = _LIVE.get(ball_key(presentation, depth))
+    if live is None:
+        orbit, sample = sampling_front(presentation, depth)
+        with _stage("box_dimension"):
+            dim = box_dimension_estimate(sample)
+    else:
+        orbit, sample, dim = live.orbit, live.sample, live.dim_estimate
     if not t > dim.dim_est:
         raise UsageError(
             f"requires s > t > box-dimension estimate, got s={s:.6g}, t={t:.6g}, "

@@ -63,7 +63,8 @@ from kleindim.group import (
     _fresh,
     _shell_indices,
 )
-from kleindim.verify import CHAIN_K_MAX
+from kleindim.limitset import SOURCE_SYNTHETIC, LimitSample
+from kleindim.verify import CHAIN_K_MAX, verify_inequality
 
 LN9 = math.log(9.0)
 
@@ -427,6 +428,67 @@ def test_choose_basepoint_slides_off_elliptic_fixed_point():
     assert abs(bp.coords[1]) < 1e-9  # still on the axis of h
     rot = G.generators[1]
     assert hyperbolic_distance(bp, apply_interior(rot, bp)) > 1e-9
+
+
+def test_head_is_the_shallower_ball(lattice):
+    deep = build_ball(lattice, 9)
+    for length in (1, 5, 9):
+        head, fresh = deep.head(length), build_ball(lattice, length)
+        assert head.max_word_length == fresh.max_word_length == length
+        for name in ("entries", "parents", "letters", "word_lengths"):
+            a, b = getattr(head, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (length, name)
+    for length in (0, 10):
+        with pytest.raises(UsageError, match="head length"):
+            deep.head(length)
+
+
+def test_harness_stages_read_a_live_deeper_ball(lattice, ball_builds):
+    report = verify_inequality(lattice, 12)
+    ball_builds.clear()
+    h = find_loxodromic(lattice, 6)
+    z = choose_basepoint(h, lattice, 6)
+    orbit = enumerate_orbit(lattice, z, 11)
+    assert ball_builds == []
+    assert np.shares_memory(orbit.ball.entries, report.orbit.ball.entries)
+    # the same bytes as the stages on new balls
+    ball6 = build_ball(lattice, 6)
+    h6 = ball6.map(ball6.first_loxodromic())
+    z6 = ball6.basepoint_on_axis(h6, 6)
+    fresh = OrbitSet(build_ball(lattice, 11), z6)
+    assert [h.a, h.b, h.c, h.d] == [h6.a, h6.b, h6.c, h6.d]
+    assert z.coords.tobytes() == z6.coords.tobytes()
+    for a, b in ((orbit, fresh), (orbit.ball, fresh.ball)):
+        for name in vars(b):
+            if isinstance(getattr(b, name), np.ndarray):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_harness_stages_share_nothing_they_build(lattice, ball_builds):
+    # a rotated lattice has no shared ball; each call builds its own and shares none
+    turn = _rotation(0.4)
+    rotated = GroupPresentation(
+        [compose(compose(inverse(turn), g), turn) for g in lattice.generators], model=2)
+    orbit = enumerate_orbit(rotated, origin(2), 6)
+    h = find_loxodromic(rotated, 6)
+    choose_basepoint(h, rotated, 6)
+    assert len(ball_builds) == 3
+    assert orbit.ball.max_word_length == 6
+
+
+def test_shared_arrays_are_read_only(schottky_orbit10, schottky_sample10):
+    ball, orbit = schottky_orbit10.ball, schottky_orbit10
+    arrays = [ball.entries, ball.parents, ball.letters, ball.word_lengths, orbit.points,
+              orbit.gaps, orbit.shells, orbit.displacements, schottky_sample10.points]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(ValueError, match="read-only"):
+        ball.head(4).entries[0] = 0.0
+    # a caller's own array is not frozen in place
+    points = np.array([[1.0, 0.0], [0.0, 1.0]])
+    LimitSample(points=points, witnesses=np.array([[0], [1]]), source=SOURCE_SYNTHETIC)
+    assert points.flags.writeable
 
 
 def test_packing_radius_cyclic_exact(cyclic_orbit10):

@@ -125,6 +125,10 @@ def test_neighborhood_volume_validation():
     for radius in (math.nan, math.inf):
         with pytest.raises(UsageError, match="finite"):
             neighborhood_volume(sample, 0.25, radius=radius)
+    # the ball of this radius about the one point alone needs more than 2^53 cells
+    for radius in (1e300, 0.25 * math.sqrt(2.0 ** 53 / math.pi) * (1.0 + 1e-9)):
+        with pytest.raises(UsageError, match="2\\^53 cells"):
+            neighborhood_volume(sample, 0.25, radius=radius)
 
 
 def test_neighborhood_volume_single_point():

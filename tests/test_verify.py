@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,17 @@ from kleindim import (
     PackingCheck,
     StageFailure,
     UsageError,
+    compose,
+    fuchsian_lattice,
+    inverse,
+    schottky_f2,
     series_chain_report,
     truncated_series,
     verify_inequality,
 )
-from kleindim import verify
-from kleindim.verify import pipeline_front
+from kleindim import group, verify
+from kleindim.group import ball_key
+from kleindim.verify import pipeline_front, sampling_front
 
 
 def _ball_schottky():
@@ -235,3 +241,63 @@ def test_chain_tail_closed_form_at_a_tiny_gap(lattice, gap):
     assert rep.radial_ok and rep.volume_ok and rep.packing_ok
     assert rep.tail_ok and rep.chain_ok
     assert abs(rep.tail_partial_sum - rep.tail_closed_form) <= 1e-12 * rep.tail_closed_form
+
+
+def _assert_same_bits(a, b, name="report"):
+    """Every field of two reports equal bit for bit, arrays with their dtypes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), name
+        for f in dataclasses.fields(a):
+            _assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), name
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_bits(x, y, f"{name}[{i}]")
+    elif isinstance(a, (np.ndarray, float, np.floating)):
+        x, y = np.asarray(a), np.asarray(b)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    else:
+        assert a == b, name
+
+
+@pytest.mark.parametrize("make, depth", [
+    (schottky_f2, 8),
+    (fuchsian_lattice, 12),
+    (_ball_schottky, 8),
+])
+def test_chain_after_verify_reuses_the_report_front(make, depth, ball_builds):
+    G = make()
+    report = verify_inequality(G, depth)
+    s, t = report.dim_est + 0.4, report.dim_est + 0.2
+    ball_builds.clear()
+    # a presentation with the same entries shares the front; the report is the front
+    shared = series_chain_report(make(), depth, s, t)
+    assert ball_builds == []
+    assert shared.dim_estimate is report.dim_estimate
+    orbit, sample = sampling_front(G, depth)
+    assert orbit is report.orbit and sample is report.sample
+    del report, orbit, sample
+    # nothing outlives the report: the next chain builds its own front
+    assert ball_key(G, depth) not in verify._LIVE
+    fresh = series_chain_report(G, depth, s, t)
+    assert len(ball_builds) == 1
+    _assert_same_bits(shared, fresh)
+
+
+def test_front_reuse_misses_other_keys(schottky, ball_builds, monkeypatch):
+    report = verify_inequality(schottky, 8)
+    s, t = report.dim_est + 0.4, report.dim_est + 0.2
+    half = complex(math.cos(0.3), math.sin(0.3))
+    turn = MoebiusMap(half, 0.0, 0.0, half.conjugate(), model=2)
+    rotated = GroupPresentation(
+        [compose(compose(inverse(turn), g), turn) for g in schottky.generators], model=2)
+    for presentation, depth in ((rotated, 8), (schottky, 9)):
+        ball_builds.clear()
+        series_chain_report(presentation, depth, s, t)
+        assert len(ball_builds) == 1, (presentation, depth)
+    for name, value in (("DEDUP_TOL", 2 * group.DEDUP_TOL), ("ORBIT_CAP", group.ORBIT_CAP - 1)):
+        ball_builds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(group, name, value)
+            orbit, _ = sampling_front(schottky, 8)
+        assert len(ball_builds) == 1 and orbit is not report.orbit, name

@@ -12,8 +12,11 @@ and 20, the n = 3 Schottky group at 6 and 8, and `cyclic_loxodromic` at 14
 and 40.  Each case builds the group ball and prints the sha256 of the bytes
 of its `entries`, `parents`, `letters` and `word_lengths` (each with its
 dtype and shape), then the element count and the index of the first
-loxodromic element.  Two trees whose balls match byte for byte print the
-same lines.  It takes no options.
+loxodromic element: 99 lines.  Then, for every case but a group's deepest,
+it prints one `head` line, the same three fields for the group's deepest
+ball of that input cut by `GroupBall.head(depth)`: 63 lines, each equal to
+its case's line but for the `head=` field.  Two trees whose balls match
+byte for byte print the same lines.  It takes no options.
 """
 
 from __future__ import annotations
@@ -46,16 +49,24 @@ def ball_digest(ball):
     return digest.hexdigest()
 
 
+def line(ball, case):
+    """The digest, the case, the element count and the first loxodromic index."""
+    return (f"{ball_digest(ball)} {case} "
+            f"elements={len(ball)} first_loxodromic={ball.first_loxodromic()}")
+
+
 def main():
+    heads = []
     for name, make, depths in GROUPS:
         for seed in SEEDS:
             inputs = seeded_inputs(make(), seed)
             for i, presentation in enumerate(inputs[:1] if seed == 0 else inputs):
                 for depth in depths:
                     ball = build_ball(presentation, depth)
-                    print(ball_digest(ball), f"{name} depth={depth} seed={seed} input={i}",
-                          f"elements={len(ball)} first_loxodromic={ball.first_loxodromic()}",
-                          flush=True)
+                    print(line(ball, f"{name} depth={depth} seed={seed} input={i}"), flush=True)
+                heads += [line(ball.head(depth), f"{name} depth={depth} seed={seed} input={i} "
+                               f"head={depths[-1]}") for depth in depths[:-1]]
+    print(*heads, sep="\n")
 
 
 if __name__ == "__main__":
