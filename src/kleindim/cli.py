@@ -28,6 +28,20 @@ text "%s") applied to the rows of the table's columns, joined into one
 string and written atomically (temp file + rename).  Identical inputs give
 byte-identical outputs.  Group words are spelled once per ball from its
 parent-pointer trie (`_spell_words`), never per row.
+
+A process holds at most one session front, that of the last command that
+built one, under its `group.ball_key`: the model, the exact bytes of the
+canonical generator entries, DEDUP_TOL, ORBIT_CAP and the depth.  It holds
+the ball and its loxodromic h, and on first use the orbit at the default
+basepoint, the limit-set sample (with the KD-tree and dyadic index that
+`boxdim` builds on it) and the word spelling.  `orbit`, `poincare`,
+`exponent`, `limitset` and `boxdim` read it: on a key hit they build no
+ball, basepoint, orbit, sample or spelling, and a `--basepoint` command
+maps the held ball to its own point.  On a miss the held front is dropped
+before the new one is built; a stage that raises stores nothing, so the
+next command raises the same error.  Every output is byte-identical to
+that of one process per command.  `verify` and `chain` build their own
+fronts through the library, and no library call reads the session front.
 """
 
 from __future__ import annotations
@@ -44,10 +58,11 @@ from . import limitset, poincare, verify
 from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
+from .group import ball_key
 from .groupio import atomic_write_bytes, load_group, save_group
 from .limitset import box_dimension_estimate, check_window
 from .poincare import check_bin_width, exponent_estimate, truncated_series
-from .verify import pipeline_front, sampling_front, series_chain_report, verify_inequality
+from .verify import _ball_front, _map_front, _sample_front, series_chain_report, verify_inequality
 
 S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
 
@@ -125,11 +140,49 @@ def _parse_point(text, model):
     return InteriorPoint(coords)
 
 
+class _Front:
+    """The session front of one `ball_key`: the ball and its h, then on first use the
+    orbit at the default basepoint, the limit-set sample and the word spelling.
+
+    A part whose stage raises is not stored; the next command that needs it
+    runs that stage again and raises the same error.
+    """
+
+    def __init__(self, key, ball, h):
+        self.key, self.ball, self.h = key, ball, h
+
+    @functools.cached_property
+    def orbit(self):
+        return _map_front(self.ball, self.h, None)
+
+    @functools.cached_property
+    def sample(self):
+        return _sample_front(self.orbit, self.h)
+
+    @functools.cached_property
+    def words(self):
+        return _spell_words(self.ball.parents, self.ball.letters)
+
+
+_session_front = None  # the last _Front a command built, the process's only one
+
+
+def _front(presentation, depth):
+    """The session front of the group and depth: the held one on a key hit, else a new one."""
+    global _session_front
+    key = ball_key(presentation, depth)
+    if _session_front is None or _session_front.key != key:
+        _session_front = None  # drop the old front before building its successor
+        _session_front = _Front(key, *_ball_front(presentation, depth))
+    return _session_front
+
+
 def _front_orbit(args, basepoint=None):
-    """Orbit of the pipeline front, mapped to the parsed basepoint when given."""
+    """The session front and its orbit, mapped to the parsed basepoint when given."""
     presentation = load_group(args.groupfile)
     z = None if basepoint is None else _parse_point(basepoint, presentation.model)
-    return pipeline_front(presentation, args.depth, z)[1]
+    front = _front(presentation, args.depth)
+    return front, front.orbit if z is None else _map_front(front.ball, front.h, z)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +190,12 @@ def _front_orbit(args, basepoint=None):
 
 
 def _cmd_orbit(args):
-    orbit = _front_orbit(args, args.basepoint)
-    ball, n = orbit.ball, orbit.model
+    front, orbit = _front_orbit(args, args.basepoint)
+    n = orbit.model
     header = ["word", "word_length", *"xyz"[:n], "radial_gap", "shell_index", "displacement"]
     _write_table(args.out, header, "%s,%d," + "%.9g," * n + "%.9g,%d,%.9g", [
-        _spell_words(ball.parents, ball.letters),
-        ball.word_lengths.tolist(),
+        front.words,
+        orbit.word_lengths.tolist(),
         *orbit.points.T.tolist(),
         orbit.gaps.tolist(),
         orbit.shells.tolist(),
@@ -154,7 +207,7 @@ def _cmd_orbit(args):
 
 def _cmd_poincare(args):
     grid = _parse_s_grid(args.s_grid)
-    orbit = _front_orbit(args, args.basepoint)
+    _, orbit = _front_orbit(args, args.basepoint)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
     # every evaluation on the orbit has one partial per occupied shell, in this order
@@ -173,7 +226,7 @@ def _cmd_poincare(args):
 
 def _cmd_exponent(args):
     check_bin_width(args.bin_width)
-    orbit = _front_orbit(args)
+    _, orbit = _front_orbit(args)
     est = exponent_estimate(orbit, method=args.method, bin_width=args.bin_width)
     print(f"method={est.method}")
     print(f"delta_est={_fmt(est.delta_est)}")
@@ -221,9 +274,9 @@ def _cmd_limitset(args):
     presentation = load_group(args.groupfile)
     if args.image is not None:
         _check_raster(presentation.model, args.k)
-    orbit, sample = sampling_front(presentation, args.depth)
-    ball, n = orbit.ball, sample.model
-    words = _spell_words(ball.parents, ball.letters)
+    front = _front(presentation, args.depth)
+    sample, words = front.sample, front.words
+    n = sample.model
     _write_table(args.out, [*"xyz"[:n], "witness"], "%.9g," * n + "%s", [
         *sample.points.T.tolist(),
         [words[i] for i in sample.witnesses.tolist()],
@@ -237,8 +290,8 @@ def _cmd_limitset(args):
 
 def _cmd_boxdim(args):
     k_range = check_window((args.kmin, args.kmax))
-    _, sample = sampling_front(load_group(args.groupfile), args.depth)
-    est = box_dimension_estimate(sample, k_range=k_range)
+    est = box_dimension_estimate(_front(load_group(args.groupfile), args.depth).sample,
+                                 k_range=k_range)
     recs = est.records
     header = ["k", "r", "cell_count", "volume", "local_slope"]
     # the last scale has no forward difference: its slope cell is empty

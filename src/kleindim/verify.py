@@ -75,7 +75,7 @@ def _stage(name):
 
 
 def pipeline_front(presentation, depth, basepoint=None):
-    """Stages shared by the verifier, the chain report and the CLI.
+    """Stages shared by the verifier and the chain report.
 
     One group ball at `depth`, mapped to `basepoint`, else to a point on the
     axis of h clear of the elliptic elements of word length <= min(6, depth),
@@ -83,17 +83,27 @@ def pipeline_front(presentation, depth, basepoint=None):
     element in ball order (None if none), which is also the first of any
     shallower ball, since breadth-first levels do not depend on the horizon.
     """
+    ball, h = _ball_front(presentation, depth)
+    return h, _map_front(ball, h, basepoint)
+
+
+def _ball_front(presentation, depth):
+    """The ball half of pipeline_front: the group ball at `depth` and its h."""
     with _stage("orbit_enumeration"):
         ball = build_ball(presentation, depth)
     with _stage("loxodromic_search"):
         i = ball.first_loxodromic()
         h = None if i is None else ball.map(i)
+    return ball, h
+
+
+def _map_front(ball, h, basepoint):
+    """The mapping half of pipeline_front: `ball` mapped to `basepoint`, else on h's axis."""
     if basepoint is None and h is not None:
         with _stage("basepoint_selection"):
-            basepoint = ball.basepoint_on_axis(h, min(6, depth))
+            basepoint = ball.basepoint_on_axis(h, min(6, ball.max_word_length))
     with _stage("orbit_enumeration"):
-        orbit = OrbitSet(ball, origin(presentation.model) if basepoint is None else basepoint)
-    return h, orbit
+        return OrbitSet(ball, origin(ball.presentation.model) if basepoint is None else basepoint)
 
 
 def sampling_front(presentation, depth):
@@ -105,15 +115,19 @@ def sampling_front(presentation, depth):
     if live is not None:
         return live.orbit, live.sample
     h, orbit = pipeline_front(presentation, depth)
+    return orbit, _sample_front(orbit, h)
+
+
+def _sample_front(orbit, h):
+    """The sampling half of sampling_front: the limit-set sample of `orbit` through h."""
     with _stage("loxodromic_search"):
         if h is None:
             raise LoxodromicNotFoundError(
-                f"possibly elementary input: no loxodromic element within word length {depth}; "
-                "the group may be elementary, or try a deeper search"
+                "possibly elementary input: no loxodromic element within word length "
+                f"{orbit.max_word_length}; the group may be elementary, or try a deeper search"
             )
     with _stage("limit_set_sample"):
-        sample = sample_limit_set(orbit, h)
-    return orbit, sample
+        return sample_limit_set(orbit, h)
 
 
 @dataclass

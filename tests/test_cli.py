@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,9 @@ from kleindim import (
     truncated_series,
     verify_inequality,
 )
-from kleindim import cli, limitset, poincare, verify
+from kleindim import cli, group, limitset, poincare, verify
 from kleindim.cli import _spell_words, _write_pgm, main
-from kleindim.geometry import MoebiusMap
+from kleindim.geometry import MoebiusMap, compose, inverse
 from kleindim.group import GroupPresentation
 from kleindim.verify import pipeline_front, sampling_front
 
@@ -65,6 +67,20 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _counted_calls(monkeypatch, module, name):
+    """Calls to module.name, counted at every kleindim module that binds it."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("kleindim") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def test_fixtures_list(capsys):
@@ -184,6 +200,7 @@ def test_one_ball_per_run(tmp_path, schottky_file, ball_builds, capsys):
     }
     for name, run in runs.items():
         ball_builds.clear()
+        cli._session_front = None  # each command as its own process
         assert run() not in (1, 2), name
         assert len(ball_builds) == 1, name
     capsys.readouterr()
@@ -216,16 +233,7 @@ k,r,cell_count,volume,local_slope
 
 
 def test_boxdim_writes_the_estimate_records(tmp_path, schottky_file, monkeypatch, capsys):
-    calls = []
-    volume = limitset.neighborhood_volume
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return volume(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kleindim") and getattr(module, "neighborhood_volume", None) is volume:
-            monkeypatch.setattr(module, "neighborhood_volume", counted)
+    calls = _counted_calls(monkeypatch, limitset, "neighborhood_volume")
     out = tmp_path / "scales.csv"
     assert main(["boxdim", schottky_file, "--depth", "7", "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii") == BOXDIM_SCHOTTKY_DEPTH7
@@ -452,6 +460,144 @@ def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     assert [g[0] for g in got] == [1, 0, 0, 0, 0, 0, 0, 0, 0]
     assert got == expected
     assert _files(tmp_path / "one") == _files(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The session front: commands on one group file and depth share one front.
+
+
+def test_session_builds_one_front(tmp_path, ball_builds, monkeypatch, capsys):
+    samples = _counted_calls(monkeypatch, limitset, "sample_limit_set")
+    spellings = _counted_calls(monkeypatch, cli, "_spell_words")
+    monkeypatch.chdir(_work_dir(tmp_path / "work"))
+    d = ["group.json", "--depth", "6"]
+    for argv in (["fixtures", "--emit", "schottky_f2", "fixture.json"],
+                 ["orbit", *d, "--out", "orbit.csv"],
+                 ["poincare", *d, "--s-grid", "0.5:1.5:0.25", "--out", "series.csv"],
+                 ["exponent", *d],
+                 ["limitset", *d, "--out", "points.csv", "--image", "points.pgm", "--k", "7"],
+                 ["boxdim", *d, "--out", "scales.csv"]):
+        assert main(argv) == 0, argv
+    assert (len(ball_builds), len(samples), len(spellings)) == (1, 1, 1)
+    capsys.readouterr()
+
+
+def _front_session():
+    """One session over four keys: both basepoint modes, the n = 3 group, bad arguments."""
+    argvs = []
+    for name, depth, basepoint in (("group.json", 6, "0.1,-0.2"), ("group.json", 5, "-0.3,0.05"),
+                                   ("ball.json", 6, "0.1,0.2,-0.05"), ("group.json", 6, "0.2,0.1")):
+        d = [name, "--depth", str(depth)]
+        image = ["--image", "points.pgm", "--k", "6"] if name == "group.json" else []
+        argvs += [
+            ["orbit", *d, f"--basepoint={basepoint}", "--out", "based.csv"],
+            ["orbit", *d, "--out", "orbit.csv"],
+            ["orbit", *d, "--basepoint", "0.1", "--out", "bad.csv"],
+            ["poincare", *d, "--s-grid", "0.5:1.5:0.25", "--out", "series.csv"],
+            ["poincare", *d, "--basepoint", basepoint, "--s-grid", "0:2:0.5",
+             "--out", "based_series.csv"],
+            ["exponent", *d, "--method", "divergence_scan"],
+            ["exponent", *d],
+            ["limitset", *d, "--out", "points.csv", *image],
+            ["boxdim", *d, "--out", "scales.csv"],
+            ["boxdim", *d, "--kmin", "2", "--kmax", "6", "--out", "scales.csv"],
+            ["verify", *d, "--out", "report.csv"],
+        ]
+    return argvs
+
+
+def test_session_matches_commands_without_the_front(tmp_path, ball_schottky, ball_builds,
+                                                    monkeypatch, capsys):
+    runs = {}
+    for mode in ("session", "fresh"):
+        work = _work_dir(tmp_path / mode)
+        save_group(ball_schottky, work / "ball.json")
+        monkeypatch.chdir(work)
+        ball_builds.clear()
+        capsys.readouterr()
+        got = []
+        for argv in _front_session():
+            if mode == "fresh":
+                cli._session_front = None  # each command as its own process
+            code = main(argv)
+            got.append((argv, code, *capsys.readouterr(), _files(work)))
+        runs[mode] = got, len(ball_builds)
+    (session, session_builds), (fresh, fresh_builds) = runs["session"], runs["fresh"]
+    assert {g[1] for g in session} == {0, 1}
+    assert session == fresh
+    # three verify runs build their own balls; each of the four keys builds one front
+    assert (session_builds, fresh_builds) == (3 + 4, 3 + 4 * 9)
+
+
+def test_session_front_misses_other_keys(tmp_path, schottky, ball_builds, monkeypatch, capsys):
+    path = tmp_path / "group.json"
+    half = complex(math.cos(0.3), math.sin(0.3))
+    turn = MoebiusMap(half, 0.0, 0.0, half.conjugate(), model=2)
+    rotated = GroupPresentation(
+        [compose(compose(inverse(turn), g), turn) for g in schottky.generators], model=2)
+    # each key differs from the one before it
+    for presentation, depth, patch in (
+        (schottky, 6, None), (rotated, 6, None), (schottky, 7, None),
+        (schottky, 6, ("DEDUP_TOL", 2 * group.DEDUP_TOL)),
+        (schottky, 6, ("ORBIT_CAP", group.ORBIT_CAP - 1)),
+    ):
+        save_group(presentation, path)
+        ball_builds.clear()
+        with monkeypatch.context() as context:
+            if patch is not None:
+                context.setattr(group, *patch)
+            for _ in range(2):  # a miss, then a hit on the front it built
+                assert main(["exponent", str(path), "--depth", str(depth)]) == 0
+        assert len(ball_builds) == 1, (presentation, depth, patch)
+    capsys.readouterr()
+
+
+def test_session_holds_at_most_one_front(tmp_path, schottky_file, monkeypatch, capsys):
+    out = str(tmp_path / "orbit.csv")
+    assert main(["orbit", schottky_file, "--depth", "5", "--out", out]) == 0
+    first = weakref.ref(cli._session_front.ball)
+    assert main(["exponent", schottky_file, "--depth", "5"]) == 0
+    assert cli._session_front.ball is first()
+    alive = []
+    real = verify.build_ball
+
+    def build_after_drop(*args):
+        gc.collect()
+        alive.append(first() is not None)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "build_ball", build_after_drop)
+    assert main(["orbit", schottky_file, "--depth", "4", "--out", out]) == 0
+    gc.collect()
+    # the first front was dropped before its successor was built
+    assert alive == [False] and first() is None
+    capsys.readouterr()
+
+
+def test_failing_front_stores_nothing(tmp_path, schottky_file, monkeypatch, capsys):
+    argv = ["exponent", schottky_file, "--depth", "6"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(group, "ORBIT_CAP", 100)
+    failed = []
+    for _ in range(2):
+        failed.append((main(argv), *capsys.readouterr()))
+        assert cli._session_front is None
+    assert failed[0] == failed[1] == (1, "", "error: stage orbit_enumeration: orbit enumeration "
+                                             "exceeded 100 elements at word length 4\n")
+    monkeypatch.undo()
+    # a front whose sample stage fails keeps its ball, and not the sample
+    parabolic = tmp_path / "parabolic.json"
+    parabolic.write_text(json.dumps({
+        "name": "parabolic", "model_dimension": 2, "chart": "halfspace",
+        "generators": [[[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+    }))
+    argv = ["limitset", str(parabolic), "--depth", "4", "--out", str(tmp_path / "points.csv")]
+    failed = [(main(argv), *capsys.readouterr()) for _ in range(2)]
+    assert failed[0] == failed[1] and failed[0][0] == 1
+    assert "stage loxodromic_search: possibly elementary input" in failed[0][2]
+    assert "sample" not in vars(cli._session_front)
+    assert not (tmp_path / "points.csv").exists()
 
 
 def test_handlers_are_looked_up_at_call_time(tmp_path, schottky_file, monkeypatch, capsys):
@@ -695,6 +841,7 @@ def test_tables_spell_from_the_trie(tmp_path, schottky_file, monkeypatch, capsys
                  ["orbit", schottky_file, "--depth", "5", "--basepoint", "0.1,0.2", "--out", out],
                  ["limitset", schottky_file, "--depth", "5", "--out", out]):
         calls.clear()
+        cli._session_front = None  # each command as its own process
         assert main(argv) == 0
         assert calls == [485]  # one spelling of the whole depth-5 ball per command
     capsys.readouterr()

@@ -22,18 +22,30 @@ before any group ball is built (an s-grid whose value count overflows,
 `chain --kmax 0`, `exponent --bin-width 0`, `boxdim --kmin 9 --kmax 3`,
 `chain --s 1.0 --t 1.2`), and last `orbit` on four malformed group files,
 whose second generator holds a non-numeric entry, a ragged pair, a string
-or an object: 102 commands, so 102 lines.  It takes no options.
+or an object: 102 commands, so 102 lines.
+
+Then the same matrix runs again as one session: every command through
+`kleindim.cli.main` in this interpreter, in matrix order, each in its own
+new temporary directory as before, so later commands on the same group
+and depth reuse the front an earlier one built.  Its lines repeat the
+digest with "session" before the command: 102 more, so 204 lines.  A
+session line that differs from its fresh-process line is also reported on
+stderr, and the exit status is then 1.  It takes no options.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from kleindim import cli
 
 # the Schottky group of the rank-2 fixture carried into the ball model
 BALL_GROUP = {
@@ -101,8 +113,23 @@ BAD_ARGUMENTS = [
 ]
 
 
-def digest(argv, fixtures):
-    """Run one command in a fresh process and directory; return the sha256 of its outputs.
+def fresh_process(argv):
+    """Exit code, stdout and stderr of `python -m kleindim argv`."""
+    proc = subprocess.run([sys.executable, "-m", "kleindim", *argv],
+                          capture_output=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def this_process(argv):
+    """Exit code, stdout and stderr of `cli.main(argv)` in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def digest(argv, fixtures, run):
+    """Run one command in a new directory; return the sha256 of its outputs.
 
     The group files in `fixtures` are copied in first and are not digested;
     a group file the command writes is moved back to `fixtures` for later commands.
@@ -111,12 +138,9 @@ def digest(argv, fixtures):
         for src in fixtures.iterdir():
             (Path(tmp) / src.name).write_bytes(src.read_bytes())
         before = set(os.listdir(tmp))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kleindim", *(a.replace("{tmp}", tmp) for a in argv)],
-            capture_output=True, check=False,
-        )
-        h = hashlib.sha256(f"exit={proc.returncode}\n".encode())
-        for stream in (proc.stdout, proc.stderr):
+        code, stdout, stderr = run([a.replace("{tmp}", tmp) for a in argv])
+        h = hashlib.sha256(f"exit={code}\n".encode())
+        for stream in (stdout, stderr):
             h.update(stream.replace(tmp.encode(), b"<tmp>") + b"\n--\n")
         for name in sorted(set(os.listdir(tmp)) - before):
             data = (Path(tmp) / name).read_bytes()
@@ -124,6 +148,17 @@ def digest(argv, fixtures):
             if name.endswith(".json"):
                 (fixtures / name).write_bytes(data)
     return h.hexdigest()
+
+
+def write_fixtures(fixtures):
+    """The group files no command emits: the n = 3 group and the malformed files."""
+    fixtures.mkdir()
+    (fixtures / "schottky_ball.json").write_text(json.dumps(BALL_GROUP, indent=2) + "\n")
+    identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    for name, generator in MALFORMED_GENERATORS.items():
+        doc = {"name": "malformed", "model_dimension": 2, "chart": "disc",
+               "generators": [identity, generator]}
+        (fixtures / name).write_text(json.dumps(doc) + "\n")
 
 
 def main():
@@ -136,18 +171,22 @@ def main():
         for depth in depths
         for argv in group_commands(name, depth, basepoint)
     ] + BAD_ARGUMENTS
+    fresh, status = [], 0
     with tempfile.TemporaryDirectory() as root:
-        fixtures = Path(root) / "fixtures"
-        fixtures.mkdir()
-        (fixtures / "schottky_ball.json").write_text(json.dumps(BALL_GROUP, indent=2) + "\n")
-        identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
-        for name, generator in MALFORMED_GENERATORS.items():
-            doc = {"name": "malformed", "model_dimension": 2, "chart": "disc",
-                   "generators": [identity, generator]}
-            (fixtures / name).write_text(json.dumps(doc) + "\n")
-        for argv in matrix:
-            print(digest(argv, fixtures), " ".join(argv), flush=True)
+        for run, label in ((fresh_process, ""), (this_process, "session ")):
+            fixtures = Path(root) / f"fixtures-{run.__name__}"
+            write_fixtures(fixtures)
+            for i, argv in enumerate(matrix):
+                line = digest(argv, fixtures, run)
+                print(line, label + " ".join(argv), flush=True)
+                if run is fresh_process:
+                    fresh.append(line)
+                elif line != fresh[i]:
+                    print(f"session differs from a fresh process: {' '.join(argv)}",
+                          file=sys.stderr)
+                    status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
