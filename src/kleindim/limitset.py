@@ -8,8 +8,10 @@ for that rule.  It works on grid lines, the cells that agree in every
 index but the last: within a radius of a point, a line's cell centers form
 one interval, computed with one sqrt.  The intervals of one point per
 sub-cell, merged per line, count most cells outright, and only a thin band
-of cells runs the exact nearest-point query; the band is as wide as the
-diagonal of the box of the sub-cell's own index keys, not of the sub-cell.
+of cells runs the exact nearest-point query: the cells within reach of the
+box of the sub-cell's own index keys, widened by one key per side, that
+are not within reach of the point.  Every point of the sub-cell lies in
+that box, and a line whose two intervals agree adds no band cell.
 The lines go in passes of about 2^14 representative lines, split by
 residue of their first index; each pass sorts its interval ends once,
 keyed by each line's offset from the pass's least line, or by its rank
@@ -235,13 +237,20 @@ class DyadicScaleRecord:
     volume: float
 
 
-def _span(offset, d2, r2):
-    """Integer steps j with (j - offset)^2 <= r2 - d2, as int64 bounds (lo, hi).
+def _span(lo, hi, d2, r2):
+    """Integer steps j with dist(j, [lo, hi])^2 <= r2 - d2, as int64 bounds (lo, hi).
 
     Empty when hi = lo - 1, never shorter, so lo and hi + 1 bound every span.
     """
     w = np.sqrt(np.maximum(r2 - d2, 0.0))
-    return np.ceil(offset - w).astype(np.int64), np.floor(offset + w).astype(np.int64)
+    return np.ceil(lo - w).astype(np.int64), np.floor(hi + w).astype(np.int64)
+
+
+def _gap2(steps, lo, hi):
+    """Squared distance from each step to [lo, hi], 0 inside."""
+    gap = np.maximum(lo - steps, steps - hi)
+    np.maximum(gap, 0.0, out=gap)
+    return gap * gap
 
 
 def _expand(lo, lengths, step):
@@ -269,37 +278,43 @@ def _grid_cell_count(sample, radius, cell):
     The points are represented by the first point, in index order, of each
     occupied sub-cell of side s = cell/2^_SUBCELL_BITS, a run of the
     sample's dyadic index.  A key kappa places a point in [kappa, kappa +
-    1) * 2^-_INDEX_BITS - 2 per axis, so every point of a run lies within e
-    = sqrt(sum (max - min + 1)^2) * 2^-_INDEX_BITS of its representative,
-    the diagonal of the box of the run's keys, max and min per axis.  The
-    box lies in the sub-cell, so e <= s*sqrt(n), and far below it for a
-    run of close points; e = 0 for a point alone in its sub-cell.  A grid
-    line is the set of cells that agree in every index but the last.  For
-    a representative and a line within reach of it, the cells whose
-    centers lie within a radius form one interval along the line, found
-    with one sqrt: the inner span at reach*(1 - 1e-9) and the outer span at
-    (reach + e)*(1 + 1e-9).  The lines within reach are spans themselves,
-    one leading axis at a time.  One sort of the spans' end points per pass
+    1) * 2^-_INDEX_BITS - 2 per axis, so, with rho the representative's
+    key, every point of the run lies within (min - rho - 1, max - rho + 1)
+    keys of it per axis, min and max the run's extreme keys: in the run's
+    key box widened by one key per side.  For a point alone in its sub-cell
+    the box is the point itself.  A grid line is the set of cells that agree
+    in every index but the last.  The cells of a line whose centers lie
+    within a radius of a box form one interval, found with one sqrt: [lo -
+    w, hi + w], with lo and hi the box's last-axis ends, w = sqrt(radius^2
+    - g^2) and g the line's distance to the box over the leading axes.  The
+    inner span takes reach*(1 - 1e-9) about the representative, the outer
+    span reach*(1 + 1e-9) about the box, which holds the representative and
+    so the inner span.  The lines within reach are spans themselves, one
+    leading axis at a time.  One sort of the spans' end points per pass
     merges each line's spans: the cells of the inner union count outright,
     and only the cells of the outer union outside it run the exact query on
-    the sample's KD-tree.  Which point represents a sub-cell therefore
-    moves no count, and a band wider than e would only query more cells.
+    the sample's KD-tree.  A row whose outer span equals its inner span, as
+    nearly every row of a point alone does, adds no such cell and emits its
+    inner span only.  Which point represents a sub-cell therefore moves no
+    count, and a larger box would only query more cells.
 
     The spans are exact enough for the margins.  Cell indices are exact
     because cell is a power of two, and the arithmetic works in cell units
     relative to each representative's own cell: its offset from the cell
-    center, p/cell - floor(p/cell) - 1/2, is within 2^-54 of the truth,
-    and every value has magnitude below reach/cell + 2.  Each end point is
-    therefore within about 1e-15 relative of the exact bound, against
-    margins of 1e-9 relative.  A cell in an inner span has its center
+    center, p/cell - floor(p/cell) - 1/2, is within 2^-54 of the truth, a
+    box end, the offset plus a key difference times 2^(k - _INDEX_BITS), is
+    within an ulp of it, and every value has magnitude below reach/cell +
+    2.  Each end point is therefore within about 1e-15 relative of the
+    exact bound, against margins of 1e-9 relative.  A cell in an inner span has its center
     within reach*(1 - 1e-9)*(1 + 1e-15) of a point, whose computed distance
     exceeds the true one by less than 1e-15 relative (coordinate
     differences are exact or within an ulp of their own size), so the query
     would find it within reach.  A cell in no outer span has its center
-    beyond reach by nearly 1e-9 relative from every point, and no computed
-    distance falls to reach.  An absolute float index near 2^24 would have
-    an ulp of 3.7e-9 cells, more than the margin of 1.7e-9 cells at k = 24
-    and radius = cell; no index is formed in floats here.
+    beyond reach by nearly 1e-9 relative from every point of the box, which
+    holds every point of the run, and no computed distance falls to reach.
+    An absolute float index near 2^24 would have an ulp of 3.7e-9 cells,
+    more than the margin of 1.7e-9 cells at k = 24 and radius = cell; no
+    index is formed in floats here.
 
     The lines go in passes by their first index modulo `passes`, which
     splits no line and, when the lines spread over many first indices,
@@ -323,17 +338,18 @@ def _grid_cell_count(sample, radius, cell):
     offset = scaled - base - 0.5
     base = base.astype(np.int64)
     reach_k = math.ldexp(reach, k)
-    inner2 = (reach_k * (1.0 - _SPAN_MARGIN)) ** 2
-    # each run's key box, max - min + 1 keys per axis, as a diagonal in cell units
-    extent = np.maximum.reduceat(index.keys, runs) - np.minimum.reduceat(index.keys, runs) + 1
-    diagonal = np.ldexp(np.sqrt((extent * extent).sum(axis=1)), -shift)
-    diagonal[alone] = 0.0
-    outer2 = ((reach_k + diagonal) * (1.0 + _SPAN_MARGIN)) ** 2
-    outer = math.sqrt(outer2.max())
+    outer = reach_k * (1.0 + _SPAN_MARGIN)
+    inner2, outer2 = (reach_k * (1.0 - _SPAN_MARGIN)) ** 2, outer * outer
+    # each run's key box, widened by one key per side but a point alone's, in
+    # the same units: the offset plus an exact dyadic number per end
+    keys = index.keys[runs]
+    widen = (~alone).astype(np.int64)[:, None]
+    box_lo = offset + np.ldexp(np.minimum.reduceat(index.keys, runs) - keys - widen, -shift)
+    box_hi = offset + np.ldexp(np.maximum.reduceat(index.keys, runs) - keys + widen, -shift)
     # line keys hold one index per leading axis, each shifted into [0, radix)
     radix = (4 << k) + 2 * int(outer) + 8
     shifted = base + radix // 2
-    lo0, hi0 = _span(offset[:, 0], 0.0, outer2)
+    lo0, hi0 = _span(box_lo[:, 0], box_hi[:, 0], 0.0, outer2)
     estimate = int((hi0 - lo0 + 1).sum()) * int(2 * outer + 1) ** (n - 2)
     passes = 1 + estimate // _SPAN_ROWS
     count = 0
@@ -343,41 +359,48 @@ def _grid_cell_count(sample, radius, cell):
         rows, steps = _expand(start, np.maximum((hi0 - start) // passes + 1, 0), passes)
         line = steps + shifted[rows, 0]
         d2 = (steps - offset[rows, 0]) ** 2
+        g2 = _gap2(steps, box_lo[rows, 0], box_hi[rows, 0])
         for axis in range(1, n - 1):
-            lo, hi = _span(offset[rows, axis], d2, outer2[rows])
+            lo, hi = _span(box_lo[rows, axis], box_hi[rows, axis], g2, outer2)
             at, steps = _expand(lo, hi - lo + 1, 1)
             rows = rows[at]
             d2 = d2[at] + (steps - offset[rows, axis]) ** 2
+            g2 = g2[at] + _gap2(steps, box_lo[rows, axis], box_hi[rows, axis])
             line = line[at] * radix + (steps + shifted[rows, axis])
         if line.size:
             events, first, lines, low, width = _line_events(
-                line, offset[rows, -1], base[rows, -1], d2, inner2, outer2[rows])
-            del rows, steps, line, d2  # only the events are needed from here on
+                line, offset[rows, -1], base[rows, -1], box_lo[rows, -1], box_hi[rows, -1],
+                d2, g2, inner2, outer2)
+            del rows, steps, line, d2, g2  # only the events are needed from here on
             count += _count_events(sample, reach, cell, events, first, lines, low, width,
                                    radix)
     return count
 
 
-def _line_events(line, offset, base, d2, inner2, outer2):
+def _line_events(line, offset, base, box_lo, box_hi, d2, g2, inner2, outer2):
     """The sorted span events of the given lines, and how to read their lines back.
 
-    Row j is a representative's line line[j], its last-axis offset and base
-    cell, and d2, its squared distance to the line in cell units.  Each row
-    has an outer span and, within the inner radius, an inner span.  An
-    event's key is (slot*width + position) * 4 + kind, where a cell's
-    position is its last index - low, so the key sorts it into its line.  A
-    line's slot is its offset line - first from the pass's least line, a
-    monotone relabelling of its rank: every span ends inside its line's
-    width, so the coverage between two lines is 0 and the slots left empty
-    count nothing.  Only where the keys could reach 2^63, (line range) *
-    width * 4 > 2^63 (n = 3, lines spread over most of the cube at k >= 17
-    or so), is the slot the line's rank among the pass's distinct lines,
-    which `lines` then holds; otherwise `lines` is None and slot s is line
-    first + s.  The events fill one preallocated array.
+    Row j is a run's line line[j], its representative's last-axis offset and
+    base cell, the last-axis ends of its key box, and the squared distances
+    in cell units to the line from the representative, d2, and from the box,
+    g2.  Each row has an outer span about the box and, within the inner
+    radius, an inner span about the representative, which the outer span
+    holds.  A row whose outer span equals its inner span adds no band cell
+    and emits its inner events only.  An event's key is (slot*width +
+    position) * 4 + kind, where a cell's position is its last index - low,
+    so the key sorts it into its line.  A line's slot is its offset line -
+    first from the pass's least line, a monotone relabelling of its rank:
+    every span ends inside its line's width, so the coverage between two
+    lines is 0 and the slots left empty count nothing.  Only where the keys
+    could reach 2^63, (line range) * width * 4 > 2^63 (n = 3, lines spread
+    over most of the cube at k >= 17 or so), is the slot the line's rank
+    among the pass's distinct lines, which `lines` then holds; otherwise
+    `lines` is None and slot s is line first + s.  The events fill one
+    preallocated array.
     """
-    lo_o, hi_o = _span(offset, d2, outer2)
-    inside = d2 <= inner2
-    lo_i, hi_i = _span(offset[inside], d2[inside], inner2)
+    lo_o, hi_o = _span(box_lo, box_hi, g2, outer2)
+    inside = np.flatnonzero(d2 <= inner2)
+    lo_i, hi_i = _span(offset[inside], offset[inside], d2[inside], inner2)
     low = int((base + lo_o).min())
     width = int((base + hi_o).max()) - low + 2
     first = int(line.min())
@@ -388,6 +411,9 @@ def _line_events(line, offset, base, d2, inner2, outer2):
     at *= width
     at += base - low
     inner_at = at[inside]
+    banded = np.ones(at.size, dtype=bool)
+    banded[inside] = (lo_o[inside] != lo_i) | (hi_o[inside] != hi_i)
+    at, lo_o, hi_o = at[banded], lo_o[banded], hi_o[banded]
     no, ni = at.size, inner_at.size
     events = np.empty(2 * (no + ni), dtype=np.int64)
     np.add(at, lo_o, out=events[:no])

@@ -510,19 +510,24 @@ def test_grid_count_key_paths(monkeypatch):
 @pytest.mark.parametrize("span", [1 << 60, (1 << 60) + 1])
 def test_line_events_key_fits_int64(span):
     # two rows of width 2 on lines span - 1 apart: the largest key is
-    # 4*2*span - 1, so at span = 2^60 it is 2^63 - 1 and the offsets still fit
-    line = np.array([7, 7 + span - 1], dtype=np.int64)
-    zeros = np.zeros(2)
+    # 4*2*span - 1, so at span = 2^60 it is 2^63 - 1 and the offsets still fit.
+    # Their outer spans, about the key box [0, 1/2], hold cell 0 and their
+    # inner spans, about the representative at 1/2, none.  A third row, on a
+    # line between them, has both spans at cell 0, so it emits inner events only
+    line = np.array([7, 7 + span - 1, 7 + span // 2], dtype=np.int64)
+    offset = np.array([0.5, 0.5, 0.0])
+    zeros = np.zeros(3)
     events, first, lines, low, width = _line_events(
-        line, zeros, np.zeros(2, dtype=np.int64), zeros, 0.25, np.full(2, 0.25))
+        line, offset, np.zeros(3, dtype=np.int64), zeros, offset, zeros, zeros, 0.01, 0.0121)
     assert (first, low, width) == (7, 0, 2)
     assert (lines is None) == (span == 1 << 60)
     assert events.min() >= 0 and np.all(np.diff(events) >= 0)
     slot, position = np.divmod(events >> 2, width)
-    slots = line - first if lines is None else np.arange(2)
-    np.testing.assert_array_equal(slot, np.repeat(slots, 4))
-    np.testing.assert_array_equal(position, [0, 0, 1, 1] * 2)
-    np.testing.assert_array_equal(events & 3, [0, 1, 2, 3] * 2)
+    slots = line - first if lines is None else np.array([0, 2, 1])
+    np.testing.assert_array_equal(slot, np.repeat(slots[[0, 2, 1]], [4, 2, 4]))
+    np.testing.assert_array_equal(position, [0, 1, 1, 1] + [0, 1] + [0, 1, 1, 1])
+    np.testing.assert_array_equal(events & 3, [0, 1, 2, 3] + [1, 2] + [0, 1, 2, 3])
+    assert set((events & 3)[slot == slots[2]].tolist()) == {1, 2}  # no outer events
 
 
 def test_grid_count_memory_bound(monkeypatch):
@@ -710,6 +715,80 @@ def test_grid_count_corner_runs(n, ks):
         pts = np.concatenate([_corner_run(n, k), np.eye(n), _sphere_points(k, 8, n, 2)])
         for factor in (0.25, 1.0, 2.66):
             _assert_matches_oracle(pts, factor * 2.0 ** -k, 2.0 ** -k)
+
+
+def _chord_run(n, k, rng):
+    """Two sphere points, the ends of the longest of a few great-circle chords
+    through one sub-cell of side 2^-(k + _SUBCELL_BITS); each chord passes
+    through a random point of the sphere."""
+    side = 2.0 ** -(k + _SUBCELL_BITS)
+    theta = np.linspace(-2.0, 2.0, 4097) * side * math.sqrt(n)
+    best = None
+    for _ in range(8):
+        u, t = rng.normal(size=(2, n))
+        u /= np.linalg.norm(u)
+        t -= (t @ u) * u
+        t /= np.linalg.norm(t)
+        arc = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * t
+        inside = np.flatnonzero(np.all(np.floor(arc / side) == np.floor(u / side), axis=1))
+        run = arc[[inside[0], inside[-1]]]
+        if best is None or np.linalg.norm(run[1] - run[0]) > np.linalg.norm(best[1] - best[0]):
+            best = run
+    return best
+
+
+@st.composite
+def _chord_cases(draw):
+    """1 to 4 chord runs at a scale 2^-k, k = 3..24, and a radius factor."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    runs = np.stack([_chord_run(n, k, rng) for _ in range(draw(st.integers(1, 4)))])
+    return k, runs, draw(st.floats(0.25, 8.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_chord_cases())
+def test_grid_count_chord_runs(case):
+    # Runs whose key box spans most of its sub-cell, with the representative
+    # at one end.  The count is the oracle's at the drawn radius, and at one
+    # that puts a target cell within reach of the first run's far end but
+    # beyond reach of its representative and of every other run, so only the
+    # outer span about the run's key box finds that cell
+    k, runs, factor = case
+    n, cell = runs.shape[2], 2.0 ** -k
+    _assert_matches_oracle(runs.reshape(-1, n), factor * cell, cell)
+    rank = np.argsort(_synthetic(runs.reshape(-1, n)).dyadic_index.order)
+    rep, far = runs[0] if rank[0] < rank[1] else runs[0][::-1]
+    # among the cells near the drawn reach beyond the far end, the one whose
+    # distances from the two ends differ most
+    half = 0.5 * math.sqrt(n) * cell
+    aim = far + (factor * cell + half) * (far - rep) / np.linalg.norm(far - rep)
+    steps = np.stack(np.meshgrid(*[np.arange(-2, 3)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    centers = (np.floor(aim / cell) + 0.5 + steps) * cell
+    to_far = np.linalg.norm(centers - far, axis=1)
+    to_rep = np.linalg.norm(centers - rep, axis=1)
+    target = np.argmax(np.where(to_far >= half + 0.25 * cell, to_rep - to_far, -np.inf))
+    reach = 0.5 * (to_far[target] + to_rep[target])
+    assert to_far[target] * (1.0 + 1e-6) < reach < to_rep[target] / (1.0 + 1e-6)
+    others = runs[1:][np.all(np.linalg.norm(runs[1:] - centers[target], axis=2)
+                             > reach * (1.0 + 1e-6), axis=1)]
+    _assert_matches_oracle(np.concatenate([runs[0], *others]), reach - half, cell)
+
+
+@pytest.mark.parametrize("group, depth, bound", [("ball_schottky", 8, 310), ("schottky", 9, 90)])
+def test_grid_count_band_size(request, group, depth, bound):
+    # band query points of one K_RANGE box estimate on the seed-0 samples: 310
+    # for the n = 3 group at depth 8 and 90 for schottky_f2 at depth 9, where
+    # outer spans about the representatives, padded by the key box's
+    # diagonal, queried 2,068 and 435.  The bound may be tightened, not loosened
+    _, sample = sampling_front(request.getfixturevalue(group), depth)
+    log = _logged_tree(sample)
+    try:
+        box_dimension_estimate(sample)
+    finally:
+        sample.__dict__["tree"] = log.tree
+    assert sum(rows for k, rows in log.calls if k == 1) <= bound
 
 
 @st.composite

@@ -20,12 +20,13 @@ or None), and the containment shells and c, at 1, 2 and 8 times the
 packing radius, where the larger balls query more meshes from deep
 inside the ball; and the chain report's columns k to tail with c1 to c3,
 at s = dim_est + 0.4 and t = dim_est + 0.2.
-The n = 3 cases print a fourth line, the sha256 of the fine-scale counts
-at k = 18 and 24 with radius 1 and 6 times the cell.  At k = 24 the grid
-count of each seed-29 rotation ranks its lines (`limitset._line_events`),
-which no count at k <= 12 does; the seed-0 limit set lies in a coordinate
-plane, so its lines stay narrow enough for offset keys.  That makes 90
-lines.  Two trees whose grid counts and per-shell numbers match bit for
+Every case prints a fourth line, the sha256 of the fine-scale counts at
+k = 18 and 24 with radius 1 and 6 times the cell, where the cell indices,
+and the ends of the runs' key boxes in cell units, are largest.  At k = 24
+the grid count of each n = 3 seed-29 rotation ranks its lines
+(`limitset._line_events`), which no count at k <= 12 does; the n = 3 seed-0
+limit set lies in a coordinate plane, so its lines stay narrow enough for
+offset keys.  That makes 108 lines.  Two trees whose grid counts and per-shell numbers match bit for
 bit print the same lines.  It takes no options.
 """
 
@@ -128,13 +129,12 @@ def main():
                 print(_line(chain), label, "chain", flush=True)
                 print(_line(_per_shell(presentation, depth, orbit, sample)), label, "shells",
                       flush=True)
-                if sample.model == 3:
-                    fine = []
-                    for k in FINE_K:
-                        for factor in FINE_FACTORS:
-                            rec = neighborhood_volume(sample, 2.0 ** -k, radius=factor * 2.0 ** -k)
-                            fine.append(f"{k} {factor} {rec.cell_count}")
-                    print(_line(fine), label, "fine", flush=True)
+                fine = []
+                for k in FINE_K:
+                    for factor in FINE_FACTORS:
+                        rec = neighborhood_volume(sample, 2.0 ** -k, radius=factor * 2.0 ** -k)
+                        fine.append(f"{k} {factor} {rec.cell_count}")
+                print(_line(fine), label, "fine", flush=True)
 
 
 if __name__ == "__main__":
