@@ -27,21 +27,14 @@ one row template (floats "%.9g", so 9 significant digits; integers "%d";
 text "%s") applied to the rows of the table's columns, joined into one
 string and written atomically (temp file + rename).  Identical inputs give
 byte-identical outputs.  Group words are spelled once per ball from its
-parent-pointer trie (`_spell_words`), never per row.
+parent-pointer trie (`GroupBall.spellings`), never per row.
 
-A process holds at most one session front, that of the last command that
-built one, under its `group.ball_key`: the model, the exact bytes of the
-canonical generator entries, DEDUP_TOL, ORBIT_CAP and the depth.  It holds
-the ball and its loxodromic h, and on first use the orbit at the default
-basepoint, the limit-set sample (with the KD-tree and dyadic index that
-`boxdim` builds on it) and the word spelling.  `orbit`, `poincare`,
-`exponent`, `limitset` and `boxdim` read it: on a key hit they build no
-ball, basepoint, orbit, sample or spelling, and a `--basepoint` command
-maps the held ball to its own point.  On a miss the held front is dropped
-before the new one is built; a stage that raises stores nothing, so the
-next command raises the same error.  Every output is byte-identical to
-that of one process per command.  `verify` and `chain` build their own
-fronts through the library, and no library call reads the session front.
+Every command that runs a group reads the process's one front,
+`verify.front`, held under its `group.ball_key` (see `kleindim.verify`):
+on a key hit no command builds a ball, basepoint, orbit, sample or word
+spelling, and a `--basepoint` command maps the held ball to its own point.
+A depth below 1 fails before the front.  Every output is byte-identical to
+that of one process per command.
 """
 
 from __future__ import annotations
@@ -58,11 +51,10 @@ from . import limitset, poincare, verify
 from .errors import KleindimError, UsageError
 from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_fixture
 from .geometry import InteriorPoint
-from .group import ball_key
 from .groupio import atomic_write_bytes, load_group, save_group
 from .limitset import box_dimension_estimate, check_window
 from .poincare import check_bin_width, exponent_estimate, truncated_series
-from .verify import _ball_front, _map_front, _sample_front, series_chain_report, verify_inequality
+from .verify import front, series_chain_report, verify_inequality
 
 S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
 
@@ -84,31 +76,6 @@ def _write_table(path, header, template, columns):
     row = template + "\n"
     body = "".join(map(row.__mod__, zip(*columns)))
     atomic_write_bytes(path, (",".join(header) + "\n" + body).encode("ascii"))
-
-
-def _spell_words(parents, letters):
-    """Spelling of every word of a parent-pointer trie, in trie order.
-
-    Row 0 is the identity, spelled "1"; every other row's parent comes
-    before it, and its spelling is the parent's plus one token.  A word is
-    spelled compactly (a..z generators, A..Z inverses) when every one of its
-    letters has |letter| <= 26, otherwise as its letters joined by ".", so
-    both spellings are carried down the trie until a wide letter ends the
-    compact one.
-    """
-    parents, letters = parents.tolist(), letters.tolist()
-    compact_token = {
-        letter: chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
-        for letter in set(letters[1:]) if abs(letter) <= 26
-    }
-    compact, dotted = [""], [""]
-    for p, letter in zip(parents[1:], letters[1:]):
-        prefix, token = compact[p], compact_token.get(letter)
-        compact.append(None if prefix is None or token is None else prefix + token)
-        dotted.append(f"{dotted[p]}.{letter}")
-    spelled = [d[1:] if c is None else c for c, d in zip(compact, dotted)]
-    spelled[0] = "1"
-    return spelled
 
 
 def _parse_s_grid(text):
@@ -140,49 +107,12 @@ def _parse_point(text, model):
     return InteriorPoint(coords)
 
 
-class _Front:
-    """The session front of one `ball_key`: the ball and its h, then on first use the
-    orbit at the default basepoint, the limit-set sample and the word spelling.
-
-    A part whose stage raises is not stored; the next command that needs it
-    runs that stage again and raises the same error.
-    """
-
-    def __init__(self, key, ball, h):
-        self.key, self.ball, self.h = key, ball, h
-
-    @functools.cached_property
-    def orbit(self):
-        return _map_front(self.ball, self.h, None)
-
-    @functools.cached_property
-    def sample(self):
-        return _sample_front(self.orbit, self.h)
-
-    @functools.cached_property
-    def words(self):
-        return _spell_words(self.ball.parents, self.ball.letters)
-
-
-_session_front = None  # the last _Front a command built, the process's only one
-
-
-def _front(presentation, depth):
-    """The session front of the group and depth: the held one on a key hit, else a new one."""
-    global _session_front
-    key = ball_key(presentation, depth)
-    if _session_front is None or _session_front.key != key:
-        _session_front = None  # drop the old front before building its successor
-        _session_front = _Front(key, *_ball_front(presentation, depth))
-    return _session_front
-
-
 def _front_orbit(args, basepoint=None):
-    """The session front and its orbit, mapped to the parsed basepoint when given."""
+    """The held front's orbit, mapped to the parsed basepoint when given."""
     presentation = load_group(args.groupfile)
     z = None if basepoint is None else _parse_point(basepoint, presentation.model)
-    front = _front(presentation, args.depth)
-    return front, front.orbit if z is None else _map_front(front.ball, front.h, z)
+    held = front(presentation, args.depth)
+    return held.orbit if z is None else held.map(z)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +120,11 @@ def _front_orbit(args, basepoint=None):
 
 
 def _cmd_orbit(args):
-    front, orbit = _front_orbit(args, args.basepoint)
+    orbit = _front_orbit(args, args.basepoint)
     n = orbit.model
     header = ["word", "word_length", *"xyz"[:n], "radial_gap", "shell_index", "displacement"]
     _write_table(args.out, header, "%s,%d," + "%.9g," * n + "%.9g,%d,%.9g", [
-        front.words,
+        orbit.ball.spellings,
         orbit.word_lengths.tolist(),
         *orbit.points.T.tolist(),
         orbit.gaps.tolist(),
@@ -207,7 +137,7 @@ def _cmd_orbit(args):
 
 def _cmd_poincare(args):
     grid = _parse_s_grid(args.s_grid)
-    _, orbit = _front_orbit(args, args.basepoint)
+    orbit = _front_orbit(args, args.basepoint)
     evals = [truncated_series(orbit, s) for s in grid]
     header = ["k", "r", "shell_count", *(f"partial_s={_fmt(s)}" for s in grid)]
     # every evaluation on the orbit has one partial per occupied shell, in this order
@@ -226,7 +156,7 @@ def _cmd_poincare(args):
 
 def _cmd_exponent(args):
     check_bin_width(args.bin_width)
-    _, orbit = _front_orbit(args)
+    orbit = _front_orbit(args)
     est = exponent_estimate(orbit, method=args.method, bin_width=args.bin_width)
     print(f"method={est.method}")
     print(f"delta_est={_fmt(est.delta_est)}")
@@ -274,8 +204,8 @@ def _cmd_limitset(args):
     presentation = load_group(args.groupfile)
     if args.image is not None:
         _check_raster(presentation.model, args.k)
-    front = _front(presentation, args.depth)
-    sample, words = front.sample, front.words
+    held = front(presentation, args.depth)
+    sample, words = held.sample, held.ball.spellings
     n = sample.model
     _write_table(args.out, [*"xyz"[:n], "witness"], "%.9g," * n + "%s", [
         *sample.points.T.tolist(),
@@ -290,7 +220,7 @@ def _cmd_limitset(args):
 
 def _cmd_boxdim(args):
     k_range = check_window((args.kmin, args.kmax))
-    est = box_dimension_estimate(_front(load_group(args.groupfile), args.depth).sample,
+    est = box_dimension_estimate(front(load_group(args.groupfile), args.depth).sample,
                                  k_range=k_range)
     recs = est.records
     header = ["k", "r", "cell_count", "volume", "local_slope"]

@@ -10,14 +10,15 @@ The packing check reads no shells: it queries one KD-tree of the whole orbit.
 
 A ball depends only on its key (`ball_key`): the model, the bytes of the
 generators' canonical entries, the word length, and the current DEDUP_TOL
-and ORBIT_CAP.  The verifier shares the ball of each report it returns
-(`share_ball`), held weakly under its key, so only while the report or
-another holder keeps it alive.  The benchmark harness's `enumerate_orbit`,
-`find_loxodromic` and `choose_basepoint` read a shared ball of their group
+and ORBIT_CAP.  The library holds at most one ball per process, that of
+`verify.front`.  The benchmark harness's `enumerate_orbit`,
+`find_loxodromic` and `choose_basepoint` read it when it is of their group
 at their word length or deeper, cut by `GroupBall.head` (breadth-first
-levels do not depend on the horizon), and otherwise build a ball they do
-not share.  The arrays the library allocates for a ball, an orbit and an
-orbit sample are read-only, so no holder can alter what another reads.
+levels do not depend on the horizon), and otherwise build a ball that is
+not held.  A ball spells its words once, on first use
+(`GroupBall.spellings`).  The arrays the library allocates for a ball, an
+orbit and an orbit sample are read-only, so no holder can alter what
+another reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,6 +143,31 @@ class ShellRuns:
         return np.array([values[lo:hi].sum() for lo, hi in itertools.pairwise(bounds)])
 
 
+def _spell_words(parents, letters):
+    """Spelling of every word of a parent-pointer trie, in trie order.
+
+    Row 0 is the identity, spelled "1"; every other row's parent comes
+    before it, and its spelling is the parent's plus one token.  A word is
+    spelled compactly (a..z generators, A..Z inverses) when every one of its
+    letters has |letter| <= 26, otherwise as its letters joined by ".", so
+    both spellings are carried down the trie until a wide letter ends the
+    compact one.
+    """
+    parents, letters = parents.tolist(), letters.tolist()
+    compact_token = {
+        letter: chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
+        for letter in set(letters[1:]) if abs(letter) <= 26
+    }
+    compact, dotted = [""], [""]
+    for p, letter in zip(parents[1:], letters[1:]):
+        prefix, token = compact[p], compact_token.get(letter)
+        compact.append(None if prefix is None or token is None else prefix + token)
+        dotted.append(f"{dotted[p]}.{letter}")
+    spelled = [d[1:] if c is None else c for c, d in zip(compact, dotted)]
+    spelled[0] = "1"
+    return spelled
+
+
 @dataclass(eq=False)
 class GroupBall:
     """Every reduced word up to max_word_length, deduplicated as a matrix.
@@ -175,6 +200,11 @@ class GroupBall:
         stop = self.level_bounds(length)[1]
         return GroupBall(self.presentation, self.entries[:stop], self.parents[:stop],
                          self.letters[:stop], self.word_lengths[:stop], length)
+
+    @cached_property
+    def spellings(self):
+        """Every word spelled from the trie (`_spell_words`), built on first use."""
+        return _spell_words(self.parents, self.letters)
 
     def level_bounds(self, length):
         """Rows start..stop - 1, the elements of word length `length` (one run in ball order)."""
@@ -330,22 +360,14 @@ def ball_key(presentation, max_word_length):
     return presentation.model, entries.tobytes(), DEDUP_TOL, ORBIT_CAP, int(max_word_length)
 
 
-_SHARED = weakref.WeakValueDictionary()  # balls of live verification reports, by ball_key
-
-
-def share_ball(ball):
-    """Let the harness stages read `ball` for as long as anything else holds it."""
-    _SHARED[ball_key(ball.presentation, ball.max_word_length)] = ball
-
-
 def _harness_ball(presentation, max_word_length):
-    """A shared ball of the group at max_word_length or deeper, cut to it; else a new
-    ball, not shared."""
+    """The held front's ball, when it is of the group at max_word_length or deeper, cut
+    to it; else a new ball, not held."""
+    from .verify import _held  # here: verify imports this module
+
     key = ball_key(presentation, max_word_length)
-    if key[-1] >= 1:
-        for shared_key, ball in list(_SHARED.items()):
-            if shared_key[:-1] == key[:-1] and shared_key[-1] >= key[-1]:
-                return ball.head(key[-1])
+    if _held is not None and 1 <= key[-1] <= _held.key[-1] and _held.key[:-1] == key[:-1]:
+        return _held.ball.head(key[-1])
     return build_ball(presentation, max_word_length)
 
 

@@ -64,7 +64,6 @@ _KEY_BITS = _INDEX_BITS + 2
 K_RANGE = (3, 9)    # dyadic scales 2^-k of the box-dimension fit
 
 SOURCE_CONJUGATE = "conjugate_fixed_points"
-SOURCE_DEEP_ORBIT = "deep_orbit_projection"
 SOURCE_SYNTHETIC = "synthetic_test_set"
 
 
@@ -207,24 +206,8 @@ def sample_limit_set(orbit, h):
     points = np.stack(images, axis=1).reshape(-1, orbit.model)
     keep = _first_unique(points)
     points = points[keep]
-    points.setflags(write=False)  # a sample of the pipeline front may be shared
+    points.setflags(write=False)  # a sample of the held front is shared
     return LimitSample(points=points, witnesses=keep // 2, source=SOURCE_CONJUGATE)
-
-
-def deep_orbit_sample(orbit):
-    """Radial projections of the orbit points of the final word length, a cross-check."""
-    start, stop = orbit.ball.level_bounds(orbit.max_word_length)
-    if start == stop:
-        raise UsageError(f"no orbit elements at word length {orbit.max_word_length}")
-    pts = orbit.points[start:stop]
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(norms < 1e-12):
-        raise UsageError("orbit point at the ball center has no radial projection")
-    pts = pts / norms[:, None]
-    keep = _first_unique(pts)
-    pts = pts[keep]
-    pts.setflags(write=False)
-    return LimitSample(points=pts, witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
 
 
 @dataclass

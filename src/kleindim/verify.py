@@ -18,21 +18,23 @@ and the tails sum to a finite geometric series whenever s > t.
 Both check every setting (defaults TOLERANCE, CHAIN_K_MAX) before the group
 ball is built, and the chain checks t > dim_est before its packing stages.
 
-A VerificationReport holds its front: the orbit, the sample and the box
-estimate.  While the report is alive, `sampling_front` and
-`series_chain_report` on the same group and depth (`group.ball_key`) reuse
-them, and rebuild no ball, orbit, sample, KD-tree, dyadic index or box
-counts.  Live reports, and their balls for the benchmark harness
-(`group.share_ball`), are held weakly, so nothing is kept once the caller
-drops the report.
+Both read their stages from one `Front`: the group ball and its loxodromic
+h, then on first use the orbit at the default basepoint, the limit-set
+sample and the box estimate.  A process holds one front at most, that of
+the last `front` call, under its `group.ball_key`: a verify, a chain and
+the CLI's front commands on the same group and depth build no second ball,
+orbit, sample, KD-tree, dyadic index or box count.  A call on another key
+drops the held front before it builds its own, and a stage that raises
+stores nothing.  The benchmark harness's `group.enumerate_orbit`,
+`find_loxodromic` and `choose_basepoint` read the held ball too.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .group import (
     build_ball,
     check_packing_disjoint,
     packing_radius,
-    share_ball,
 )
 from .limitset import (
     BoxDimensionEstimate,
@@ -61,7 +62,7 @@ from .poincare import METHODS, ExponentEstimate, check_method, exponent_estimate
 _REL_SLACK = 1.0 + 1e-9
 TOLERANCE = 0.1   # default slack of delta_est <= dim_est + tolerance
 CHAIN_K_MAX = 12  # default deepest shell of the chain report
-_LIVE = weakref.WeakValueDictionary()  # VerificationReport by ball_key, while one is held
+_held = None  # the process's one Front, the last that `front` built
 
 
 @contextmanager
@@ -74,68 +75,83 @@ def _stage(name):
         raise StageFailure(name, err) from err
 
 
-def pipeline_front(presentation, depth, basepoint=None):
-    """Stages shared by the verifier and the chain report.
+class Front:
+    """The stages every report and command on one group ball shares.
 
-    One group ball at `depth`, mapped to `basepoint`, else to a point on the
-    axis of h clear of the elliptic elements of word length <= min(6, depth),
-    else to the ball center.  Returns (h, orbit); h is the first loxodromic
-    element in ball order (None if none), which is also the first of any
-    shallower ball, since breadth-first levels do not depend on the horizon.
+    Built at once: `key` (`group.ball_key`), the group `ball` and `h`, its
+    first loxodromic element in ball order (None if none), which is also the
+    first of any shallower ball, since breadth-first levels do not depend on
+    the horizon.  Built on first use: the `orbit` at the default basepoint,
+    the limit-set `sample` through h and its `dim_estimate`.  A part whose
+    stage raises is not stored; the next reader runs that stage again and
+    raises the same error.
     """
-    ball, h = _ball_front(presentation, depth)
-    return h, _map_front(ball, h, basepoint)
 
+    def __init__(self, presentation, depth):
+        self.key = ball_key(presentation, depth)
+        with _stage("orbit_enumeration"):
+            self.ball = build_ball(presentation, depth)
+        with _stage("loxodromic_search"):
+            i = self.ball.first_loxodromic()
+            self.h = None if i is None else self.ball.map(i)
 
-def _ball_front(presentation, depth):
-    """The ball half of pipeline_front: the group ball at `depth` and its h."""
-    with _stage("orbit_enumeration"):
-        ball = build_ball(presentation, depth)
-    with _stage("loxodromic_search"):
-        i = ball.first_loxodromic()
-        h = None if i is None else ball.map(i)
-    return ball, h
+    def map(self, basepoint):
+        """The ball mapped to `basepoint`, an OrbitSet that is not stored."""
+        with _stage("orbit_enumeration"):
+            return OrbitSet(self.ball, basepoint)
 
-
-def _map_front(ball, h, basepoint):
-    """The mapping half of pipeline_front: `ball` mapped to `basepoint`, else on h's axis."""
-    if basepoint is None and h is not None:
+    @cached_property
+    def orbit(self):
+        """The ball mapped to a point on the axis of h clear of the elliptic elements
+        of word length <= min(6, depth), else to the ball center."""
+        if self.h is None:
+            return self.map(origin(self.ball.presentation.model))
         with _stage("basepoint_selection"):
-            basepoint = ball.basepoint_on_axis(h, min(6, ball.max_word_length))
-    with _stage("orbit_enumeration"):
-        return OrbitSet(ball, origin(ball.presentation.model) if basepoint is None else basepoint)
+            basepoint = self.ball.basepoint_on_axis(self.h, min(6, self.ball.max_word_length))
+        return self.map(basepoint)
+
+    @cached_property
+    def sample(self):
+        """The limit-set sample of `orbit` through h, which needs a loxodromic h."""
+        with _stage("loxodromic_search"):
+            if self.h is None:
+                raise LoxodromicNotFoundError(
+                    "possibly elementary input: no loxodromic element within word length "
+                    f"{self.ball.max_word_length}; the group may be elementary, or try a "
+                    "deeper search"
+                )
+        with _stage("limit_set_sample"):
+            return sample_limit_set(self.orbit, self.h)
+
+    @cached_property
+    def dim_estimate(self):
+        """The box-dimension estimate of `sample` over K_RANGE."""
+        with _stage("box_dimension"):
+            return box_dimension_estimate(self.sample)
 
 
-def sampling_front(presentation, depth):
-    """pipeline_front plus the limit-set sample, which needs a loxodromic h.
+def front(presentation, depth):
+    """The front of the group at `depth`: the held one on a key hit, else a new one.
 
-    A live report of the same group and depth gives its orbit and sample.
+    The depth must be at least 1, checked before any stage.  On a miss the
+    held front is dropped before its successor is built, and a build that
+    raises leaves none held.
     """
-    live = _LIVE.get(ball_key(presentation, depth))
-    if live is not None:
-        return live.orbit, live.sample
-    h, orbit = pipeline_front(presentation, depth)
-    return orbit, _sample_front(orbit, h)
-
-
-def _sample_front(orbit, h):
-    """The sampling half of sampling_front: the limit-set sample of `orbit` through h."""
-    with _stage("loxodromic_search"):
-        if h is None:
-            raise LoxodromicNotFoundError(
-                "possibly elementary input: no loxodromic element within word length "
-                f"{orbit.max_word_length}; the group may be elementary, or try a deeper search"
-            )
-    with _stage("limit_set_sample"):
-        return sample_limit_set(orbit, h)
+    global _held
+    depth = int(depth)
+    if depth < 1:
+        raise UsageError(f"depth must be at least 1, got {depth}")
+    if _held is None or _held.key != ball_key(presentation, depth):
+        _held = None  # drop the old front before building its successor
+        _held = Front(presentation, depth)
+    return _held
 
 
 @dataclass
 class VerificationReport:
     """Both sides of the inequality for one group, with the pass verdict.
 
-    It holds the orbit and sample it was computed from: while it is alive,
-    they are the front of its group and depth (see the module docstring).
+    It holds the orbit and sample of the `Front` it was computed from.
     """
 
     group_name: str
@@ -173,7 +189,8 @@ def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=
     points, estimate the growth exponent, sample the limit set through
     conjugate fixed points, estimate its box dimension.  Each stage failure
     is re-raised as a StageFailure naming the stage.  Deterministic given
-    the inputs.
+    the inputs.  The stages before the exponent are those of `front`, so a
+    repeated call on the same group and depth builds none of them again.
     """
     depth = int(depth)
     if depth < 6:
@@ -182,13 +199,13 @@ def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=
     if not 0.0 < tolerance < math.inf:
         raise UsageError(f"tolerance must be positive and finite, got {tolerance}")
     check_method(exponent_method)
-    orbit, sample = sampling_front(presentation, depth)
+    held = front(presentation, depth)
+    orbit, sample = held.orbit, held.sample
     with _stage("exponent_estimate"):
         delta = exponent_estimate(orbit, method=exponent_method)
-    with _stage("box_dimension"):
-        dim = box_dimension_estimate(sample)
+    dim = held.dim_estimate
     margin = dim.dim_est - delta.delta_est
-    report = _LIVE[ball_key(presentation, depth)] = VerificationReport(
+    return VerificationReport(
         group_name=presentation.name,
         depth=depth,
         delta_estimate=delta,
@@ -199,8 +216,6 @@ def verify_inequality(presentation, depth, tolerance=TOLERANCE, exponent_method=
         orbit=orbit,
         sample=sample,
     )
-    share_ball(orbit.ball)
-    return report
 
 
 @dataclass
@@ -252,10 +267,10 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
 
     Requires depth >= 8, finite s > t, and k_max >= 1, all checked before
     the group ball is built, and t > the box-dimension estimate, checked
-    before the packing stages.  A live report of the same group and depth
-    gives the orbit, sample and box estimate; the chain then exhibits
-    the truncated series as bounded by a convergent geometric series, which
-    is the whole content of the inequality.
+    before the packing stages.  The orbit, sample and box estimate are those
+    of `front`, held from a verify of the same group and depth; the chain
+    then exhibits the truncated series as bounded by a convergent geometric
+    series, which is the whole content of the inequality.
     """
     depth = int(depth)
     if depth < 8:
@@ -266,13 +281,8 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError(f"chain k_max must be at least 1, got {k_max}")
-    live = _LIVE.get(ball_key(presentation, depth))
-    if live is None:
-        orbit, sample = sampling_front(presentation, depth)
-        with _stage("box_dimension"):
-            dim = box_dimension_estimate(sample)
-    else:
-        orbit, sample, dim = live.orbit, live.sample, live.dim_estimate
+    held = front(presentation, depth)
+    orbit, sample, dim = held.orbit, held.sample, held.dim_estimate
     if not t > dim.dim_est:
         raise UsageError(
             f"requires s > t > box-dimension estimate, got s={s:.6g}, t={t:.6g}, "

@@ -6,7 +6,6 @@ suite from re-enumerating the same orbits in every module.
 
 from __future__ import annotations
 
-import gc
 import math
 import sys
 import time
@@ -31,7 +30,7 @@ from kleindim import (
     series_chain_report,
     verify_inequality,
 )
-from kleindim import cli
+from kleindim import verify
 
 
 def identity_only_orbit(model=2):
@@ -45,20 +44,16 @@ def identity_only_orbit(model=2):
 
 
 @pytest.fixture(autouse=True)
-def fresh_cli_session():
-    """Every test starts as a new `kleindim` process does: with no CLI session front."""
-    cli._session_front = None
+def fresh_front():
+    """Every test starts as a new process does, with no front held (`verify.front`)."""
+    verify._held = None
     yield
-    cli._session_front = None
+    verify._held = None
 
 
 @pytest.fixture()
 def ball_builds(monkeypatch):
-    """Calls to build_ball, counted at every module that binds it.
-
-    Cyclic garbage is collected first, so a front that an earlier test left
-    in a reference cycle is not served to this one.
-    """
+    """Calls to build_ball, counted at every module that binds it."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -68,7 +63,6 @@ def ball_builds(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("kleindim") and getattr(module, "build_ball", None) is build_ball:
             monkeypatch.setattr(module, "build_ball", counted)
-    gc.collect()
     return calls
 
 

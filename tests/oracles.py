@@ -11,6 +11,10 @@ deduplicates with the library's `_fresh` (itself checked against the
 pairwise scan), they share no code with the library versions, and all must
 agree with them exactly.
 
+`deep_orbit_sample` is a second limit-set sample, the radial projections of
+the deepest orbit points, deduplicated by the library's `_first_unique`;
+the conjugate sample's box dimension is cross-checked against its own.
+
 The CLI's tables have oracles too: `ball_words` rebuilds every word of a
 group ball from its parent pointers, `word_to_str` spells one word at a
 time, and `csv_bytes` formats a table cell by cell.  None imports from
@@ -27,15 +31,17 @@ from scipy.spatial import cKDTree
 from kleindim import (
     BallContainmentReport,
     GroupBall,
+    LimitSample,
     PackingCheck,
     UsageError,
     euclidean_balls,
     inverse,
 )
 from kleindim.group import DEDUP_TOL, _fresh
-from kleindim.limitset import _sphere_mesh
+from kleindim.limitset import _first_unique, _sphere_mesh
 
 _STENCIL_ROWS = 1 << 16  # candidate cells the stencil oracle holds per slab, roughly
+SOURCE_DEEP_ORBIT = "deep_orbit_projection"
 
 
 def grid_cell_count_stencil(points, radius, cell):
@@ -232,6 +238,23 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
         c=np.array(c),
         c_hat=max(c),
     )
+
+
+def deep_orbit_sample(orbit):
+    """Radial projections of the orbit points of the final word length, a cross-check."""
+    start, stop = orbit.ball.level_bounds(orbit.max_word_length)
+    if start == stop:
+        raise UsageError(f"no orbit elements at word length {orbit.max_word_length}")
+    pts = orbit.points[start:stop]
+    norms = np.linalg.norm(pts, axis=1)
+    if np.any(norms < 1e-12):
+        raise UsageError("orbit point at the ball center has no radial projection")
+    pts = pts / norms[:, None]
+    keep = _first_unique(pts)
+    pts = pts[keep]
+    pts.setflags(write=False)
+    return LimitSample(points=pts, witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
+
 
 
 def ball_words(parents, letters):

@@ -40,10 +40,10 @@ from kleindim import (
     verify_inequality,
 )
 from kleindim import cli, group, limitset, poincare, verify
-from kleindim.cli import _spell_words, _write_pgm, main
+from kleindim.cli import _write_pgm, main
 from kleindim.geometry import MoebiusMap, compose, inverse
-from kleindim.group import GroupPresentation
-from kleindim.verify import pipeline_front, sampling_front
+from kleindim.group import GroupPresentation, _spell_words
+from kleindim.verify import front
 
 FIXTURE_NAMES = ["cyclic_loxodromic", "fuchsian_lattice", "schottky_f2", "cantor_test"]
 
@@ -200,7 +200,7 @@ def test_one_ball_per_run(tmp_path, schottky_file, ball_builds, capsys):
     }
     for name, run in runs.items():
         ball_builds.clear()
-        cli._session_front = None  # each command as its own process
+        verify._held = None  # each command as its own process
         assert run() not in (1, 2), name
         assert len(ball_builds) == 1, name
     capsys.readouterr()
@@ -358,6 +358,8 @@ _MALFORMED_GENERATORS = {
     (["boxdim", "--depth", "6", "--kmin", "9", "--kmax", "3"], "k_min"),
     (["boxdim", "--depth", "6", "--kmin", "0"], "k_min"),
     *((["orbit", name, "--depth", "2"], "generator 1") for name in _MALFORMED_GENERATORS),
+    (["exponent", "--depth", "0"], "depth must be at least 1, got 0"),
+    (["orbit", "--depth", "-1"], "depth must be at least 1, got -1"),
 ])
 def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_builds, argv, message,
                                              capsys):
@@ -468,7 +470,7 @@ def test_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
 
 def test_session_builds_one_front(tmp_path, ball_builds, monkeypatch, capsys):
     samples = _counted_calls(monkeypatch, limitset, "sample_limit_set")
-    spellings = _counted_calls(monkeypatch, cli, "_spell_words")
+    spellings = _counted_calls(monkeypatch, group, "_spell_words")
     monkeypatch.chdir(_work_dir(tmp_path / "work"))
     d = ["group.json", "--depth", "6"]
     for argv in (["fixtures", "--emit", "schottky_f2", "fixture.json"],
@@ -480,6 +482,22 @@ def test_session_builds_one_front(tmp_path, ball_builds, monkeypatch, capsys):
         assert main(argv) == 0, argv
     assert (len(ball_builds), len(samples), len(spellings)) == (1, 1, 1)
     capsys.readouterr()
+
+
+def test_verify_and_chain_read_the_session_front(schottky_file, ball_builds, capsys):
+    d = [schottky_file, "--depth", "8"]
+    assert main(["exponent", *d]) == 0
+    assert len(ball_builds) == 1
+    capsys.readouterr()
+    argvs = (["verify", *d], ["chain", *d, "--s", "1.5", "--t", "1.3"])
+    session = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    assert len(ball_builds) == 1
+    fresh = []
+    for argv in argvs:
+        verify._held = None  # each command as its own process
+        fresh.append((main(argv), *capsys.readouterr()))
+    assert session == fresh and [code for code, *_ in session] == [0, 0]
+    assert len(ball_builds) == 3
 
 
 def _front_session():
@@ -518,15 +536,15 @@ def test_session_matches_commands_without_the_front(tmp_path, ball_schottky, bal
         got = []
         for argv in _front_session():
             if mode == "fresh":
-                cli._session_front = None  # each command as its own process
+                verify._held = None  # each command as its own process
             code = main(argv)
             got.append((argv, code, *capsys.readouterr(), _files(work)))
         runs[mode] = got, len(ball_builds)
     (session, session_builds), (fresh, fresh_builds) = runs["session"], runs["fresh"]
     assert {g[1] for g in session} == {0, 1}
     assert session == fresh
-    # three verify runs build their own balls; each of the four keys builds one front
-    assert (session_builds, fresh_builds) == (3 + 4, 3 + 4 * 9)
+    # each of the four keys builds one front, which its verify reads too
+    assert (session_builds, fresh_builds) == (4, 3 + 4 * 9)
 
 
 def test_session_front_misses_other_keys(tmp_path, schottky, ball_builds, monkeypatch, capsys):
@@ -555,9 +573,9 @@ def test_session_front_misses_other_keys(tmp_path, schottky, ball_builds, monkey
 def test_session_holds_at_most_one_front(tmp_path, schottky_file, monkeypatch, capsys):
     out = str(tmp_path / "orbit.csv")
     assert main(["orbit", schottky_file, "--depth", "5", "--out", out]) == 0
-    first = weakref.ref(cli._session_front.ball)
+    first = weakref.ref(verify._held.ball)
     assert main(["exponent", schottky_file, "--depth", "5"]) == 0
-    assert cli._session_front.ball is first()
+    assert verify._held.ball is first()
     alive = []
     real = verify.build_ball
 
@@ -582,7 +600,7 @@ def test_failing_front_stores_nothing(tmp_path, schottky_file, monkeypatch, caps
     failed = []
     for _ in range(2):
         failed.append((main(argv), *capsys.readouterr()))
-        assert cli._session_front is None
+        assert verify._held is None
     assert failed[0] == failed[1] == (1, "", "error: stage orbit_enumeration: orbit enumeration "
                                              "exceeded 100 elements at word length 4\n")
     monkeypatch.undo()
@@ -596,7 +614,7 @@ def test_failing_front_stores_nothing(tmp_path, schottky_file, monkeypatch, caps
     failed = [(main(argv), *capsys.readouterr()) for _ in range(2)]
     assert failed[0] == failed[1] and failed[0][0] == 1
     assert "stage loxodromic_search: possibly elementary input" in failed[0][2]
-    assert "sample" not in vars(cli._session_front)
+    assert "sample" not in vars(verify._held)
     assert not (tmp_path / "points.csv").exists()
 
 
@@ -697,7 +715,9 @@ def test_orbit_table_bytes(request, tmp_path, fixture, basepoint, depth, capsys)
     argv = ["orbit", path, "--depth", str(depth), "--out", str(out)]
     assert main(argv + ([] if basepoint is None else ["--basepoint", basepoint])) == 0
     z = None if basepoint is None else InteriorPoint([float(c) for c in basepoint.split(",")])
-    orbit = pipeline_front(presentation, depth, z)[1]
+    verify._held = None  # the expected table from a front of its own
+    held = front(presentation, depth)
+    orbit = held.orbit if z is None else held.map(z)
     header = ["word", "word_length", *"xyz"[:orbit.model], "radial_gap", "shell_index",
               "displacement"]
     assert out.read_bytes() == csv_bytes(header, _orbit_rows(orbit))
@@ -711,7 +731,9 @@ def test_limitset_table_bytes(request, tmp_path, fixture, depth, capsys):
     presentation, path = _group_file(request, tmp_path, fixture)
     out = tmp_path / "points.csv"
     assert main(["limitset", path, "--depth", str(depth), "--out", str(out)]) == 0
-    orbit, sample = sampling_front(presentation, depth)
+    verify._held = None  # the expected table from a front of its own
+    held = front(presentation, depth)
+    orbit, sample = held.orbit, held.sample
     words = ball_words(orbit.ball.parents, orbit.ball.letters)
     rows = [[*(float(c) for c in pt), word_to_str(words[i])]
             for pt, i in zip(sample.points, sample.witnesses.tolist())]
@@ -728,7 +750,8 @@ def test_poincare_table_bytes(request, tmp_path, fixture, depth, s_grid, grid, c
     out = tmp_path / "series.csv"
     assert main(["poincare", path, "--depth", str(depth), "--s-grid", s_grid,
                  "--out", str(out)]) == 0
-    orbit = pipeline_front(presentation, depth, None)[1]
+    verify._held = None  # the expected table from a front of its own
+    orbit = front(presentation, depth).orbit
     evals = [truncated_series(orbit, s) for s in grid]
     rows = []
     for k in sorted(set(orbit.shells.tolist())):
@@ -750,7 +773,8 @@ def test_boxdim_table_bytes(request, tmp_path, fixture, depth, kmin, kmax, capsy
     out = tmp_path / "scales.csv"
     assert main(["boxdim", path, "--depth", str(depth), "--kmin", str(kmin),
                  "--kmax", str(kmax), "--out", str(out)]) == 0
-    est = box_dimension_estimate(sampling_front(presentation, depth)[1], k_range=(kmin, kmax))
+    verify._held = None  # the expected table from a front of its own
+    est = box_dimension_estimate(front(presentation, depth).sample, k_range=(kmin, kmax))
     local = [*est.local_slopes.tolist(), ""]
     rows = [[rec.k, rec.r, rec.cell_count, rec.volume, slope]
             for rec, slope in zip(est.records, local)]
@@ -765,6 +789,7 @@ def test_verify_table_bytes(request, tmp_path, fixture, depth, code, capsys):
     presentation, path = _group_file(request, tmp_path, fixture)
     out = tmp_path / "report.csv"
     assert main(["verify", path, "--depth", str(depth), "--out", str(out)]) == code
+    verify._held = None  # the expected table from a front of its own
     report = verify_inequality(presentation, depth)
     d, b = report.delta_estimate, report.dim_estimate
     row = [report.group_name, report.depth, d.delta_est, d.method, d.slope_stderr,
@@ -784,6 +809,7 @@ def test_chain_table_bytes(request, tmp_path, fixture, depth, kmax, capsys):
     out = tmp_path / "chain.csv"
     assert main(["chain", path, "--depth", str(depth), "--s", "1.5", "--t", "1.3",
                  "--kmax", str(kmax), "--out", str(out)]) == 0
+    verify._held = None  # the expected table from a front of its own
     report = series_chain_report(presentation, depth, 1.5, 1.3, k_max=kmax)
     header = ["k", "count", "series_partial", "lhs", "mid", "rhs", "tail"]
     rows = [[int(k), int(n), *(float(v) for v in values)]
@@ -829,19 +855,19 @@ def test_trie_spelling_matches_word_to_str(rows):
 
 def test_tables_spell_from_the_trie(tmp_path, schottky_file, monkeypatch, capsys):
     calls = []
-    real = cli._spell_words
+    real = group._spell_words
 
     def counting(parents, letters):
         calls.append(len(parents))
         return real(parents, letters)
 
-    monkeypatch.setattr(cli, "_spell_words", counting)
+    monkeypatch.setattr(group, "_spell_words", counting)
     out = str(tmp_path / "out.csv")
     for argv in (["orbit", schottky_file, "--depth", "5", "--out", out],
                  ["orbit", schottky_file, "--depth", "5", "--basepoint", "0.1,0.2", "--out", out],
                  ["limitset", schottky_file, "--depth", "5", "--out", out]):
         calls.clear()
-        cli._session_front = None  # each command as its own process
+        verify._held = None  # each command as its own process
         assert main(argv) == 0
         assert calls == [485]  # one spelling of the whole depth-5 ball per command
     capsys.readouterr()

@@ -10,7 +10,13 @@ import pytest
 from conftest import identity_only_orbit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import first_unique_lexsort, first_unique_np, grid_cell_count_stencil, max_nn_spacing
+from oracles import (
+    deep_orbit_sample,
+    first_unique_lexsort,
+    first_unique_np,
+    grid_cell_count_stencil,
+    max_nn_spacing,
+)
 from scipy import stats
 
 from kleindim import (
@@ -21,7 +27,6 @@ from kleindim import (
     ball_volumes,
     box_dimension_estimate,
     cantor_test,
-    deep_orbit_sample,
     enumerate_orbit,
     euclidean_balls,
     fixed_points,
@@ -42,7 +47,7 @@ from kleindim.limitset import (
     _linear_fit,
     _projected_nearest,
 )
-from kleindim.verify import CHAIN_K_MAX, sampling_front
+from kleindim.verify import CHAIN_K_MAX, front
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -581,7 +586,8 @@ def test_grid_count_dense_clusters(monkeypatch, n, k):
 def test_grid_count_pipeline_samples(request, monkeypatch, group, depth):
     """Box counts over K_RANGE and every chain c_hat * 2^-k neighborhood, at
     pass budgets of 64 and the default, and of 1 for the box counts at k <= 4."""
-    orbit, sample = sampling_front(request.getfixturevalue(group), depth)
+    held = front(request.getfixturevalue(group), depth)
+    orbit, sample = held.orbit, held.sample
     for k in range(K_RANGE[0], K_RANGE[1] + 1):
         budgets = _PASS_BUDGETS if k <= 4 else _PASS_BUDGETS[1:]
         _assert_every_budget(monkeypatch, sample.points, 2.0 ** -k, 2.0 ** -k, budgets)
@@ -782,7 +788,7 @@ def test_grid_count_band_size(request, group, depth, bound):
     # for the n = 3 group at depth 8 and 90 for schottky_f2 at depth 9, where
     # outer spans about the representatives, padded by the key box's
     # diagonal, queried 2,068 and 435.  The bound may be tightened, not loosened
-    _, sample = sampling_front(request.getfixturevalue(group), depth)
+    sample = front(request.getfixturevalue(group), depth).sample
     log = _logged_tree(sample)
     try:
         box_dimension_estimate(sample)

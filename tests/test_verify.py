@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from kleindim import (
 )
 from kleindim import group, verify
 from kleindim.group import ball_key
-from kleindim.verify import pipeline_front, sampling_front
+from kleindim.verify import front
 
 
 def _ball_schottky():
@@ -142,7 +143,7 @@ def test_chain_rows_positive_and_ordered(chain_schottky10):
 
 def test_chain_columns_match_the_orbit(schottky, chain_schottky10):
     rep = chain_schottky10
-    orbit = pipeline_front(schottky, rep.depth)[1]
+    orbit = front(schottky, rep.depth).orbit
     series = truncated_series(orbit, rep.s)
     partial = dict(zip(orbit.shell_runs.shells.tolist(), series.partials.tolist()))
     assert rep.k.tolist() == [k for k in range(1, 13) if np.any(orbit.shells == k)]
@@ -270,18 +271,48 @@ def test_chain_after_verify_reuses_the_report_front(make, depth, ball_builds):
     report = verify_inequality(G, depth)
     s, t = report.dim_est + 0.4, report.dim_est + 0.2
     ball_builds.clear()
-    # a presentation with the same entries shares the front; the report is the front
+    # a presentation with the same entries shares the front the report was computed from
     shared = series_chain_report(make(), depth, s, t)
     assert ball_builds == []
     assert shared.dim_estimate is report.dim_estimate
-    orbit, sample = sampling_front(G, depth)
-    assert orbit is report.orbit and sample is report.sample
-    del report, orbit, sample
-    # nothing outlives the report: the next chain builds its own front
-    assert ball_key(G, depth) not in verify._LIVE
+    held = front(G, depth)
+    assert held.orbit is report.orbit and held.sample is report.sample
+    assert held.key == ball_key(G, depth)
+    # an emptied slot rebuilds once, with the same bits
+    verify._held = None
     fresh = series_chain_report(G, depth, s, t)
     assert len(ball_builds) == 1
     _assert_same_bits(shared, fresh)
+
+
+def test_repeated_verify_reuses_the_front(ball_builds):
+    report = verify_inequality(schottky_f2(), 8)
+    ball = weakref.ref(report.orbit.ball)
+    del report
+    # the process holds the front, not the report
+    again = verify_inequality(schottky_f2(), 8, exponent_method="divergence_scan")
+    assert len(ball_builds) == 1 and again.orbit.ball is ball()
+    verify._held = None
+    fresh = verify_inequality(schottky_f2(), 8, exponent_method="divergence_scan")
+    assert len(ball_builds) == 2
+    for name in ("delta_estimate", "dim_estimate", "margin", "passed"):
+        _assert_same_bits(getattr(again, name), getattr(fresh, name), name)
+
+
+def test_verify_on_another_key_drops_the_held_front(schottky, monkeypatch):
+    first = weakref.ref(verify_inequality(schottky, 7).orbit.ball)
+    assert verify_inequality(schottky, 7, tolerance=0.2).orbit.ball is first()
+    alive = []
+    real = verify.build_ball
+
+    def build_after_drop(*args):
+        alive.append(first() is not None)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "build_ball", build_after_drop)
+    verify_inequality(schottky, 6)
+    # the first front was dropped before its successor was built
+    assert alive == [False] and first() is None
 
 
 def test_front_reuse_misses_other_keys(schottky, ball_builds, monkeypatch):
@@ -299,5 +330,5 @@ def test_front_reuse_misses_other_keys(schottky, ball_builds, monkeypatch):
         ball_builds.clear()
         with monkeypatch.context() as patch:
             patch.setattr(group, name, value)
-            orbit, _ = sampling_front(schottky, 8)
+            orbit = front(schottky, 8).orbit
         assert len(ball_builds) == 1 and orbit is not report.orbit, name

@@ -28,9 +28,15 @@ Then the same matrix runs again as one session: every command through
 `kleindim.cli.main` in this interpreter, in matrix order, each in its own
 new temporary directory as before, so later commands on the same group
 and depth reuse the front an earlier one built.  Its lines repeat the
-digest with "session" before the command: 102 more, so 204 lines.  A
-session line that differs from its fresh-process line is also reported on
-stderr, and the exit status is then 1.  It takes no options.
+digest with "session" before the command: 102 more, so 204 lines.
+
+Last comes a case where the library builds the front and the front
+commands read it: on a key no earlier command used, `schottky_f2` at depth
+8, `chain`, then `orbit`, `limitset --image` and `boxdim`.  It runs in
+fresh processes, then in the session, after the matrix: 4 lines and 4
+session lines, so 212 lines in all.  A session line that differs from its
+fresh-process line is also reported on stderr, and the exit status is then
+1.  It takes no options.
 """
 
 from __future__ import annotations
@@ -113,6 +119,17 @@ BAD_ARGUMENTS = [
 ]
 
 
+# the library's chain builds the front of a new key, which the front commands then read
+LIBRARY_FRONT = [
+    ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
+     "--out", "{tmp}/chain.csv"],
+    ["orbit", "{tmp}/schottky_f2.json", "--depth", "8", "--out", "{tmp}/orbit.csv"],
+    ["limitset", "{tmp}/schottky_f2.json", "--depth", "8", "--out", "{tmp}/points.csv",
+     "--image", "{tmp}/points.pgm", "--k", "7"],
+    ["boxdim", "{tmp}/schottky_f2.json", "--depth", "8", "--out", "{tmp}/scales.csv"],
+]
+
+
 def fresh_process(argv):
     """Exit code, stdout and stderr of `python -m kleindim argv`."""
     proc = subprocess.run([sys.executable, "-m", "kleindim", *argv],
@@ -171,20 +188,24 @@ def main():
         for depth in depths
         for argv in group_commands(name, depth, basepoint)
     ] + BAD_ARGUMENTS
-    fresh, status = [], 0
+    status = 0
     with tempfile.TemporaryDirectory() as root:
-        for run, label in ((fresh_process, ""), (this_process, "session ")):
-            fixtures = Path(root) / f"fixtures-{run.__name__}"
-            write_fixtures(fixtures)
-            for i, argv in enumerate(matrix):
-                line = digest(argv, fixtures, run)
-                print(line, label + " ".join(argv), flush=True)
-                if run is fresh_process:
-                    fresh.append(line)
-                elif line != fresh[i]:
-                    print(f"session differs from a fresh process: {' '.join(argv)}",
-                          file=sys.stderr)
-                    status = 1
+        runs = ((fresh_process, ""), (this_process, "session "))
+        for run, _ in runs:
+            write_fixtures(Path(root) / f"fixtures-{run.__name__}")
+        for commands in (matrix, LIBRARY_FRONT):
+            fresh = []
+            for run, label in runs:
+                fixtures = Path(root) / f"fixtures-{run.__name__}"
+                for i, argv in enumerate(commands):
+                    line = digest(argv, fixtures, run)
+                    print(line, label + " ".join(argv), flush=True)
+                    if run is fresh_process:
+                        fresh.append(line)
+                    elif line != fresh[i]:
+                        print(f"session differs from a fresh process: {' '.join(argv)}",
+                              file=sys.stderr)
+                        status = 1
     return status
 
 

@@ -51,7 +51,7 @@ from kleindim import (  # noqa: E402
     truncated_series,
 )
 from kleindim.limitset import K_RANGE  # noqa: E402
-from kleindim.verify import sampling_front  # noqa: E402
+from kleindim.verify import front  # noqa: E402
 from workloads import ball_schottky, seeded_inputs  # noqa: E402
 
 GROUPS = [
@@ -112,7 +112,8 @@ def main():
         for seed in SEEDS:
             inputs = seeded_inputs(make(), seed)
             for i, presentation in enumerate(inputs[:1] if seed == 0 else inputs):
-                orbit, sample = sampling_front(presentation, depth)
+                held = front(presentation, depth)
+                orbit, sample = held.orbit, held.sample
                 box = []
                 for k in range(K_RANGE[0], K_RANGE[1] + 1):
                     rec = neighborhood_volume(sample, 2.0 ** -k)
