@@ -8,10 +8,11 @@ for that rule.  It works on grid lines, the cells that agree in every
 index but the last: within a radius of a point, a line's cell centers form
 one interval, computed with one sqrt.  The intervals of one point per
 sub-cell, merged per line, count most cells outright, and only a thin band
-of cells runs the exact nearest-point query: the cells within reach of the
-box of the sub-cell's own index keys, widened by one key per side, that
-are not within reach of the point.  Every point of the sub-cell lies in
-that box, and a line whose two intervals agree adds no band cell.
+of cells is tested against the points of the sub-cells whose intervals
+hold it: the cells within reach of the box of the sub-cell's own index
+keys, widened by one key per side, that are not within reach of the point.
+Every point of the sub-cell lies in that box, and a line whose two
+intervals agree adds no band cell.
 The lines go in passes of about 2^14 representative lines, split by
 residue of their first index; each pass sorts its interval ends once,
 keyed by each line's offset from the pass's least line, or by its rank
@@ -24,7 +25,9 @@ cell are consecutive at every scale.  The parting level of two neighboring
 rows is the bit length of the OR over axes of their keys' XOR; after a
 shift s they lie in different cells exactly when it exceeds s.  Every grid
 count reads its occupied cells and sub-cells from the parting levels, and
-the spacing check queries only the points alone in their cell.
+the spacing check reads the cells about each point alone in its cell.
+The sample's KD-tree is built only by the containment check and by a
+spacing check that finds a point with no neighbor near it.
 
 The containment check's mesh points lie deep inside the ball, where the
 tree prunes almost nothing.  Each is answered from its radial projection u
@@ -57,6 +60,7 @@ _PROJECTION_SLACK = 2.0 ** -40  # absolute rounding slack of the projection test
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
 _SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
+_SPACING_BATCH = 32  # alone points of the spacing check's first batch
 _INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
 # coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
 # floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
@@ -74,9 +78,10 @@ class LimitSample:
     The witness of an orbit sample point is the group-ball row of the element
     that produced it, whose word the ball's parent pointers spell; synthetic
     samples carry label words.  Two structures are built on first use and
-    shared by every stage: `tree`, the KD-tree of the points, and
-    `dyadic_index`, the one sort of the points that every grid count and the
-    spacing check read.
+    shared by every stage: `dyadic_index`, the one sort of the points that
+    every grid count and the spacing check read, and `tree`, the KD-tree of
+    the points, which only the containment check and a spacing note that
+    fires build.
     """
 
     points: np.ndarray     # (N, n) unit rows
@@ -220,6 +225,16 @@ class DyadicScaleRecord:
     volume: float
 
 
+def _sum_squares(diff):
+    """Squared norms of the rows of diff along its last axis, summed axis by axis
+    in order, as cKDTree sums them; diff is squared in place."""
+    diff *= diff
+    d2 = diff[..., 0] + diff[..., 1]
+    if diff.shape[-1] == 3:
+        d2 += diff[..., 2]
+    return d2
+
+
 def _span(lo, hi, d2, r2):
     """Integer steps j with dist(j, [lo, hi])^2 <= r2 - d2, as int64 bounds (lo, hi).
 
@@ -255,8 +270,8 @@ def _grid_cell_count(sample, radius, cell):
 
     A cell of side `cell` with index vector i covers [i*cell, (i+1)*cell)
     per axis; it counts when its center is within reach = radius +
-    (sqrt(n)/2)*cell of some point, in the distance the sample's KD-tree
-    computes.
+    (sqrt(n)/2)*cell of some point, in the distance a KD-tree computes:
+    squared coordinate differences summed in axis order, then sqrt.
 
     The points are represented by the first point, in index order, of each
     occupied sub-cell of side s = cell/2^_SUBCELL_BITS, a run of the
@@ -275,11 +290,12 @@ def _grid_cell_count(sample, radius, cell):
     so the inner span.  The lines within reach are spans themselves, one
     leading axis at a time.  One sort of the spans' end points per pass
     merges each line's spans: the cells of the inner union count outright,
-    and only the cells of the outer union outside it run the exact query on
-    the sample's KD-tree.  A row whose outer span equals its inner span, as
-    nearly every row of a point alone does, adds no such cell and emits its
-    inner span only.  Which point represents a sub-cell therefore moves no
-    count, and a larger box would only query more cells.
+    and only the cells of the outer union outside it, the band, are
+    decided point by point (`_count_events`).  A row whose outer span
+    equals its inner span, as nearly every row of a point alone does, adds
+    no band cell and emits its inner span only.  Which point represents a
+    sub-cell therefore moves no count, and a larger box would only test
+    more cells.
 
     The spans are exact enough for the margins.  Cell indices are exact
     because cell is a power of two, and the arithmetic works in cell units
@@ -291,10 +307,11 @@ def _grid_cell_count(sample, radius, cell):
     exact bound, against margins of 1e-9 relative.  A cell in an inner span has its center
     within reach*(1 - 1e-9)*(1 + 1e-15) of a point, whose computed distance
     exceeds the true one by less than 1e-15 relative (coordinate
-    differences are exact or within an ulp of their own size), so the query
-    would find it within reach.  A cell in no outer span has its center
-    beyond reach by nearly 1e-9 relative from every point of the box, which
-    holds every point of the run, and no computed distance falls to reach.
+    differences are exact or within an ulp of their own size), so the
+    computed distance is within reach.  A cell in no outer span has its
+    center beyond reach by nearly 1e-9 relative from every point of the box,
+    which holds every point of the run, and no computed distance falls to
+    reach.
     An absolute float index near 2^24 would have an ulp of 3.7e-9 cells,
     more than the margin of 1.7e-9 cells at k = 24 and radius = cell; no
     index is formed in floats here.
@@ -315,6 +332,7 @@ def _grid_cell_count(sample, radius, cell):
     starts = index.parting > shift - _SUBCELL_BITS
     alone = (starts & np.append(starts[1:], True))[starts]
     runs = np.flatnonzero(starts)
+    bounds = np.append(runs, starts.size)  # run i holds index rows bounds[i]:bounds[i + 1]
     # representatives in cell units: base cell and offset from its center
     scaled = np.ldexp(sample.points[index.order[runs]], k)
     base = np.floor(scaled)
@@ -351,12 +369,13 @@ def _grid_cell_count(sample, radius, cell):
             g2 = g2[at] + _gap2(steps, box_lo[rows, axis], box_hi[rows, axis])
             line = line[at] * radix + (steps + shifted[rows, axis])
         if line.size:
-            events, first, lines, low, width = _line_events(
+            events, first, lines, low, width, (span_lo, span_hi, banded) = _line_events(
                 line, offset[rows, -1], base[rows, -1], box_lo[rows, -1], box_hi[rows, -1],
                 d2, g2, inner2, outer2)
+            spans = span_lo, span_hi, rows[banded]
             del rows, steps, line, d2, g2  # only the events are needed from here on
-            count += _count_events(sample, reach, cell, events, first, lines, low, width,
-                                   radix)
+            count += _count_events(sample, bounds, reach, cell, events, first, lines, low,
+                                   width, radix, spans)
     return count
 
 
@@ -379,7 +398,9 @@ def _line_events(line, offset, base, box_lo, box_hi, d2, g2, inner2, outer2):
     over most of the cube at k >= 17 or so), is the slot the line's rank
     among the pass's distinct lines, which `lines` then holds; otherwise
     `lines` is None and slot s is line first + s.  The events fill one
-    preallocated array.
+    preallocated array.  `spans` holds the other rows, the banded ones: the
+    first and last cell key, slot*width + position, of each outer span, and
+    the row.
     """
     lo_o, hi_o = _span(box_lo, box_hi, g2, outer2)
     inside = np.flatnonzero(d2 <= inner2)
@@ -396,7 +417,9 @@ def _line_events(line, offset, base, box_lo, box_hi, d2, g2, inner2, outer2):
     inner_at = at[inside]
     banded = np.ones(at.size, dtype=bool)
     banded[inside] = (lo_o[inside] != lo_i) | (hi_o[inside] != hi_i)
+    banded = np.flatnonzero(banded)
     at, lo_o, hi_o = at[banded], lo_o[banded], hi_o[banded]
+    spans = at + lo_o, at + hi_o, banded
     no, ni = at.size, inner_at.size
     events = np.empty(2 * (no + ni), dtype=np.int64)
     np.add(at, lo_o, out=events[:no])
@@ -408,13 +431,25 @@ def _line_events(line, offset, base, box_lo, box_hi, d2, g2, inner2, outer2):
     events[no + ni:no + 2 * ni] |= 2
     events[no + 2 * ni:] |= 3
     events.sort()
-    return events, first, lines, low, width
+    return events, first, lines, low, width, spans
 
 
-def _count_events(sample, reach, cell, events, first, lines, low, width, radix):
+def _count_events(sample, bounds, reach, cell, events, first, lines, low, width, radix,
+                  spans):
     """Cells counted on sorted span events: the cells of the inner spans'
-    union, and the band cells, in the outer spans' union only, that the
-    exact query finds within reach."""
+    union, and the band cells, in the outer spans' union only, within reach
+    of some point.
+
+    A point within reach of a band cell lies in a run whose outer span on
+    the cell's line holds the cell, since the span holds every cell within
+    reach of the run's key box.  That row is banded: were its outer span
+    its inner span, the cell would lie in the inner union.  So each band
+    cell is tested against the points of the banded rows' runs whose outer
+    spans hold it, found by binary search in the band's sorted keys, with
+    each distance formed as cKDTree.query forms it: squared differences
+    summed in axis order, then sqrt, compared with reach.  The count is
+    therefore the one of the exact query on the KD-tree of the sample,
+    which is not built."""
     coverage = _EVENT_STEPS[events & 3]
     np.cumsum(coverage, out=coverage)
     events >>= 2
@@ -422,17 +457,29 @@ def _count_events(sample, reach, cell, events, first, lines, low, width, radix):
     coverage = coverage[:-1]
     inner = int(lengths[coverage >= (1 << 32)].sum())
     band = np.flatnonzero((coverage > 0) & (coverage < (1 << 32)) & (lengths > 0))
-    _, at = _expand(events[band], lengths[band], 1)
-    at, last = np.divmod(at, width)
+    _, keys = _expand(events[band], lengths[band], 1)
+    if not keys.size:
+        return inner
+    at, last = np.divmod(keys, width)
     key = at + first if lines is None else lines[at]
-    cells = np.empty((at.size, sample.model))
+    n = sample.model
+    cells = np.empty((at.size, n))
     cells[:, -1] = last + low
-    for axis in range(sample.model - 2, -1, -1):
+    for axis in range(n - 2, -1, -1):
         key, cells[:, axis] = np.divmod(key, radix)
     cells[:, :-1] -= radix // 2
-    dist, _ = sample.tree.query((cells + 0.5) * cell, k=1,
-                                distance_upper_bound=np.nextafter(reach, np.inf))
-    return inner + int(np.count_nonzero(dist <= reach))
+    centers = (cells + 0.5) * cell
+    # (span, band cell) pairs, then the points of each span's run
+    span_lo, span_hi, run = spans
+    lo = np.searchsorted(keys, span_lo)
+    span, cell_at = _expand(lo, np.searchsorted(keys, span_hi, side="right") - lo, 1)
+    run = run[span]
+    pair, rows = _expand(bounds[run], bounds[run + 1] - bounds[run], 1)
+    cell_at = cell_at[pair]
+    d2 = _sum_squares(centers[cell_at] - sample.points[sample.dyadic_index.order[rows]])
+    near = np.zeros(keys.size, dtype=bool)
+    near[cell_at[np.sqrt(d2) <= reach]] = True
+    return inner + int(np.count_nonzero(near))
 
 
 def neighborhood_volume(sample, r, radius=None):
@@ -506,19 +553,11 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
     k*log 2, clamped to [0, n]; the local slopes between neighboring scales
     ride along, and their minimum, a liminf proxy, is quoted in the note.
     The note flags a nearest-neighbor spacing above 2^-k_max, which may mean
-    an under-resolved sample.  The spacing check queries only the points alone
-    in their cell of side 2^-(k_max+1) in the dyadic index; any other point has
-    a neighbor within 2^-(k_max+1)*sqrt(n) < 2^-k_max, so the note is that of
-    the full query.
+    an under-resolved sample; it is the note of a KD-tree query of every
+    point (`_alone_spacing`).
     """
     k_min, k_max = check_window(k_range)
-    spacing = None
-    if len(sample) > 1:
-        index = sample.dyadic_index
-        starts = index.parting > _INDEX_BITS - k_max - 1  # cells of side 2^-(k_max+1)
-        alone = index.order[starts & np.append(starts[1:], True)]
-        d2, _ = sample.tree.query(sample.points[alone], k=2)
-        spacing = float(d2[:, 1].max(initial=0.0))
+    spacing = _alone_spacing(sample, k_max) if len(sample) > 1 else None
     note_bits = []
     if spacing is not None and spacing > 2.0 ** -k_max:
         note_bits.append(
@@ -543,6 +582,65 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
         fit_window=(k_min, k_max),
         method_note="; ".join(note_bits),
     )
+
+
+def _alone_spacing(sample, k_max):
+    """The note's nearest-neighbor spacing, or None when it is at most 2^-k_max.
+
+    Only a point alone in its cell of side 2^-(k_max+1) in the dyadic index
+    can lie farther than 2^-k_max from every other point: any other has a
+    neighbor within 2^-(k_max+1)*sqrt(n) < 2^-k_max.  A point within 2^-k_max
+    of an alone point lies in one of the 3^n cells of side 2^-k_max about
+    its own, so those cells are joined to the occupied ones by one lexsort
+    of their integer indices, which need n*(k_max + 2) bits together, and
+    the points of each occupied one are measured as the tree measures them
+    (`_sum_squares`, then sqrt).  The alone points go in doubling batches,
+    those whose neighbors in index order part from them highest first, as
+    the likeliest to lie far from every other point.  At the first batch
+    with a point that has no other point within 2^-k_max, the KD-tree
+    answers every alone point, and the spacing is the largest distance to
+    a second nearest, the point itself being the first.
+    """
+    index = sample.dyadic_index
+    n = sample.model
+    shift = _INDEX_BITS - k_max
+    starts = index.parting > shift - 1  # cells of side 2^-(k_max+1)
+    alone = np.flatnonzero(starts & np.append(starts[1:], True))
+    # the points whose neighbors in index order part from them highest first
+    apart = np.minimum(index.parting, np.append(index.parting[1:], _KEY_BITS))[alone]
+    alone = alone[np.argsort(-apart, kind="stable")]
+    cells = np.flatnonzero(index.parting > shift)  # cells of side 2^-k_max
+    bounds = np.append(cells, starts.size)
+    occupied = index.keys[cells] >> shift
+    around = np.indices((3,) * n).reshape(n, -1).T - 1  # the 3^n offsets of a cell's neighbors
+    scale = 2.0 ** -k_max
+    done, batch = 0, _SPACING_BATCH
+    while done < alone.size:
+        rows = alone[done:done + batch]
+        near = ((index.keys[rows] >> shift)[:, None, :] + around).reshape(-1, n)
+        joined = np.concatenate([occupied, near])
+        order = np.lexsort(joined.T[::-1])  # stable: an occupied cell precedes its queries
+        m = len(occupied)
+        # the latest occupied cell at or before each row of the sort
+        last = np.maximum.accumulate(np.where(order < m, np.arange(order.size), -1))
+        query = np.flatnonzero((order >= m) & (last >= 0))
+        cell = order[last[query]]
+        same = np.all(joined[cell] == joined[order[query]], axis=1)
+        point = (order[query[same]] - m) // len(around)
+        cell = cell[same]
+        pair, other = _expand(bounds[cell], bounds[cell + 1] - bounds[cell], 1)
+        point = point[pair]
+        keep = other != rows[point]
+        point, other = point[keep], other[keep]
+        d2 = _sum_squares(sample.points[index.order[rows[point]]]
+                          - sample.points[index.order[other]])
+        resolved = np.zeros(rows.size, dtype=bool)
+        resolved[point[np.sqrt(d2) <= scale]] = True
+        if not resolved.all():
+            dist, _ = sample.tree.query(sample.points[index.order[alone]], k=2)
+            return float(dist[:, 1].max())
+        done, batch = done + batch, 2 * batch
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +738,7 @@ def _projected_nearest(sample, pts):
     d, nb = sample.tree.query(p / r[:, None], k=4)
     diff = sample.points[nb.T]  # (4, m, n) neighbors
     diff -= p
-    diff *= diff
-    best2 = diff[..., 0] + diff[..., 1]  # squared distances, summed in axis order
-    if pts.shape[1] == 3:
-        best2 += diff[..., 2]
-    best2 = np.minimum.reduce(best2)
+    best2 = np.minimum.reduce(_sum_squares(diff))
     exact = r * d[:, 3] ** 2 >= (best2 - (1.0 - r) ** 2 + np.abs(1.0 - r) * sample.norm_spread
                                  + _PROJECTION_SLACK)
     near[near] = exact

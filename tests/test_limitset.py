@@ -17,7 +17,7 @@ from oracles import (
     grid_cell_count_stencil,
     max_nn_spacing,
 )
-from scipy import stats
+from scipy import spatial, stats
 
 from kleindim import (
     InternalError,
@@ -522,7 +522,7 @@ def test_line_events_key_fits_int64(span):
     line = np.array([7, 7 + span - 1, 7 + span // 2], dtype=np.int64)
     offset = np.array([0.5, 0.5, 0.0])
     zeros = np.zeros(3)
-    events, first, lines, low, width = _line_events(
+    events, first, lines, low, width, spans = _line_events(
         line, offset, np.zeros(3, dtype=np.int64), zeros, offset, zeros, zeros, 0.01, 0.0121)
     assert (first, low, width) == (7, 0, 2)
     assert (lines is None) == (span == 1 << 60)
@@ -533,6 +533,11 @@ def test_line_events_key_fits_int64(span):
     np.testing.assert_array_equal(position, [0, 1, 1, 1] + [0, 1] + [0, 1, 1, 1])
     np.testing.assert_array_equal(events & 3, [0, 1, 2, 3] + [1, 2] + [0, 1, 2, 3])
     assert set((events & 3)[slot == slots[2]].tolist()) == {1, 2}  # no outer events
+    # the banded rows' outer spans, cell 0 of their lines, are the band's candidates
+    span_lo, span_hi, banded = spans
+    np.testing.assert_array_equal(banded, [0, 1])
+    np.testing.assert_array_equal(span_lo, slots[:2] * width)
+    np.testing.assert_array_equal(span_hi, slots[:2] * width)
 
 
 def test_grid_count_memory_bound(monkeypatch):
@@ -782,19 +787,54 @@ def test_grid_count_chord_runs(case):
     _assert_matches_oracle(np.concatenate([runs[0], *others]), reach - half, cell)
 
 
+def _fresh_copy(sample):
+    """The sample's points in a new LimitSample, with no structure built yet."""
+    return LimitSample(points=sample.points, witnesses=sample.witnesses, source=sample.source)
+
+
 @pytest.mark.parametrize("group, depth, bound", [("ball_schottky", 8, 310), ("schottky", 9, 90)])
-def test_grid_count_band_size(request, group, depth, bound):
-    # band query points of one K_RANGE box estimate on the seed-0 samples: 310
-    # for the n = 3 group at depth 8 and 90 for schottky_f2 at depth 9, where
-    # outer spans about the representatives, padded by the key box's
-    # diagonal, queried 2,068 and 435.  The bound may be tightened, not loosened
-    sample = front(request.getfixturevalue(group), depth).sample
-    log = _logged_tree(sample)
-    try:
-        box_dimension_estimate(sample)
-    finally:
-        sample.__dict__["tree"] = log.tree
-    assert sum(rows for k, rows in log.calls if k == 1) <= bound
+def test_grid_count_band_size(request, monkeypatch, group, depth, bound):
+    # band cells of one K_RANGE box estimate on the seed-0 samples, each
+    # decided from the points of its covering runs: 310 for the n = 3 group
+    # at depth 8 and 90 for schottky_f2 at depth 9, where outer spans about
+    # the representatives, padded by the key box's diagonal, held 2,068 and
+    # 435.  Neither the counts nor the spacing check build the KD-tree.  The
+    # bound may be tightened, not loosened
+    sample = _fresh_copy(front(request.getfixturevalue(group), depth).sample)
+    band = []
+    count_events = limitset._count_events
+
+    def counted(sample, bounds, reach, cell, events, *rest):
+        coverage = np.cumsum(limitset._EVENT_STEPS[events & 3])[:-1]
+        lengths = np.diff(events >> 2)
+        band.append(int(lengths[(coverage > 0) & (coverage < 1 << 32)].sum()))
+        return count_events(sample, bounds, reach, cell, events, *rest)
+
+    monkeypatch.setattr(limitset, "_count_events", counted)
+    box_dimension_estimate(sample)
+    assert 0 < sum(band) <= bound, band
+    assert "tree" not in sample.__dict__
+
+
+def test_spacing_note_builds_the_tree_once(lattice, monkeypatch):
+    # the seed-0 lattice at depth 14 has points farther than 2^-9 from every
+    # other, so the note fires and the tree answers the spacing; the
+    # containment check then reads the same tree
+    builds = []
+
+    class Counted(spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    held = front(lattice, 14)
+    sample = _fresh_copy(held.sample)
+    monkeypatch.setattr(spatial, "cKDTree", Counted)
+    note = box_dimension_estimate(sample).method_note
+    assert "nearest-neighbor spacing" in note
+    assert builds == [len(sample)]
+    ball_containment_check(held.orbit, packing_radius(held.orbit).radius, sample, k_max=CHAIN_K_MAX)
+    assert builds == [len(sample)]
 
 
 @st.composite
@@ -829,8 +869,40 @@ def _arc_pair(n, k_max, factor, start=0.01):
     return pts
 
 
+def _corner_pair(k_max):
+    """Two n = 3 points 2^-k_max/sqrt(2) apart, in diagonal cells of side 2^-k_max:
+    (-e, -e, z) and (e, e, z) with e = 2^-k_max / 4."""
+    e = 2.0 ** -k_max / 4.0
+    z = math.sqrt(1.0 - 2.0 * e * e)
+    return np.array([[-e, -e, z], [e, e, z]])
+
+
+def _straddle_pair(k_max):
+    """Two planar points exactly 2^-k_max apart, (-h, y) and (h, y) with h = 2^-(k_max+1)."""
+    h = 2.0 ** -(k_max + 1)
+    y = math.sqrt(1.0 - h * h)
+    return np.array([[-h, y], [h, y]])
+
+
+def _tangent_pair(p, factor, k_max):
+    """p and a point about factor * 2^-k_max from it along a tangent, both unit."""
+    p = np.asarray(p, dtype=float)
+    p = p / np.linalg.norm(p)
+    t = np.cross(p, [0.0, 0.0, 1.0])
+    q = p + factor * 2.0 ** -k_max * t / np.linalg.norm(t)
+    return np.array([p, q / np.linalg.norm(q)])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_spacing_cases())
+# the only neighbor within 2^-k_max of each point lies in a diagonal cell
+@example((10, _corner_pair(10)))
+# a neighbor at exactly 2^-k_max, which the note does not flag
+@example((4, _straddle_pair(4)))
+@example((24, _straddle_pair(24)))
+# n = 3 pairs at k_max = 24, whose cell indices need 3 * 26 bits together
+@example((24, _tangent_pair([0.6, 0.48, 0.64], 0.9, 24)))
+@example((24, _tangent_pair([-0.6, 0.48, -0.64], 1.5, 24)))
 # a lone pair a little over 2^-k_max apart, inside one cell of side 2^-(k_max-1)
 @example((4, _arc_pair(2, 4, 1.5)))
 @example((10, _arc_pair(3, 10, 1.2)))
@@ -854,6 +926,7 @@ def test_spacing_note_matches_full_query(case):
     note = box_dimension_estimate(sample, k_range=k_range).method_note
     if msg is None:
         assert "nearest-neighbor" not in note
+        assert "tree" not in sample.__dict__  # each alone point found a neighbor nearby
     else:
         assert f"; {msg}" in note and note.count("nearest-neighbor") == 1
 

@@ -40,8 +40,13 @@ def test_scipy_spatial_loads_only_with_a_kd_tree(tmp_path):
         "import": ("", "False"),
         "orbit": (run.format(["orbit", group, "--depth", "7",
                               "--out", str(tmp_path / "orbit.csv")]), "False"),
+        # the box counts and the spacing check read the dyadic index alone
         "boxdim": (run.format(["boxdim", group, "--depth", "7",
-                               "--out", str(tmp_path / "boxdim.csv")]), "True"),
+                               "--out", str(tmp_path / "boxdim.csv")]), "False"),
+        "verify": (run.format(["verify", group, "--depth", "9"]), "False"),
+        # the packing and containment checks query KD-trees
+        "chain": (run.format(["chain", group, "--depth", "8", "--s", "1.2", "--t", "1.0"]),
+                  "True"),
     }
     for name, (command, loaded) in cases.items():
         out = _fresh_python("-c", probe.format(command))

@@ -26,8 +26,12 @@ and the ends of the runs' key boxes in cell units, are largest.  At k = 24
 the grid count of each n = 3 seed-29 rotation ranks its lines
 (`limitset._line_events`), which no count at k <= 12 does; the n = 3 seed-0
 limit set lies in a coordinate plane, so its lines stay narrow enough for
-offset keys.  That makes 108 lines.  Two trees whose grid counts and per-shell numbers match bit for
-bit print the same lines.  It takes no options.
+offset keys.  The fifth line hashes `box_dimension_estimate`'s dim_est, as a hex
+float, and its method note, whose spacing note fires on every lattice
+case; it is taken first, before any check of the case builds the
+sample's KD-tree.  That makes 135 lines.  Two trees whose grid counts,
+estimates and per-shell numbers match bit for bit print the same lines.  It
+takes no options.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ def main():
             for i, presentation in enumerate(inputs[:1] if seed == 0 else inputs):
                 held = front(presentation, depth)
                 orbit, sample = held.orbit, held.sample
+                est = box_dimension_estimate(sample)
                 box = []
                 for k in range(K_RANGE[0], K_RANGE[1] + 1):
                     rec = neighborhood_volume(sample, 2.0 ** -k)
@@ -136,6 +141,7 @@ def main():
                         rec = neighborhood_volume(sample, 2.0 ** -k, radius=factor * 2.0 ** -k)
                         fine.append(f"{k} {factor} {rec.cell_count}")
                 print(_line(fine), label, "fine", flush=True)
+                print(_line([est.dim_est.hex(), est.method_note]), label, "estimate", flush=True)
 
 
 if __name__ == "__main__":
