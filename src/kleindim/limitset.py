@@ -29,12 +29,10 @@ the spacing check reads the cells about each point alone in its cell.
 The sample's KD-tree is built only by the containment check and by a
 spacing check that finds a point with no neighbor near it.
 
-The containment check's mesh points lie deep inside the ball, where the
-tree prunes almost nothing.  Each is answered from its radial projection u
-on the sphere, where it prunes well: |p - x|^2 = rho*|u - x|^2 + (1 - rho)*
-(|x|^2 - rho) for rho = |p|, so the 4 nearest sample points of u hold the
-nearest of p whenever the 4th lies far enough off, with the same distance
-bits as the tree's own query (`_projected_nearest`).
+The containment check bounds every point of a ball from its center alone:
+a point p of the closed ball about c of Euclidean radius rho lies within
+|p - c| + dist(c, sample) <= rho + dist(c, sample) of the sample, so one
+nearest-point query per ball certifies the whole ball.
 
 Samples record witnesses as group-ball rows, or label words as array rows;
 the words are spelled only where they are printed.  `check_window` alone
@@ -44,7 +42,7 @@ checks a box-counting window, and `ShellRuns.window` the containment shells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,8 +53,6 @@ from .geometry import MapClass, boundary_images, check_radius, classify, fixed_p
 
 _LN2 = math.log(2.0)
 _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one point
-_MESH_COUNT = 32    # boundary mesh points per ball in the containment check
-_PROJECTION_SLACK = 2.0 ** -40  # absolute rounding slack of the projection test (squared)
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
 _SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
@@ -87,7 +83,6 @@ class LimitSample:
     points: np.ndarray     # (N, n) unit rows
     witnesses: np.ndarray  # (N,) ball rows, or (N, m) label words, one row per point
     source: str
-    norm_spread: float = field(init=False, repr=False)  # max | |x|^2 - 1 | over the points
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -102,7 +97,6 @@ class LimitSample:
         if len(self.witnesses) != pts.shape[0]:
             raise UsageError("one witness per sample point")
         self.points = pts
-        self.norm_spread = float(np.abs(norms * norms - 1.0).max())
 
     @property
     def model(self):
@@ -682,110 +676,52 @@ def ball_volumes(radii, n):
     return (4.0 / 3.0) * math.pi * radii ** 3
 
 
-def _sphere_mesh(n):
-    """_MESH_COUNT deterministic mesh directions on the unit circle or sphere."""
-    count = _MESH_COUNT
-    if n == 2:
-        ang = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    i = np.arange(count, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))  # golden angle
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
 @dataclass
 class BallContainmentReport:
-    """How far orbit-ball boundaries stray from the limit-set sample.
+    """Certified shell constants: every orbit ball lies near the limit-set sample.
 
-    For shell k the worst Euclidean distance from any mesh point of any
-    shell-k ball boundary to the sample, normalized by 2^-k, gives c_k; a
-    flat c_k across shells witnesses that the balls hug the limit set at
-    their own scale.  c_hat is the max over computed shells.
+    For shell k, c_k is a certified upper bound on the Euclidean distance
+    from any point of any closed shell-k ball to the sample, normalized by
+    2^-k: every such ball lies inside the closed c_k * 2^-k neighborhood of
+    the sample.  A flat c_k across shells witnesses that the balls hug the
+    limit set at their own scale.  c_hat is the max over computed shells.
     """
 
     shells: np.ndarray  # (m,) nonempty shells k, ascending
-    c: np.ndarray       # (m,) c_k = worst distance of shell k / 2^-k
+    c: np.ndarray       # (m,) c_k = bound on the distance of shell k / 2^-k
     c_hat: float
 
 
-def _projected_nearest(sample, pts):
-    """Distance from each row of pts to the sample, sample.tree.query(pts, k=1)[0] bit for bit.
-
-    A point p with rho = |p| > 0 and u = p/rho satisfies, for every x,
-    |p - x|^2 = rho*|u - x|^2 + (1 - rho)*(|x|^2 - rho), and |x|^2 is within
-    sigma = `sample.norm_spread` of 1.  So a sample point at distance at
-    least d from u lies at squared distance at least rho*d^2 + (1 - rho)^2 -
-    |1 - rho|*sigma from p.  The 4 nearest sample points of u, which lies on
-    the sphere where the tree prunes well, are one query; best is the least
-    distance from p among them, formed as the tree forms it: squared
-    differences summed axis by axis in order, then sqrt.  When the 4th
-    neighbor's distance d4 satisfies rho*d4^2 >= best^2 - (1 - rho)^2 +
-    |1 - rho|*sigma + 2^-40, every other point is at least as far from p,
-    and best is the tree's answer.
-
-    Rounding: a computed squared distance is within 5 ulps relative of the
-    true one, u within 4 ulps of p/|p|, rho and the sample norms within 3
-    ulps; for 0 < rho <= 2 each term of the test is below 10, so together
-    they move it by under 300 ulps of 1 (7e-14), far inside the slack of
-    2^-40 (9e-13).  Rows that fail the test, rows with rho = 0 or rho > 2,
-    and every row of a sample of fewer than 4 points query p itself.
-    """
-    rho = np.linalg.norm(pts, axis=1)
-    near = (rho > 0.0) & (rho <= 2.0) & (len(sample) >= 4)
-    p, r = pts[near], rho[near]
-    d, nb = sample.tree.query(p / r[:, None], k=4)
-    diff = sample.points[nb.T]  # (4, m, n) neighbors
-    diff -= p
-    best2 = np.minimum.reduce(_sum_squares(diff))
-    exact = r * d[:, 3] ** 2 >= (best2 - (1.0 - r) ** 2 + np.abs(1.0 - r) * sample.norm_spread
-                                 + _PROJECTION_SLACK)
-    near[near] = exact
-    dist = np.empty(len(pts))
-    dist[near] = np.sqrt(best2[exact])
-    if not near.all():
-        dist[~near] = sample.tree.query(pts[~near], k=1)[0]
-    return dist
-
-
 def ball_containment_check(orbit, radius, sample, k_max):
-    """Measure shell-normalized distances from ball boundaries to the sample.
+    """Certified shell-normalized bounds on the distance from orbit balls to the sample.
 
-    The worst distance of a shell is the exact maximum over every mesh point
-    of its balls, found without querying every mesh.  A mesh point of ball i
-    lies within its Euclidean radius rho_i of the center, whose distance to
-    the sample d_i is one query, so U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15
-    bounds the computed distance of each of its mesh points; the margins
-    cover the rounding of forming and querying points of the closed unit
-    ball.  Meshes are queried in decreasing U_i, in doubling batches, until
-    the running maximum reaches the next U_i: no later mesh can exceed it.
-    Each mesh point's distance is the tree's own, bit for bit, found from
-    its radial projection where the bound of `_projected_nearest` allows.
-    The radius must be finite and >= 0 (`check_radius`).
+    Ball i, about an orbit point in shells 1..k_max, has Euclidean center
+    c_i and radius rho_i (`euclidean_balls`); d_i is the exact distance from
+    c_i to the sample, one nearest-point query of the sample's tree over
+    every such center at once.  Every point p of the closed ball has
+    dist(p, sample) <= |p - c_i| + d_i <= rho_i + d_i, so
+    U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15 bounds the true supremum of the
+    distance over the closed ball, and c_k = max U_i / 2^-k over shell k,
+    taken with `np.ldexp`, exactly.  The margins cover the rounding: the
+    1e-15 term the absolute error of coordinates in the closed unit ball,
+    and that of rho_i, a few ulps of 1 even where tanh((d0 +- radius)/2)
+    cancels; the 1e-9 factor the relative error of the computed distance, a
+    square root of a sum of squares, about 1e-16.  This is the containment
+    `volume_ok` presumes when it adds the packed volumes inside the
+    c_hat * 2^-k neighborhood.  The radius must be finite and >= 0
+    (`check_radius`).
     """
     radius = check_radius(radius)
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
-    mesh = _sphere_mesh(orbit.model)
     runs = orbit.shell_runs
     lo, hi = runs.window(1, k_max)
-    shells, worsts = runs.shells[lo:hi], []
-    for at in range(lo, hi):
-        idx = runs.rows(at, at + 1)
-        centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
-        center_dist, _ = sample.tree.query(centers, k=1)
-        bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
-        order = np.argsort(-bound)
-        worst, done, batch = -math.inf, 0, 1
-        while done < order.size and worst < bound[order[done]]:
-            i = order[done:done + batch]
-            pts = centers[i, None, :] + radii[i, None, None] * mesh[None, :, :]
-            dist = _projected_nearest(sample, pts.reshape(-1, orbit.model))
-            worst = max(worst, float(dist.max()))
-            done, batch = done + batch, 2 * batch
-        worsts.append(worst)
-    if not worsts:
+    if lo == hi:
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
-    c = np.ldexp(worsts, shells)  # worst / 2^-k, exactly
+    idx = runs.rows(lo, hi)
+    centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
+    center_dist, _ = sample.tree.query(centers, k=1)
+    bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
+    shells = runs.shells[lo:hi]
+    c = np.ldexp(np.maximum.reduceat(bound, runs.bounds[lo:hi] - runs.bounds[lo]), shells)
     return BallContainmentReport(shells=shells, c=c, c_hat=float(c.max()))

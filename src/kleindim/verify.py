@@ -13,7 +13,11 @@ comparability constant instead of assuming it:
                                                   decays at the dimension
                                                   rate, t above dim_est)
 
-and the tails sum to a finite geometric series whenever s > t.
+and the tails sum to a finite geometric series whenever s > t.  The
+second link's containment is a proof step, not a sample: c is the
+certified constant of `ball_containment_check`, so every packed ball of
+shell k lies inside the closed c*2^-k neighborhood whose grid volume rhs
+measures.
 
 Both check every setting (defaults TOLERANCE, CHAIN_K_MAX) before the group
 ball is built, and the chain checks t > dim_est before its packing stages.
@@ -231,9 +235,12 @@ class SeriesChainReport:
     packed balls of each shell fit inside the measured neighborhood volume
     with quantization slack 2^n.  packing_ok: the balls of packing_radius
     about all enumerated orbit points are pairwise disjoint, which volume_ok
-    presumes when it adds their volumes.  tail_ok: the tail partial sum
-    matches the geometric closed form within 1e-9.  chain_ok requires all
-    four plus finite constants.
+    presumes when it adds their volumes.  c_hat is the certified bound of
+    `ball_containment_check`, its other premise: every ball of shell k lies
+    inside the closed c_hat * 2^-k neighborhood of the sample, so the
+    containment link is a proof step on the sample, not a sampled check.
+    tail_ok: the tail partial sum matches the geometric closed form within
+    1e-9.  chain_ok requires all four plus finite constants.
     """
 
     group_name: str

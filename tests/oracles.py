@@ -4,12 +4,14 @@ These are the straightforward algorithms the library's pruned kernels
 replace: a full-stencil grid counter, the full nearest-neighbor spacing
 query, the pairwise dedup scan, the lexsort sample dedup, the per-level
 concatenating ball build with its full-row sign canonicalization, the
-exhaustive pairwise packing scan, and the exhaustive mesh scan of the
-containment check.  Apart from the containment scan, which maps its balls
-and meshes with the library's own helpers, and the ball build, which
-deduplicates with the library's `_fresh` (itself checked against the
-pairwise scan), they share no code with the library versions, and all must
-agree with them exactly.
+exhaustive pairwise packing scan, and the containment bound from every
+ball center against every sample point (`nearest_distances`, no tree).
+Apart from the containment bound, which maps its balls with the library's
+own `euclidean_balls`, and the ball build, which deduplicates with the
+library's `_fresh` (itself checked against the pairwise scan), they share
+no code with the library versions, and all must agree with them exactly.
+`containment_mesh` is the older, sampled containment definition, 32 mesh
+points per ball boundary, which the certified bound must never undercut.
 
 `deep_orbit_sample` is a second limit-set sample, the radial projections of
 the deepest orbit points, deduplicated by the library's `_first_unique`;
@@ -38,9 +40,11 @@ from kleindim import (
     inverse,
 )
 from kleindim.group import DEDUP_TOL, _fresh
-from kleindim.limitset import _first_unique, _sphere_mesh
+from kleindim.limitset import _first_unique
 
 _STENCIL_ROWS = 1 << 16  # candidate cells the stencil oracle holds per slab, roughly
+_PAIR_ROWS = 1 << 22  # query-point pairs `nearest_distances` holds at once, roughly
+_MESH_COUNT = 32  # boundary mesh points per ball of `containment_mesh`
 SOURCE_DEEP_ORBIT = "deep_orbit_projection"
 
 
@@ -212,32 +216,86 @@ def packing_brute_force(orbit, radius, chunk=256):
     return PackingCheck(ok=True)
 
 
-def containment_exhaustive(orbit, radius, sample, k_max=12):
-    """Every mesh point of every ball queried: the containment check's own definition."""
+def nearest_distances(queries, points):
+    """Distance from each query row to its nearest row of points, by brute force.
+
+    Every pair is measured as cKDTree.query measures it: squared coordinate
+    differences summed in axis order, then sqrt (of the least, the same
+    bits as the least sqrt).  The queries go in blocks of about _PAIR_ROWS
+    pairs.
+    """
+    queries, points = np.asarray(queries, dtype=float), np.asarray(points, dtype=float)
+    block = max(1, _PAIR_ROWS // len(points))
+    least = np.empty(len(queries))
+    for start in range(0, len(queries), block):
+        q = queries[start:start + block]
+        d2 = (q[:, None, 0] - points[None, :, 0]) ** 2
+        for axis in range(1, points.shape[1]):
+            d2 += (q[:, None, axis] - points[None, :, axis]) ** 2
+        least[start:start + block] = d2.min(axis=1)
+    return np.sqrt(least)
+
+
+def _shelled_balls(orbit, radius, sample, k_max):
+    """(k, centers, radii) of every nonempty shell 1..k_max, each from its own mask."""
     if sample.model != orbit.model:
         raise UsageError("sample and orbit models differ")
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
-    mesh = _sphere_mesh(orbit.model)
-    shells, worsts = [], []
+    balls = []
     for k in range(1, k_max + 1):
         idx = np.nonzero(orbit.shells == k)[0]
-        if idx.size == 0:
-            continue
-        centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
+        if idx.size:
+            balls.append((k, *euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])))
+    if not balls:
+        raise UsageError(f"no orbit elements in shells 1..{k_max}")
+    return balls
+
+
+def _containment_report(shells, worsts):
+    c = np.ldexp(worsts, shells)
+    return BallContainmentReport(shells=np.array(shells), c=c, c_hat=float(c.max()))
+
+
+def containment_exhaustive(orbit, radius, sample, k_max=12):
+    """The certified containment bound, shell by shell, without a tree.
+
+    Every ball center of a shell against every sample point
+    (`nearest_distances`) gives d_i; U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15
+    with the check's margins, and c_k is the shell's largest U_i over 2^-k.
+    """
+    shells, worsts = [], []
+    for k, centers, radii in _shelled_balls(orbit, radius, sample, k_max):
+        bound = (nearest_distances(centers, sample.points) + radii) * (1.0 + 1e-9) + 1e-15
+        shells.append(k)
+        worsts.append(bound.max())
+    return _containment_report(shells, worsts)
+
+
+def _sphere_mesh(n):
+    """_MESH_COUNT deterministic mesh directions on the unit circle or sphere."""
+    count = _MESH_COUNT
+    if n == 2:
+        ang = 2.0 * math.pi * np.arange(count) / count
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    i = np.arange(count, dtype=float)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))  # golden angle
+    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+def containment_mesh(orbit, radius, sample, k_max=12):
+    """The sampled containment definition: every mesh point of every ball boundary queried."""
+    mesh = _sphere_mesh(orbit.model)
+    shells, worsts = [], []
+    for k, centers, radii in _shelled_balls(orbit, radius, sample, k_max):
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
         dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
         shells.append(k)
-        worsts.append(float(dist.max()))
-    if not shells:
-        raise UsageError(f"no orbit elements in shells 1..{k_max}")
-    c = [worst / (2.0 ** -k) for k, worst in zip(shells, worsts)]
-    return BallContainmentReport(
-        shells=np.array(shells),
-        c=np.array(c),
-        c_hat=max(c),
-    )
+        worsts.append(dist.max())
+    return _containment_report(shells, worsts)
 
 
 def deep_orbit_sample(orbit):

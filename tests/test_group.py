@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from oracles import (
     build_ball_reference,
     canonical_entries_reference,
     containment_exhaustive,
+    containment_mesh,
     fresh_pairwise,
+    nearest_distances,
     packing_brute_force,
     stacked_products,
 )
@@ -750,6 +753,47 @@ def test_containment_matches_exhaustive_oracle(name, depth, offset, factor):
     assert report.c_hat == expected.c_hat
     skipped = [k for k in range(1, 13) if not np.any(orbit.shells == k)]
     assert sorted(set(range(1, 13)) - set(report.shells.tolist())) == skipped
+    # the certified bound never undercuts the sampled mesh definition
+    mesh = containment_mesh(orbit, radius, sample)
+    assert mesh.shells.tolist() == report.shells.tolist()
+    assert np.all(report.c >= mesh.c)
+
+
+@_with_containment_cases
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(PACKING_GROUPS)),
+    depth=st.integers(1, 6),
+    offset=st.none() | st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    factor=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0),
+)
+def test_containment_bound_covers_ball_points(name, depth, offset, factor):
+    # points of every shelled ball, on its boundary and inside it, lie
+    # within the shell's c_k * 2^-k of the sample, by a brute-force query
+    orbit = _packing_orbit(name, depth, offset)
+    try:
+        radius = factor * packing_radius(orbit).radius
+    except DegenerateBasepointError:
+        reject()
+    sample = _containment_sample(name, depth, offset)
+    if not np.any((orbit.shells >= 1) & (orbit.shells <= CHAIN_K_MAX)):
+        return  # no shelled ball: the check raises, as the oracle test asserts
+    report = ball_containment_check(orbit, radius, sample, CHAIN_K_MAX)
+    rng = np.random.default_rng(zlib.crc32(repr((name, depth, offset, factor)).encode()))
+    n = orbit.model
+    pts, bounds = [], []
+    for k, c in zip(report.shells.tolist(), report.c.tolist()):
+        idx = np.flatnonzero(orbit.shells == k)
+        centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
+        dirs = rng.normal(size=(idx.size, 4, n))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        dirs[:, 3] = np.eye(n)[rng.integers(0, n, idx.size)]  # an axis direction
+        fractions = rng.uniform(0.0, 1.0, (idx.size, 4))
+        fractions[:, ::2] = 1.0  # two boundary points per ball
+        pts.append(centers[:, None, :] + (fractions * radii[:, None])[:, :, None] * dirs)
+        bounds.append(np.full(4 * idx.size, math.ldexp(c, -k)))
+    dist = nearest_distances(np.concatenate(pts).reshape(-1, n), sample.points)
+    assert np.all(dist <= np.concatenate(bounds))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -45,7 +45,6 @@ from kleindim.limitset import (
     _grid_cell_count,
     _line_events,
     _linear_fit,
-    _projected_nearest,
 )
 from kleindim.verify import CHAIN_K_MAX, front
 
@@ -987,84 +986,14 @@ def _logged_tree(sample):
     return log
 
 
-def _assert_tree_bits(sample, pts):
-    """_projected_nearest(sample, pts) is the tree's k = 1 distance, bit for bit."""
-    got = _projected_nearest(sample, pts)
-    want = sample.tree.query(pts, k=1)[0]
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
-# |p| for the projection helper's query points: the center, deep inside,
-# near, on and outside the sphere, and beyond 2, where every row queries p
-_QUERY_RADII = (0.0, 1e-300, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.0,
-                1.0 + 1e-12, 1.0 + 1e-6, 1.5, 2.0, 3.0)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.sampled_from([2, 3]),
-    seed=st.integers(0, 2 ** 32 - 1),
-    count=st.integers(1, 400),
-    clusters=st.integers(0, 4),
-    deviate=st.booleans(),
-)
-@example(n=2, seed=0, count=3, clusters=0, deviate=False)
-@example(n=3, seed=1, count=4, clusters=1, deviate=True)
-def test_projected_nearest_matches_tree(n, seed, count, clusters, deviate):
-    # query directions: random, at sample points, and halfway between two
-    # sample points, where the two nearest are all but tied
-    rng = np.random.default_rng(seed)
-    pts = _sphere_points(seed, count, n, clusters)
-    if deviate:  # norms off 1 by up to 1e-9, the most a sample accepts
-        pts *= 1.0 + rng.uniform(-0.999e-9, 0.999e-9, (count, 1))
-    sample = _synthetic(pts)
-    pair = rng.integers(0, count, (64, 2))
-    dirs = np.concatenate([_sphere_points(seed + 1, 64, n, 0), pts[:64],
-                           _on_sphere(pts[pair[:, 0]] + pts[pair[:, 1]], False)])
-    _assert_tree_bits(sample, np.concatenate([rho * dirs for rho in _QUERY_RADII]))
-
-
-def _planar_cases(n):
-    """Two samples on the unit circle near angle 0.1 from u = (1, 0), and the
-    point p = u/2, embedded in the first two axes for n = 3.
-
-    In both, one point has |x|^2 = 1 - 1e-9, so from p it is nearer by
-    (1 - |p|)*1e-9/2 than its distance from u alone says.  In the first it is
-    the 5th neighbor of u (row 4) and the nearest sample point to p: only the
-    norm spread term keeps the 4th neighbor's bound from passing.  In the
-    second it is the 3rd neighbor of u (row 2) and again the nearest to p,
-    and the 4th neighbor lies far off, so the bound passes and best must
-    read the 3rd.
-    """
-    def arc(angles, off):
-        norms = np.ones(len(angles))
-        norms[off] = math.sqrt(1.0 - 1e-9)
-        pts = np.column_stack([np.cos(angles), np.sin(angles)]) * norms[:, None]
-        return _synthetic(np.pad(pts, ((0, 0), (0, n - 2))))
-
-    theta = 0.1
-    fifth = arc(np.array([theta, -theta, theta + 1e-9, -theta - 1e-9, theta + 3e-9, 2.0, 3.0]), 4)
-    third = arc(np.array([theta, -theta, theta + 1e-9, 0.3, -0.3, 2.0]), 2)
-    p = np.zeros((1, n))
-    p[0, 0] = 0.5
-    return fifth, third, p
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_projected_nearest_norm_spread(n):
-    fifth, third, p = _planar_cases(n)
-    u = p / np.linalg.norm(p)
-    for sample, row in ((fifth, 4), (third, 2)):
-        assert sample.norm_spread >= 0.99e-9
-        assert sample.tree.query(p, k=1)[1][0] == row
-        assert (row in sample.tree.query(u, k=4)[1][0]) == (row == 2)
-    # the 5th neighbor is nearest to p: the bound fails, and p is queried
-    # with the center and a point at |p| = 3; the last query is the check's
-    log = _logged_tree(fifth)
-    _assert_tree_bits(fifth, np.concatenate([p, np.zeros((1, n)), 3.0 * u]))
-    assert log.calls == [(4, 1), (1, 3), (1, 3)], log.calls
-    # the 3rd neighbor is nearest to p: the bound passes, and only the
-    # check queries p
-    log = _logged_tree(third)
-    _assert_tree_bits(third, p)
-    assert log.calls == [(4, 1), (1, 1)], log.calls
+@pytest.mark.parametrize("group, depth", [("lattice", 14), ("schottky", 10), ("ball_schottky", 8)])
+def test_containment_queries_each_centre_once(request, group, depth):
+    # one nearest-point query of every shelled ball's center, and no other
+    held = front(request.getfixturevalue(group), depth)
+    sample = _fresh_copy(held.sample)
+    log = _logged_tree(sample)
+    orbit = held.orbit
+    ball_containment_check(orbit, packing_radius(orbit).radius, sample, k_max=CHAIN_K_MAX)
+    shelled = int(np.count_nonzero((orbit.shells >= 1) & (orbit.shells <= CHAIN_K_MAX)))
+    assert shelled > 0
+    assert log.calls == [(1, shelled)], log.calls

@@ -17,8 +17,8 @@ The third line hashes the per-shell stages: the series partials at
 s = 0, 0.5, 1 and 1.5; both exponent estimates (or the error each
 raises); the packing check's verdict, pair and distance (a hex float,
 or None), and the containment shells and c, at 1, 2 and 8 times the
-packing radius, where the larger balls query more meshes from deep
-inside the ball; and the chain report's columns k to tail with c1 to c3,
+packing radius, where each ball's radius weighs more in its bound; and
+the chain report's columns k to tail with c1 to c3,
 at s = dim_est + 0.4 and t = dim_est + 0.2.
 Every case prints a fourth line, the sha256 of the fine-scale counts at
 k = 18 and 24 with radius 1 and 6 times the cell, where the cell indices,
