@@ -186,17 +186,18 @@ def _write_pgm(path, sample, k):
     cols = np.clip(np.floor((px + 1.0) / r), 0, size - 1).astype(int)
     rows = np.clip(np.floor((1.0 - py) / r), 0, size - 1).astype(int)
     # a pixel center within r of a point is at most one pixel from the point's
-    # own; the 5 x 5 block also absorbs the clip at the border and floor rounding
-    step = np.arange(-2, 3)
-    block_rows = np.clip(rows[:, None] + step, 0, size - 1)[:, :, None]
-    block_cols = np.clip(cols[:, None] + step, 0, size - 1)[:, None, :]
-    dx = xs[block_cols] - px[:, None, None]
-    dy = ys[block_rows] - py[:, None, None]
-    near = np.sqrt(dx * dx + dy * dy) <= r
-    block_rows, block_cols = np.broadcast_arrays(block_rows, block_cols)
-    img = np.zeros((size, size), dtype=np.uint8)
-    img[block_rows[near], block_cols[near]] = 128
-    img[rows, cols] = 255
+    # own; the 5 x 5 block also absorbs the clip at the border and floor rounding.
+    # Block offsets lead and points run last, so every array op runs over the points.
+    step = np.arange(-2, 3)[:, None]
+    block_rows = np.clip(rows + step, 0, size - 1)
+    block_cols = np.clip(cols + step, 0, size - 1)
+    dx = xs[block_cols] - px
+    dy = ys[block_rows] - py
+    dist = (dx * dx)[None, :, :] + (dy * dy)[:, None, :]
+    i, j, at = np.nonzero(np.sqrt(dist, out=dist) <= r)
+    img = np.zeros(size * size, dtype=np.uint8)  # pixel (row, col) at row * size + col
+    img[block_rows[i, at] * size + block_cols[j, at]] = 128
+    img[rows * size + cols] = 255
     atomic_write_bytes(path, f"P5 {size} {size} 255\n".encode("ascii") + img.tobytes())
 
 

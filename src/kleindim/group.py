@@ -46,7 +46,6 @@ from .geometry import (
     check_radius,
     classify,
     classify_entries,
-    compose,
     distances_from,
     fixed_points,
     interior_images,
@@ -64,9 +63,10 @@ _DEDUP_WEIGHTS = 0.7549 ** np.arange(8)  # generic weights of the dedup's sort k
 class GroupPresentation:
     """A named list of generating Moebius maps in one model dimension.
 
-    Discreteness is an input contract and is not verified; for two-generator
-    inputs a necessary trace inequality is checked and a warning (never an
-    error) is emitted when it fails.
+    Discreteness is an input contract and is not verified.  For two
+    generators A and B, Jørgensen's inequality, |tr^2 A - 4| + |tr[A, B] - 2|
+    >= 1, is checked: it holds for every discrete non-elementary pair, so a
+    warning (never an error) is emitted when it fails.
     """
 
     def __init__(self, generators, model, name=""):
@@ -90,11 +90,8 @@ class GroupPresentation:
             self._trace_inequality_warning()
 
     def _trace_inequality_warning(self):
-        # necessary condition for a discrete non-elementary two-generator
-        # group; equality is attained by arithmetic examples, hence the slack
-        ga, gb = self.generators
-        comm = compose(compose(ga, gb), compose(inverse(ga), inverse(gb)))
-        lhs = abs(ga.trace * ga.trace - 4.0) + abs(comm.trace - 2.0)
+        # equality is attained by arithmetic examples, hence the slack
+        lhs = _jorgensen_lhs(*self.generators)
         if lhs < 1.0 - 1e-9:
             warnings.warn(
                 f"two-generator trace inequality fails ({lhs:.6g} < 1); "
@@ -104,6 +101,20 @@ class GroupPresentation:
 
     def __repr__(self):
         return f"GroupPresentation(name={self.name!r}, model={self.model}, k={len(self.generators)})"
+
+
+def _jorgensen_lhs(ga, gb):
+    """|tr^2 A - 4| + |tr[A, B] - 2|, the left side of Jørgensen's inequality.
+
+    tr[A, B] comes from the Fricke identity, tr^2 A + tr^2 B + tr^2 AB -
+    tr A tr B tr AB - 2, which is unchanged when A or B changes sign, so the
+    canonical signs of the stored matrices cannot flip it and no product of
+    maps is formed.
+    """
+    tr_a, tr_b = ga.trace, gb.trace
+    tr_ab = ga.a * gb.a + ga.b * gb.c + ga.c * gb.b + ga.d * gb.d
+    tr_comm = tr_a * tr_a + tr_b * tr_b + tr_ab * tr_ab - tr_a * tr_b * tr_ab - 2.0
+    return abs(tr_a * tr_a - 4.0) + abs(tr_comm - 2.0)
 
 
 def _shell_indices(gaps):
@@ -149,21 +160,28 @@ def _spell_words(parents, letters):
     Row 0 is the identity, spelled "1"; every other row's parent comes
     before it, and its spelling is the parent's plus one token.  A word is
     spelled compactly (a..z generators, A..Z inverses) when every one of its
-    letters has |letter| <= 26, otherwise as its letters joined by ".", so
-    both spellings are carried down the trie until a wide letter ends the
+    letters has |letter| <= 26, otherwise as its letters joined by ".".
+    When every letter of the trie is compact, only the compact spelling is
+    carried down the trie; otherwise both are, until a wide letter ends the
     compact one.
     """
     parents, letters = parents.tolist(), letters.tolist()
+    tokens = set(letters[1:])
     compact_token = {
         letter: chr(ord("a") + letter - 1) if letter > 0 else chr(ord("A") - letter - 1)
-        for letter in set(letters[1:]) if abs(letter) <= 26
+        for letter in tokens if abs(letter) <= 26
     }
-    compact, dotted = [""], [""]
-    for p, letter in zip(parents[1:], letters[1:]):
-        prefix, token = compact[p], compact_token.get(letter)
-        compact.append(None if prefix is None or token is None else prefix + token)
-        dotted.append(f"{dotted[p]}.{letter}")
-    spelled = [d[1:] if c is None else c for c, d in zip(compact, dotted)]
+    if len(compact_token) == len(tokens):
+        spelled = [""]
+        for p, letter in zip(parents[1:], letters[1:]):
+            spelled.append(spelled[p] + compact_token[letter])
+    else:
+        compact, dotted = [""], [""]
+        for p, letter in zip(parents[1:], letters[1:]):
+            prefix, token = compact[p], compact_token.get(letter)
+            compact.append(None if prefix is None or token is None else prefix + token)
+            dotted.append(f"{dotted[p]}.{letter}")
+        spelled = [d[1:] if c is None else c for c, d in zip(compact, dotted)]
     spelled[0] = "1"
     return spelled
 

@@ -13,11 +13,13 @@ A group definition is one JSON document:
     }
 
 Each generator is a 2x2 complex matrix given row-major as four [re, im]
-pairs (a, b, c, d).  Matrices must have unit determinant within 1e-6; they
-are renormalized exactly on load.  Charts: planar groups may be given in
-"disc" form directly or as real "halfspace" (upper half-plane) matrices,
-which are conjugated to the disc by the fixed Cayley matrix; spatial groups
-(model 3) use the "halfspace" chart natively.
+pairs (a, b, c, d).  The file must be UTF-8 text, and every entry a finite
+number (JSON readers accept NaN, Infinity and overflowing literals such as
+1e400; they are rejected before any arithmetic).  Matrices must have unit
+determinant within 1e-6; they are renormalized exactly on load.  Charts:
+planar groups may be given in "disc" form directly or as real "halfspace"
+(upper half-plane) matrices, which are conjugated to the disc by the fixed
+Cayley matrix; spatial groups (model 3) use the "halfspace" chart natively.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def load_group(path):
             doc = json.load(fh)
     except OSError as err:
         raise UsageError(f"cannot read group file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"group file {path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"group file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
@@ -99,6 +103,8 @@ def load_group(path):
             raise UsageError(f"generator {idx} must be four [re, im] pairs of numbers") from err
         if arr.shape != (4, 2):
             raise UsageError(f"generator {idx} must be four [re, im] pairs, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise UsageError(f"generator {idx} has a non-finite entry")
         vals = arr[:, 0] + 1j * arr[:, 1]
         det = vals[0] * vals[3] - vals[1] * vals[2]
         if abs(det - 1.0) > 1e-6:

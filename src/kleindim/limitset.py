@@ -42,7 +42,7 @@ checks a box-counting window, and `ShellRuns.window` the containment shells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -685,11 +685,15 @@ class BallContainmentReport:
     2^-k: every such ball lies inside the closed c_k * 2^-k neighborhood of
     the sample.  A flat c_k across shells witnesses that the balls hug the
     limit set at their own scale.  c_hat is the max over computed shells.
+    radii are the Euclidean radii of the balls, shell by shell and in ball
+    order within a shell (`ShellRuns.rows`), for a reader that adds their
+    volumes.
     """
 
     shells: np.ndarray  # (m,) nonempty shells k, ascending
     c: np.ndarray       # (m,) c_k = bound on the distance of shell k / 2^-k
     c_hat: float
+    radii: np.ndarray = field(repr=False, compare=False)  # (N,) one per ball
 
 
 def ball_containment_check(orbit, radius, sample, k_max):
@@ -724,4 +728,4 @@ def ball_containment_check(orbit, radius, sample, k_max):
     bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
     shells = runs.shells[lo:hi]
     c = np.ldexp(np.maximum.reduceat(bound, runs.bounds[lo:hi] - runs.bounds[lo]), shells)
-    return BallContainmentReport(shells=shells, c=c, c_hat=float(c.max()))
+    return BallContainmentReport(shells=shells, c=c, c_hat=float(c.max()), radii=radii)

@@ -57,7 +57,6 @@ from .limitset import (
     ball_containment_check,
     ball_volumes,
     box_dimension_estimate,
-    euclidean_balls,
     neighborhood_volume,
     sample_limit_set,
 )
@@ -307,11 +306,9 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     lo, hi = runs.window(1, k_max)  # the containment check's shells
     ks = runs.shells[lo:hi]
     series_partial = truncated_series(orbit, s).partials[lo:hi]
-    rows = runs.rows(lo, hi)
-    gaps = orbit.gaps[rows]
-    lhs = runs.window_sums(gaps ** s, lo, hi)
-    _, radii = euclidean_balls(orbit.points[rows], pack.radius, gaps=gaps)
-    packed = runs.window_sums(ball_volumes(radii, n), lo, hi)
+    lhs = runs.window_sums(orbit.gaps[runs.rows(lo, hi)] ** s, lo, hi)
+    # the balls of the containment check, on the same rows and radius
+    packed = runs.window_sums(ball_volumes(containment.radii, n), lo, hi)
     scale, grid, tail = np.zeros((3, ks.size))
     # scalar powers: numpy's 2.0 ** array may differ from them in the last bit
     for i, k in enumerate(ks.tolist()):

@@ -13,6 +13,10 @@ no code with the library versions, and all must agree with them exactly.
 `containment_mesh` is the older, sampled containment definition, 32 mesh
 points per ball boundary, which the certified bound must never undercut.
 
+`jorgensen_lhs` is the left side of Jørgensen's inequality from the raw
+product A B A^-1 B^-1, which the presentation's check, read from the Fricke
+identity, must agree with.
+
 `deep_orbit_sample` is a second limit-set sample, the radial projections of
 the deepest orbit points, deduplicated by the library's `_first_unique`;
 the conjugate sample's box dimension is cross-checked against its own.
@@ -153,6 +157,19 @@ def stacked_products(left, right):
                      lc * ra + ld * rc, lc * rb + ld * rd], axis=1)
 
 
+def jorgensen_lhs(ga, gb):
+    """|tr^2 A - 4| + |tr[A, B] - 2| from the raw matrix product A B A^-1 B^-1.
+
+    The inverses are the adjugates of the stored unit-determinant matrices;
+    nothing is canonicalized, so tr[A, B] keeps its sign.
+    """
+    a, b = ga.matrix(), gb.matrix()
+    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    b_inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+    tr_a = np.trace(a)
+    return float(abs(tr_a * tr_a - 4.0) + abs(np.trace(a @ b @ a_inv @ b_inv) - 2.0))
+
+
 def build_ball_reference(presentation, max_word_length):
     """The group ball built level by level, every array grown by concatenation.
 
@@ -253,9 +270,10 @@ def _shelled_balls(orbit, radius, sample, k_max):
     return balls
 
 
-def _containment_report(shells, worsts):
+def _containment_report(shells, worsts, radii):
     c = np.ldexp(worsts, shells)
-    return BallContainmentReport(shells=np.array(shells), c=c, c_hat=float(c.max()))
+    return BallContainmentReport(shells=np.array(shells), c=c, c_hat=float(c.max()),
+                                 radii=np.concatenate(radii))
 
 
 def containment_exhaustive(orbit, radius, sample, k_max=12):
@@ -265,12 +283,13 @@ def containment_exhaustive(orbit, radius, sample, k_max=12):
     (`nearest_distances`) gives d_i; U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15
     with the check's margins, and c_k is the shell's largest U_i over 2^-k.
     """
-    shells, worsts = [], []
+    shells, worsts, shell_radii = [], [], []
     for k, centers, radii in _shelled_balls(orbit, radius, sample, k_max):
         bound = (nearest_distances(centers, sample.points) + radii) * (1.0 + 1e-9) + 1e-15
         shells.append(k)
         worsts.append(bound.max())
-    return _containment_report(shells, worsts)
+        shell_radii.append(radii)
+    return _containment_report(shells, worsts, shell_radii)
 
 
 def _sphere_mesh(n):
@@ -289,13 +308,14 @@ def _sphere_mesh(n):
 def containment_mesh(orbit, radius, sample, k_max=12):
     """The sampled containment definition: every mesh point of every ball boundary queried."""
     mesh = _sphere_mesh(orbit.model)
-    shells, worsts = [], []
+    shells, worsts, shell_radii = [], [], []
     for k, centers, radii in _shelled_balls(orbit, radius, sample, k_max):
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
         dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
         shells.append(k)
         worsts.append(dist.max())
-    return _containment_report(shells, worsts)
+        shell_radii.append(radii)
+    return _containment_report(shells, worsts, shell_radii)
 
 
 def deep_orbit_sample(orbit):

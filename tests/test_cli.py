@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import gc
 import inspect
 import json
@@ -345,6 +346,7 @@ _MALFORMED_GENERATORS = {
     "ragged_pair.json": [[1, 0], [0], [0, 0], [1, 0]],
     "string_generator.json": "zz",
     "object_generator.json": {},
+    "nonfinite_entry.json": [[1e400, 0], [0, 0], [0, 0], [1, 0]],
 }
 
 
@@ -377,6 +379,20 @@ def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_build
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "stage" not in lines[0]
+    assert captured.out == "" and not out.exists() and ball_builds == []
+
+
+def test_non_utf8_group_file_is_a_usage_error(tmp_path, schottky, ball_builds, capsys):
+    path, out = tmp_path / "utf16.json", tmp_path / "out.csv"
+    doc = {"name": "utf16", "model_dimension": 2, "chart": "disc",
+           "generators": [[[v.real, v.imag] for v in (g.a, g.b, g.c, g.d)]
+                          for g in schottky.generators]}
+    path.write_bytes(codecs.BOM_UTF16_LE + json.dumps(doc).encode("utf-16-le"))
+    assert main(["orbit", str(path), "--depth", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0] and "UTF-8" in lines[0]
     assert captured.out == "" and not out.exists() and ball_builds == []
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import warnings
 import zlib
 
@@ -21,6 +22,7 @@ from oracles import (
     containment_mesh,
     fresh_pairwise,
     nearest_distances,
+    jorgensen_lhs,
     packing_brute_force,
     stacked_products,
 )
@@ -585,6 +587,75 @@ def test_two_generator_warning_quiet_on_fixtures():
     assert caught == []
 
 
+def _jorgensen_warns(ga, gb):
+    """Whether building the presentation of ga and gb warns (one warning at most)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        GroupPresentation([ga, gb], model=ga.model)
+    assert len(caught) <= 1
+    return bool(caught)
+
+
+def _near_parabolic_pairs(count=400):
+    """Pairs (A, B) in SL(2, C), model 3: A = C [[1 + e, 1], [0, 1 / (1 + e)]] C^-1 with
+    |e| = 0.05 at a seeded angle, C and B seeded with unit determinant."""
+    rng = np.random.default_rng(3)
+
+    def unimodular():
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return m / np.sqrt(np.linalg.det(m))
+
+    pairs = []
+    for _ in range(count):
+        e = 0.05 * np.exp(2j * np.pi * rng.random())
+        c = unimodular()
+        a = c @ np.array([[1.0 + e, 1.0], [0.0, 1.0 / (1.0 + e)]]) @ np.linalg.inv(c)
+        pairs.append((MoebiusMap.from_matrix(a, 3), MoebiusMap.from_matrix(unimodular(), 3)))
+    return pairs
+
+
+def _jorgensen_cases():
+    theta = 0.1
+    small = MoebiusMap(np.exp(1j * theta / 2), 0.0, 0.0, np.exp(-1j * theta / 2), model=2)
+    t = translation_to_origin(InteriorPoint([0.1, 0.0]))
+    fixtures = [schottky_f2().generators, fuchsian_lattice().generators,
+                _ball_schottky().generators,
+                [_pi_rotation_about([0.0, 0.0]), _pi_rotation_about([0.5, 0.0])],
+                [small, compose(compose(inverse(t), small), t)]]
+    return [tuple(pair) for pair in fixtures] + _near_parabolic_pairs()
+
+
+def test_jorgensen_check_matches_the_raw_product():
+    # schottky_f2: tr^2 A - 4 = 64/9 and tr[A, B] = -862/81, so |tr[A, B] - 2| is not 862/81 - 2
+    assert jorgensen_lhs(*schottky_f2().generators) == pytest.approx(64 / 9 + 2 + 862 / 81,
+                                                                     rel=1e-12)
+    decided = warned = 0
+    for ga, gb in _jorgensen_cases():
+        lhs = jorgensen_lhs(ga, gb)
+        assert group._jorgensen_lhs(ga, gb) == pytest.approx(lhs, rel=1e-9, abs=1e-12)
+        if abs(lhs - 1.0) < 1e-6:
+            continue  # equality, as for the lattice: rounding may fall either side
+        assert _jorgensen_warns(ga, gb) == (lhs < 1.0 - 1e-9)
+        decided += 1
+        warned += lhs < 1.0
+    assert decided >= 400 and 10 <= warned <= decided - 10
+
+
+def test_presentation_forms_no_product(monkeypatch):
+    cases = _jorgensen_cases()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("GroupPresentation formed a product of maps")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleindim"):
+            for attr in ("compose", "inverse", "product_entries"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    for ga, gb in cases:
+        _jorgensen_warns(ga, gb)
+
+
 def _ball_schottky():
     g1 = MoebiusMap(5.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, 5.0 / 3.0, model=3)
     g2 = MoebiusMap(5.0 / 3.0, 4.0j / 3.0, -4.0j / 3.0, 5.0 / 3.0, model=3)
@@ -751,6 +822,7 @@ def test_containment_matches_exhaustive_oracle(name, depth, offset, factor):
     assert report.shells.tolist() == expected.shells.tolist()
     assert report.c.tolist() == expected.c.tolist()
     assert report.c_hat == expected.c_hat
+    assert report.radii.tolist() == expected.radii.tolist()
     skipped = [k for k in range(1, 13) if not np.any(orbit.shells == k)]
     assert sorted(set(range(1, 13)) - set(report.shells.tolist())) == skipped
     # the certified bound never undercuts the sampled mesh definition

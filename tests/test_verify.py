@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -25,8 +26,9 @@ from kleindim import (
     truncated_series,
     verify_inequality,
 )
-from kleindim import group, verify
+from kleindim import group, limitset, verify
 from kleindim.group import ball_key
+from kleindim.limitset import ball_volumes
 from kleindim.verify import front
 
 
@@ -208,6 +210,29 @@ def test_chain_builds_one_sample_tree(schottky, monkeypatch):
     assert len(samples) == 1
     over_sample = [t for t in trees if np.array_equal(t, samples[0].points)]
     assert len(over_sample) == 1
+
+
+def test_chain_maps_its_balls_once(lattice, monkeypatch):
+    calls = []
+    real = limitset.euclidean_balls
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleindim") and getattr(module, "euclidean_balls", None) is real:
+            monkeypatch.setattr(module, "euclidean_balls", counted)
+    rep = series_chain_report(lattice, 14, 1.4, 1.2)
+    orbit = front(lattice, 14).orbit
+    runs = orbit.shell_runs
+    lo, hi = runs.window(1, verify.CHAIN_K_MAX)
+    rows = runs.rows(lo, hi)
+    assert calls == [rows.size]  # the containment check's balls, read again by the chain
+    _, radii = real(orbit.points[rows], rep.packing_radius, gaps=orbit.gaps[rows])
+    packed = runs.window_sums(ball_volumes(radii, 2), lo, hi)
+    assert rep.mid.tolist() == [2.0 ** (-k * (rep.s - 2)) * v
+                                for k, v in zip(rep.k.tolist(), packed.tolist())]
 
 
 def test_chain_usage_errors(schottky, cyclic, ball_builds, monkeypatch):

@@ -20,27 +20,29 @@ plus `fixtures --list` and `fixtures --emit` of every fixture, group and
 point set alike, then five commands whose arguments must be rejected
 before any group ball is built (an s-grid whose value count overflows,
 `chain --kmax 0`, `exponent --bin-width 0`, `boxdim --kmin 9 --kmax 3`,
-`chain --s 1.0 --t 1.2`), and last `orbit` on four malformed group files,
-whose second generator holds a non-numeric entry, a ragged pair, a string
-or an object: 102 commands, so 102 lines.
+`chain --s 1.0 --t 1.2`), and last `orbit` on six malformed group files:
+five whose second generator holds a non-numeric entry, a ragged pair, a
+string, an object or a non-finite entry (JSON's Infinity), and one that is
+UTF-16 text, not UTF-8: 104 commands, so 104 lines.
 
 Then the same matrix runs again as one session: every command through
 `kleindim.cli.main` in this interpreter, in matrix order, each in its own
 new temporary directory as before, so later commands on the same group
 and depth reuse the front an earlier one built.  Its lines repeat the
-digest with "session" before the command: 102 more, so 204 lines.
+digest with "session" before the command: 104 more, so 208 lines.
 
 Last comes a case where the library builds the front and the front
 commands read it: on a key no earlier command used, `schottky_f2` at depth
 8, `chain`, then `orbit`, `limitset --image` and `boxdim`.  It runs in
 fresh processes, then in the session, after the matrix: 4 lines and 4
-session lines, so 212 lines in all.  A session line that differs from its
+session lines, so 216 lines in all.  A session line that differs from its
 fresh-process line is also reported on stderr, and the exit status is then
 1.  It takes no options.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import io
@@ -100,7 +102,10 @@ MALFORMED_GENERATORS = {
     "ragged_pair.json": [[1, 0], [0], [0, 0], [1, 0]],
     "string_generator.json": "zz",
     "object_generator.json": {},
+    "nonfinite_entry.json": [[1e400, 0], [0, 0], [0, 0], [1, 0]],
 }
+# a well-formed group file in UTF-16 text, which starts with the bytes ff fe
+UTF16_FILE = "utf16_text.json"
 
 # rejected arguments, run after the matrix so the lines before them keep their order
 BAD_ARGUMENTS = [
@@ -115,7 +120,7 @@ BAD_ARGUMENTS = [
      "--out", "{tmp}/chain.csv"],
 ] + [
     ["orbit", f"{{tmp}}/{name}", "--depth", "2", "--out", "{tmp}/orbit.csv"]
-    for name in MALFORMED_GENERATORS
+    for name in [*MALFORMED_GENERATORS, UTF16_FILE]
 ]
 
 
@@ -176,6 +181,8 @@ def write_fixtures(fixtures):
         doc = {"name": "malformed", "model_dimension": 2, "chart": "disc",
                "generators": [identity, generator]}
         (fixtures / name).write_text(json.dumps(doc) + "\n")
+    text = json.dumps(BALL_GROUP) + "\n"
+    (fixtures / UTF16_FILE).write_bytes(codecs.BOM_UTF16_LE + text.encode("utf-16-le"))
 
 
 def main():
