@@ -25,9 +25,10 @@ rebound after the first call is the one that runs.
 Every CSV table goes through one writer, `_write_table`: a header row, then
 one row template (floats "%.9g", so 9 significant digits; integers "%d";
 text "%s") applied to the rows of the table's columns, joined into one
-string and written atomically (temp file + rename).  Identical inputs give
-byte-identical outputs.  Group words are spelled once per ball from its
-parent-pointer trie (`GroupBall.spellings`), never per row.
+string and written atomically (temp file + rename) as UTF-8; `verify`'s
+group field, the one free text, is quoted per RFC 4180 (`_csv_text`).
+Identical inputs give byte-identical outputs.  Group words are spelled
+once per ball from its parent-pointer trie (`GroupBall.spellings`).
 
 Every command that runs a group reads the process's one front,
 `verify.front`, held under its `group.ball_key` (see `kleindim.verify`):
@@ -75,7 +76,12 @@ def _write_table(path, header, template, columns):
     """
     row = template + "\n"
     body = "".join(map(row.__mod__, zip(*columns)))
-    atomic_write_bytes(path, (",".join(header) + "\n" + body).encode("ascii"))
+    atomic_write_bytes(path, (",".join(header) + "\n" + body).encode("utf-8"))
+
+
+def _csv_text(text):
+    """A free-text CSV field, quoted per RFC 4180 where it holds `,`, `"`, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if re.search('[,"\r\n]', text) else text
 
 
 def _parse_s_grid(text):
@@ -252,7 +258,7 @@ def _cmd_verify(args):
     ]
     d, b = report.delta_estimate, report.dim_estimate
     row = [
-        report.group_name or args.groupfile, report.depth,
+        _csv_text(report.group_name or args.groupfile), report.depth,
         d.delta_est, d.method, d.slope_stderr,
         float(d.fit_window[0]), float(d.fit_window[1]),
         b.dim_est, b.fit_window[0], b.fit_window[1],

@@ -7,6 +7,10 @@ the unit disc by the usual fractional-linear formula.  In the spatial model
 quaternion form of the action; one fixed Cayley transform carries points
 between the chart and the unit ball, so callers only ever see ball
 coordinates.
+
+The stages map arrays of entries; of the scalar maps, `apply_interior`
+stays for the benchmark harness's tests, and `translation_to_origin` for
+a displacement read from the matrices, which would conjugate by it.
 """
 
 from __future__ import annotations
@@ -416,13 +420,6 @@ def apply_interior(g, z):
         raise ModelMismatchError(f"point model {z.model} does not match map model {g.model}")
     coords, _ = interior_images(_row(g), z.coords)
     return InteriorPoint(coords[0])
-
-
-def apply_boundary(g, x):
-    """Evaluate the boundary extension of the map on the unit sphere."""
-    if x.model != g.model:
-        raise ModelMismatchError(f"point model {x.model} does not match map model {g.model}")
-    return BoundaryPoint(boundary_images(_row(g), x.coords)[0])
 
 
 def fixed_points(g):

@@ -83,6 +83,8 @@ def load_group(path):
         raise UsageError("group file must hold one JSON object")
 
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise UsageError(f"group file {path}: name must be a string, got {name!r}")
     model = doc.get("model_dimension")
     chart = doc.get("chart")
     gens_raw = doc.get("generators")

@@ -26,8 +26,6 @@ rows is the bit length of the OR over axes of their keys' XOR; after a
 shift s they lie in different cells exactly when it exceeds s.  Every grid
 count reads its occupied cells and sub-cells from the parting levels, and
 the spacing check reads the cells about each point alone in its cell.
-The sample's KD-tree is built only by the containment check and by a
-spacing check that finds a point with no neighbor near it.
 
 The containment check bounds every point of a ball from its center alone:
 a point p of the closed ball about c of Euclidean radius rho lies within
@@ -56,7 +54,6 @@ _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one po
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
 _SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
-_SPACING_BATCH = 32  # alone points of the spacing check's first batch
 _INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
 # coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
 # floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
@@ -73,11 +70,9 @@ class LimitSample:
 
     The witness of an orbit sample point is the group-ball row of the element
     that produced it, whose word the ball's parent pointers spell; synthetic
-    samples carry label words.  Two structures are built on first use and
+    samples carry label words.  One structure is built on first use and
     shared by every stage: `dyadic_index`, the one sort of the points that
-    every grid count and the spacing check read, and `tree`, the KD-tree of
-    the points, which only the containment check and a spacing note that
-    fires build.
+    every grid count and the spacing check read.
     """
 
     points: np.ndarray     # (N, n) unit rows
@@ -104,13 +99,6 @@ class LimitSample:
 
     def __len__(self):
         return self.points.shape[0]
-
-    @cached_property
-    def tree(self):
-        """KD-tree of the points, built on first use and shared by every stage."""
-        from scipy.spatial import cKDTree  # here, so `import kleindim` does not load it
-
-        return cKDTree(self.points)
 
     @cached_property
     def dyadic_index(self):
@@ -547,8 +535,8 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
     k*log 2, clamped to [0, n]; the local slopes between neighboring scales
     ride along, and their minimum, a liminf proxy, is quoted in the note.
     The note flags a nearest-neighbor spacing above 2^-k_max, which may mean
-    an under-resolved sample; it is the note of a KD-tree query of every
-    point (`_alone_spacing`).
+    an under-resolved sample; its spacing is that of an exact nearest-point
+    query of every point, read from the dyadic index (`_alone_spacing`).
     """
     k_min, k_max = check_window(k_range)
     spacing = _alone_spacing(sample, k_max) if len(sample) > 1 else None
@@ -581,60 +569,68 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
 def _alone_spacing(sample, k_max):
     """The note's nearest-neighbor spacing, or None when it is at most 2^-k_max.
 
-    Only a point alone in its cell of side 2^-(k_max+1) in the dyadic index
-    can lie farther than 2^-k_max from every other point: any other has a
-    neighbor within 2^-(k_max+1)*sqrt(n) < 2^-k_max.  A point within 2^-k_max
-    of an alone point lies in one of the 3^n cells of side 2^-k_max about
-    its own, so those cells are joined to the occupied ones by one lexsort
-    of their integer indices, which need n*(k_max + 2) bits together, and
-    the points of each occupied one are measured as the tree measures them
-    (`_sum_squares`, then sqrt).  The alone points go in doubling batches,
-    those whose neighbors in index order part from them highest first, as
-    the likeliest to lie far from every other point.  At the first batch
-    with a point that has no other point within 2^-k_max, the KD-tree
-    answers every alone point, and the spacing is the largest distance to
-    a second nearest, the point itself being the first.
-    """
+    Only a point alone in its cell of side 2^-(k_max+1) can lie farther than
+    2^-k_max from every other point.  Its distance u to its neighbors in
+    index order bounds its spacing; where u > 2^-k_max, the point is joined
+    to the 3^n cells about its own of side 2^-k_max, then, where they hold no
+    point within 2^-k_max, of the first side 2^-k > u*(1 + 1e-9), k >= -1,
+    which hold every point within u (`_cell_nearest`)."""
     index = sample.dyadic_index
-    n = sample.model
     shift = _INDEX_BITS - k_max
     starts = index.parting > shift - 1  # cells of side 2^-(k_max+1)
     alone = np.flatnonzero(starts & np.append(starts[1:], True))
-    # the points whose neighbors in index order part from them highest first
-    apart = np.minimum(index.parting, np.append(index.parting[1:], _KEY_BITS))[alone]
-    alone = alone[np.argsort(-apart, kind="stable")]
-    cells = np.flatnonzero(index.parting > shift)  # cells of side 2^-k_max
-    bounds = np.append(cells, starts.size)
-    occupied = index.keys[cells] >> shift
+    last = len(starts) - 1
+    # each alone row and its two neighbors, the ends' missing ones reflected inward
+    at = sample.points[index.order[[alone, np.abs(alone - 1), last - np.abs(last - 1 - alone)]]]
+    u = np.sqrt(np.minimum(_sum_squares(at[0] - at[1]), _sum_squares(at[0] - at[2])))
+    far = u > 2.0 ** -k_max
+    if far.any():
+        u[far] = np.minimum(u[far], np.sqrt(_cell_nearest(sample, alone[far], shift)))
+        far = u > 2.0 ** -k_max
+    if not far.any():
+        return None
+    # 2^-k = 2^e > u*(1 + 1e-9) >= 2^(e-1), frexp's exponent e, and at most 2^1
+    k = np.maximum(-np.frexp(u[far] * (1.0 + 1e-9))[1], -1)
+    return float(np.sqrt(_cell_nearest(sample, alone[far], _INDEX_BITS - k)).max())
+
+
+def _cell_nearest(sample, rows, shifts):
+    """Squared distance (`_sum_squares`) from each index row to the nearest other
+    point in the 3^n cells of side 2^(s - _INDEX_BITS) about its own, s its
+    shift (one, or one per row), or inf.  A cell's key is two int64 words, its
+    shift and first index, then its other indices, each plus one in _KEY_BITS
+    + 1 bits; one lexsort of the keys joins the cells about each row to the
+    occupied cells, runs of the index."""
+    index = sample.dyadic_index
+    n = sample.model
+    shifts = np.broadcast_to(np.asarray(shifts, dtype=np.int64), rows.shape)
     around = np.indices((3,) * n).reshape(n, -1).T - 1  # the 3^n offsets of a cell's neighbors
-    scale = 2.0 ** -k_max
-    done, batch = 0, _SPACING_BATCH
-    while done < alone.size:
-        rows = alone[done:done + batch]
-        near = ((index.keys[rows] >> shift)[:, None, :] + around).reshape(-1, n)
-        joined = np.concatenate([occupied, near])
-        order = np.lexsort(joined.T[::-1])  # stable: an occupied cell precedes its queries
-        m = len(occupied)
-        # the latest occupied cell at or before each row of the sort
-        last = np.maximum.accumulate(np.where(order < m, np.arange(order.size), -1))
-        query = np.flatnonzero((order >= m) & (last >= 0))
-        cell = order[last[query]]
-        same = np.all(joined[cell] == joined[order[query]], axis=1)
-        point = (order[query[same]] - m) // len(around)
-        cell = cell[same]
-        pair, other = _expand(bounds[cell], bounds[cell + 1] - bounds[cell], 1)
-        point = point[pair]
-        keep = other != rows[point]
-        point, other = point[keep], other[keep]
-        d2 = _sum_squares(sample.points[index.order[rows[point]]]
-                          - sample.points[index.order[other]])
-        resolved = np.zeros(rows.size, dtype=bool)
-        resolved[point[np.sqrt(d2) <= scale]] = True
-        if not resolved.all():
-            dist, _ = sample.tree.query(sample.points[index.order[alone]], k=2)
-            return float(dist[:, 1].max())
-        done, batch = done + batch, 2 * batch
-    return None
+    levels = np.unique(shifts)
+    bounds = [np.append(np.flatnonzero(index.parting > s), len(index.order)) for s in levels]
+    first, end = np.concatenate([b[:-1] for b in bounds]), np.concatenate([b[1:] for b in bounds])
+    m = first.size
+    level = np.concatenate([np.repeat(levels, [b.size - 1 for b in bounds]),
+                            np.repeat(shifts, len(around))])
+    near = (index.keys[rows] >> shifts[:, None])[:, None, :] + around
+    cells = np.concatenate([index.keys[first] >> level[:m, None], near.reshape(-1, n)]) + 1
+    hi, lo = (level << (_KEY_BITS + 1)) | cells[:, 0], cells[:, 1]
+    for axis in range(2, n):
+        lo = (lo << (_KEY_BITS + 1)) | cells[:, axis]
+    order = np.lexsort((lo, hi))  # stable: an occupied cell precedes its queries
+    # the latest occupied cell at or before each row of the sort
+    latest = np.maximum.accumulate(np.where(order < m, np.arange(order.size), -1))
+    query = np.flatnonzero((order >= m) & (latest >= 0))
+    cell, query = order[latest[query]], order[query]
+    same = (hi[cell] == hi[query]) & (lo[cell] == lo[query])
+    row, cell = (query[same] - m) // len(around), cell[same]
+    pair, other = _expand(first[cell], end[cell] - first[cell], 1)
+    row = row[pair]
+    keep = other != rows[row]
+    row, other = row[keep], other[keep]
+    d2 = _sum_squares(sample.points[index.order[rows[row]]] - sample.points[index.order[other]])
+    nearest = np.full(rows.size, np.inf)
+    np.minimum.at(nearest, row, d2)
+    return nearest
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +697,8 @@ def ball_containment_check(orbit, radius, sample, k_max):
 
     Ball i, about an orbit point in shells 1..k_max, has Euclidean center
     c_i and radius rho_i (`euclidean_balls`); d_i is the exact distance from
-    c_i to the sample, one nearest-point query of the sample's tree over
-    every such center at once.  Every point p of the closed ball has
+    c_i to the sample, one nearest-point query of a KD-tree of the sample
+    over every such center at once.  Every point p of the closed ball has
     dist(p, sample) <= |p - c_i| + d_i <= rho_i + d_i, so
     U_i = (d_i + rho_i)(1 + 1e-9) + 1e-15 bounds the true supremum of the
     distance over the closed ball, and c_k = max U_i / 2^-k over shell k,
@@ -724,7 +720,9 @@ def ball_containment_check(orbit, radius, sample, k_max):
         raise UsageError(f"no orbit elements in shells 1..{k_max}")
     idx = runs.rows(lo, hi)
     centers, radii = euclidean_balls(orbit.points[idx], radius, gaps=orbit.gaps[idx])
-    center_dist, _ = sample.tree.query(centers, k=1)
+    from scipy.spatial import cKDTree  # here, so `import kleindim` does not load it
+
+    center_dist, _ = cKDTree(sample.points).query(centers, k=1)
     bound = (center_dist + radii) * (1.0 + 1e-9) + 1e-15
     shells = runs.shells[lo:hi]
     c = np.ldexp(np.maximum.reduceat(bound, runs.bounds[lo:hi] - runs.bounds[lo]), shells)

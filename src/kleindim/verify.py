@@ -27,10 +27,11 @@ h, then on first use the orbit at the default basepoint, the limit-set
 sample and the box estimate.  A process holds one front at most, that of
 the last `front` call, under its `group.ball_key`: a verify, a chain and
 the CLI's front commands on the same group and depth build no second ball,
-orbit, sample, KD-tree, dyadic index or box count.  A call on another key
-drops the held front before it builds its own, and a stage that raises
-stores nothing.  The benchmark harness's `group.enumerate_orbit`,
-`find_loxodromic` and `choose_basepoint` read the held ball too.
+orbit, sample, dyadic index or box count; each chain's containment check
+builds its own KD-tree.  A call on another key drops the held front before
+it builds its own, and a stage that raises stores nothing.  The benchmark
+harness's `group.enumerate_orbit`, `find_loxodromic` and `choose_basepoint`
+read the held ball too.
 """
 
 from __future__ import annotations

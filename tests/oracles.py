@@ -13,6 +13,9 @@ no code with the library versions, and all must agree with them exactly.
 `containment_mesh` is the older, sampled containment definition, 32 mesh
 points per ball boundary, which the certified bound must never undercut.
 
+`apply_boundary` maps one boundary point by one map, a scalar oracle for
+the geometry tests.
+
 `jorgensen_lhs` is the left side of Jørgensen's inequality from the raw
 product A B A^-1 B^-1, which the presentation's check, read from the Fricke
 identity, must agree with.
@@ -36,6 +39,7 @@ from scipy.spatial import cKDTree
 
 from kleindim import (
     BallContainmentReport,
+    BoundaryPoint,
     GroupBall,
     LimitSample,
     PackingCheck,
@@ -43,6 +47,8 @@ from kleindim import (
     euclidean_balls,
     inverse,
 )
+from kleindim.errors import ModelMismatchError
+from kleindim.geometry import boundary_images
 from kleindim.group import DEDUP_TOL, _fresh
 from kleindim.limitset import _first_unique
 
@@ -155,6 +161,13 @@ def stacked_products(left, right):
     ra, rb, rc, rd = right.T
     return np.stack([la * ra + lb * rc, la * rb + lb * rd,
                      lc * ra + ld * rc, lc * rb + ld * rd], axis=1)
+
+
+def apply_boundary(g, x):
+    """The image of one boundary point under one map, on the unit sphere."""
+    if x.model != g.model:
+        raise ModelMismatchError(f"point model {x.model} does not match map model {g.model}")
+    return BoundaryPoint(boundary_images(g.matrix().reshape(1, 4), x.coords)[0])
 
 
 def jorgensen_lhs(ga, gb):
@@ -308,10 +321,11 @@ def _sphere_mesh(n):
 def containment_mesh(orbit, radius, sample, k_max=12):
     """The sampled containment definition: every mesh point of every ball boundary queried."""
     mesh = _sphere_mesh(orbit.model)
+    tree = cKDTree(sample.points)
     shells, worsts, shell_radii = [], [], []
     for k, centers, radii in _shelled_balls(orbit, radius, sample, k_max):
         pts = centers[:, None, :] + radii[:, None, None] * mesh[None, :, :]
-        dist, _ = sample.tree.query(pts.reshape(-1, orbit.model), k=1)
+        dist, _ = tree.query(pts.reshape(-1, orbit.model), k=1)
         shells.append(k)
         worsts.append(dist.max())
         shell_radii.append(radii)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import gc
 import inspect
 import json
@@ -393,6 +394,41 @@ def test_non_utf8_group_file_is_a_usage_error(tmp_path, schottky, ball_builds, c
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(path) in lines[0] and "UTF-8" in lines[0]
+    assert captured.out == "" and not out.exists() and ball_builds == []
+
+
+@pytest.mark.parametrize("name, folder", [
+    ("schöttky", "plain"),
+    ("a,b", "plain"),
+    ('say "hi"\r\nbye', "plain"),
+    # an empty name: the field is the file's path
+    ("", "odd, nämed"),
+])
+def test_verify_table_reads_back_the_group_field(tmp_path, schottky, name, folder, capsys):
+    # the group field is the table's one free text: a CSV reader gets 13
+    # fields and the name back, whatever characters it holds
+    (tmp_path / folder).mkdir()
+    path, out = tmp_path / folder / "group.json", tmp_path / "report.csv"
+    save_group(GroupPresentation(schottky.generators, model=2, name=name), path)
+    assert main(["verify", str(path), "--depth", "6", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [13, 13]
+    assert rows[0][0] == "group" and rows[1][0] == (name or str(path))
+    capsys.readouterr()
+
+
+def test_group_name_must_be_a_string(tmp_path, schottky, ball_builds, capsys):
+    path, out = tmp_path / "listname.json", tmp_path / "report.csv"
+    save_group(schottky, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["name"] = ["x"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path), "--depth", "6", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0] and "name" in lines[0]
     assert captured.out == "" and not out.exists() and ball_builds == []
 
 

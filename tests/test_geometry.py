@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import apply_boundary
 
 from kleindim import (
     BoundaryGeodesic,
@@ -15,7 +16,6 @@ from kleindim import (
     MapClass,
     MoebiusMap,
     UsageError,
-    apply_boundary,
     apply_interior,
     classify,
     compose,

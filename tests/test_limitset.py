@@ -545,7 +545,7 @@ def test_grid_count_memory_bound(monkeypatch):
     # 2.89 MB; one pass of every line peaks at 8.4 MB.  The bound may be
     # tightened, not loosened
     sample = _circle_sample()
-    sample.dyadic_index, sample.tree  # shared by every count, so built beforehand
+    sample.dyadic_index  # shared by every count, so built beforehand
     cell = 2.0 ** -12
     paths = _key_paths(monkeypatch)
     count = _grid_cell_count(sample, 6.0 * cell, cell)
@@ -797,9 +797,10 @@ def test_grid_count_band_size(request, monkeypatch, group, depth, bound):
     # decided from the points of its covering runs: 310 for the n = 3 group
     # at depth 8 and 90 for schottky_f2 at depth 9, where outer spans about
     # the representatives, padded by the key box's diagonal, held 2,068 and
-    # 435.  Neither the counts nor the spacing check build the KD-tree.  The
+    # 435.  Neither the counts nor the spacing check build a KD-tree.  The
     # bound may be tightened, not loosened
     sample = _fresh_copy(front(request.getfixturevalue(group), depth).sample)
+    builds = _tree_builds(monkeypatch)
     band = []
     count_events = limitset._count_events
 
@@ -812,13 +813,11 @@ def test_grid_count_band_size(request, monkeypatch, group, depth, bound):
     monkeypatch.setattr(limitset, "_count_events", counted)
     box_dimension_estimate(sample)
     assert 0 < sum(band) <= bound, band
-    assert "tree" not in sample.__dict__
+    assert builds == []
 
 
-def test_spacing_note_builds_the_tree_once(lattice, monkeypatch):
-    # the seed-0 lattice at depth 14 has points farther than 2^-9 from every
-    # other, so the note fires and the tree answers the spacing; the
-    # containment check then reads the same tree
+def _tree_builds(monkeypatch):
+    """The point counts of the KD-trees built from here on, a list that grows."""
     builds = []
 
     class Counted(spatial.cKDTree):
@@ -826,14 +825,33 @@ def test_spacing_note_builds_the_tree_once(lattice, monkeypatch):
             builds.append(len(data))
             super().__init__(data, *args, **kwargs)
 
+    # kleindim imports cKDTree from scipy.spatial where it builds each tree
+    monkeypatch.setattr(spatial, "cKDTree", Counted)
+    return builds
+
+
+def test_spacing_note_builds_no_tree(lattice, monkeypatch):
+    # the seed-0 lattice at depth 14 has points farther than 2^-9 from every
+    # other, so the note fires, read from the dyadic index alone; the
+    # containment check then builds the one tree of its query
     held = front(lattice, 14)
     sample = _fresh_copy(held.sample)
-    monkeypatch.setattr(spatial, "cKDTree", Counted)
+    builds = _tree_builds(monkeypatch)
     note = box_dimension_estimate(sample).method_note
     assert "nearest-neighbor spacing" in note
-    assert builds == [len(sample)]
+    assert builds == []
     ball_containment_check(held.orbit, packing_radius(held.orbit).radius, sample, k_max=CHAIN_K_MAX)
     assert builds == [len(sample)]
+
+
+@pytest.mark.parametrize("k_max", [9, 12])
+def test_spacing_matches_full_query_on_the_lattice(lattice, k_max):
+    # 159 and 3,134 of the seed-0 sample's points look again at k_max, and
+    # 58 and 2,910 join their bound's scale, over 3 and 9 scales
+    sample = front(lattice, 14).sample
+    spacing = max_nn_spacing(sample.points)
+    assert spacing > 2.0 ** -k_max
+    assert limitset._alone_spacing(sample, k_max) == spacing
 
 
 @st.composite
@@ -922,12 +940,53 @@ def test_spacing_note_matches_full_query(case):
             msg = (f"nearest-neighbor spacing {spacing:.3g} exceeds scale 2^-{k_max}; "
                    "sample may under-resolve, enumerate deeper")
     k_range = (k_max - 3, k_max)
-    note = box_dimension_estimate(sample, k_range=k_range).method_note
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _tree_builds(patch)
+        note = box_dimension_estimate(sample, k_range=k_range).method_note
+    assert builds == []
     if msg is None:
         assert "nearest-neighbor" not in note
-        assert "tree" not in sample.__dict__  # each alone point found a neighbor nearby
     else:
         assert f"; {msg}" in note and note.count("nearest-neighbor") == 1
+        # the spacing is the full query's bit for bit
+        assert limitset._alone_spacing(sample, k_max) == spacing
+
+
+def _seam_pair(k_max):
+    """A planar pair 2^-(k_max+1) apart across x = 0, where the Z curve parts them,
+    and four far points, each with a twin 1e-6 radians on so that it is not alone."""
+    h = 2.0 ** -(k_max + 2)
+    y = math.sqrt(1.0 - h * h)
+    ang = np.arctan2([0.8, 0.8, -0.8, -0.6], [-0.6, 0.6, 0.6, -0.8])
+    ang = np.concatenate([ang, ang + 1e-6])
+    return np.concatenate([[[-h, y], [h, y]], np.column_stack([np.cos(ang), np.sin(ang)])])
+
+
+@pytest.mark.parametrize("k_max, pts, joins, spacing", [
+    # the pair's neighbors in index order lie across the sphere, so both look
+    # again at k_max, where each finds the other
+    (9, _seam_pair(9), [([0, 1], [limitset._INDEX_BITS - 9], [2.0 ** -10] * 2)], None),
+    # antipodal points: u = 2, so the second join is at the clamped k = -1,
+    # whose 3^n cells of side 2 hold the whole sphere
+    (4, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+     [([1, 0], [limitset._INDEX_BITS - 4], [math.inf] * 2),
+      ([1, 0], [limitset._INDEX_BITS + 1], [2.0] * 2)], 2.0),
+])
+def test_spacing_joins(monkeypatch, k_max, pts, joins, spacing):
+    # each join's sample rows, shifts and nearest distances
+    sample = _synthetic(pts)
+    calls = []
+    cell_nearest = limitset._cell_nearest
+
+    def logged(sample, rows, shifts):
+        nearest = cell_nearest(sample, rows, shifts)
+        calls.append((sample.dyadic_index.order[rows].tolist(), np.unique(shifts).tolist(),
+                      np.sqrt(nearest).tolist()))
+        return nearest
+
+    monkeypatch.setattr(limitset, "_cell_nearest", logged)
+    assert limitset._alone_spacing(sample, k_max) == spacing
+    assert calls == joins
 
 
 _EDGE_COORDS = [-1.0 - 1e-9, -1.0, -0.5e-9, -0.0, 0.0, 0.5e-9, 1.0, 1.0 + 1e-9]
@@ -969,31 +1028,27 @@ def test_first_unique_rejects_points_off_the_key_range():
     assert _first_unique(np.zeros((0, 2))).tolist() == []
 
 
-class _QueryLog:
-    """Stands in for a sample's KD-tree and records (k, rows) of each query."""
+def _logged_queries(monkeypatch):
+    """The (k, rows) of each KD-tree query from here on, a list that grows."""
+    calls = []
 
-    def __init__(self, tree):
-        self.tree, self.calls = tree, []
+    class Logged(spatial.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            calls.append((k, len(x)))
+            return super().query(x, k=k, **kwargs)
 
-    def query(self, x, k=1, **kwargs):
-        self.calls.append((k, len(x)))
-        return self.tree.query(x, k=k, **kwargs)
-
-
-def _logged_tree(sample):
-    log = _QueryLog(sample.tree)
-    sample.__dict__["tree"] = log  # the cached property's slot
-    return log
+    monkeypatch.setattr(spatial, "cKDTree", Logged)
+    return calls
 
 
 @pytest.mark.parametrize("group, depth", [("lattice", 14), ("schottky", 10), ("ball_schottky", 8)])
-def test_containment_queries_each_centre_once(request, group, depth):
+def test_containment_queries_each_centre_once(request, monkeypatch, group, depth):
     # one nearest-point query of every shelled ball's center, and no other
     held = front(request.getfixturevalue(group), depth)
     sample = _fresh_copy(held.sample)
-    log = _logged_tree(sample)
+    calls = _logged_queries(monkeypatch)
     orbit = held.orbit
     ball_containment_check(orbit, packing_radius(orbit).radius, sample, k_max=CHAIN_K_MAX)
     shelled = int(np.count_nonzero((orbit.shells >= 1) & (orbit.shells <= CHAIN_K_MAX)))
     assert shelled > 0
-    assert log.calls == [(1, shelled)], log.calls
+    assert calls == [(1, shelled)], calls

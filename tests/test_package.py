@@ -33,9 +33,10 @@ def test_import_does_not_load_scipy_stats():
 
 def test_scipy_spatial_loads_only_with_a_kd_tree(tmp_path):
     kleindim.save_group(kleindim.schottky_f2(), tmp_path / "group.json")
+    kleindim.save_group(kleindim.fuchsian_lattice(), tmp_path / "lattice.json")
     probe = "import sys, kleindim; {} print('scipy.spatial' in sys.modules)"
     run = "from kleindim.cli import main; assert main({!r}) == 0;"
-    group = str(tmp_path / "group.json")
+    group, lattice = str(tmp_path / "group.json"), str(tmp_path / "lattice.json")
     cases = {
         "import": ("", "False"),
         "orbit": (run.format(["orbit", group, "--depth", "7",
@@ -44,6 +45,10 @@ def test_scipy_spatial_loads_only_with_a_kd_tree(tmp_path):
         "boxdim": (run.format(["boxdim", group, "--depth", "7",
                                "--out", str(tmp_path / "boxdim.csv")]), "False"),
         "verify": (run.format(["verify", group, "--depth", "9"]), "False"),
+        # on the lattice at depth 14 the spacing note fires, from the index too
+        "boxdim lattice": (run.format(["boxdim", lattice, "--depth", "14",
+                                       "--out", str(tmp_path / "boxdim.csv")]), "False"),
+        "verify lattice": (run.format(["verify", lattice, "--depth", "14"]), "False"),
         # the packing and containment checks query KD-trees
         "chain": (run.format(["chain", group, "--depth", "8", "--s", "1.2", "--t", "1.0"]),
                   "True"),

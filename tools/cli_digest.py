@@ -5,11 +5,11 @@ Usage, from a checkout (the tree under test is the one PYTHONPATH names):
     PYTHONPATH=src python tools/cli_digest.py > digest.txt
 
 Each command runs in a fresh `python -m kleindim` process inside a new
-temporary directory.  Its line is the sha256 of the exit code, stdout and
-stderr (the temporary directory masked as "<tmp>") and the bytes of every
-file the command wrote, then the command itself.  Two trees whose outputs
-match byte for byte print the same lines, so `diff` of two digests lists
-exactly the commands whose output changed.
+temporary directory.  Its line is the sha256 of the exit code, stdout,
+stderr and the bytes of every file the command wrote, with the temporary
+directory masked as "<tmp>" in each, then the command itself.  Two trees
+whose outputs match byte for byte print the same lines, so `diff` of two
+digests lists exactly the commands whose output changed.
 
 The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 `cyclic_loxodromic` and the n = 3 Schottky group, at two depths each:
@@ -31,11 +31,18 @@ new temporary directory as before, so later commands on the same group
 and depth reuse the front an earlier one built.  Its lines repeat the
 digest with "session" before the command: 104 more, so 208 lines.
 
-Last comes a case where the library builds the front and the front
+Then comes a case where the library builds the front and the front
 commands read it: on a key no earlier command used, `schottky_f2` at depth
 8, `chain`, then `orbit`, `limitset --image` and `boxdim`.  It runs in
 fresh processes, then in the session, after the matrix: 4 lines and 4
-session lines, so 216 lines in all.  A session line that differs from its
+session lines, so 216 lines.
+
+Last, `verify --out` on the n = 3 group at depth 6 from four group files
+that differ only in the name they hold: a non-ASCII name, a name with a
+comma, an empty name in a file whose path holds a comma and a non-ASCII
+letter (the report's group field is then the path), and a name that is a
+list, which is rejected.  They run in fresh processes, then in the
+session, so 224 lines in all.  A session line that differs from its
 fresh-process line is also reported on stderr, and the exit status is then
 1.  It takes no options.
 """
@@ -124,6 +131,20 @@ BAD_ARGUMENTS = [
 ]
 
 
+# group files of the n = 3 group by the name they hold; `verify` writes the
+# name, or the file's path when it is empty, as the report's group field
+NAMED_FILES = {
+    "schoettky.json": "schöttky",
+    "comma.json": "a,b",
+    "odd, nämed.json": "",
+    "list_name.json": ["x"],
+}
+NAMED_VERIFY = [
+    ["verify", f"{{tmp}}/{name}", "--depth", "6", "--out", "{tmp}/report.csv"]
+    for name in NAMED_FILES
+]
+
+
 # the library's chain builds the front of a new key, which the front commands then read
 LIBRARY_FRONT = [
     ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
@@ -166,14 +187,15 @@ def digest(argv, fixtures, run):
             h.update(stream.replace(tmp.encode(), b"<tmp>") + b"\n--\n")
         for name in sorted(set(os.listdir(tmp)) - before):
             data = (Path(tmp) / name).read_bytes()
-            h.update(name.encode() + b"\n" + data + b"\n--\n")
+            h.update(name.encode() + b"\n" + data.replace(tmp.encode(), b"<tmp>") + b"\n--\n")
             if name.endswith(".json"):
                 (fixtures / name).write_bytes(data)
     return h.hexdigest()
 
 
 def write_fixtures(fixtures):
-    """The group files no command emits: the n = 3 group and the malformed files."""
+    """The group files no command emits: the n = 3 group, the malformed files and
+    the named files."""
     fixtures.mkdir()
     (fixtures / "schottky_ball.json").write_text(json.dumps(BALL_GROUP, indent=2) + "\n")
     identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
@@ -183,6 +205,10 @@ def write_fixtures(fixtures):
         (fixtures / name).write_text(json.dumps(doc) + "\n")
     text = json.dumps(BALL_GROUP) + "\n"
     (fixtures / UTF16_FILE).write_bytes(codecs.BOM_UTF16_LE + text.encode("utf-16-le"))
+    for name, group_name in NAMED_FILES.items():
+        doc = {**BALL_GROUP, "name": group_name}
+        (fixtures / name).write_text(json.dumps(doc, ensure_ascii=False) + "\n",
+                                     encoding="utf-8")
 
 
 def main():
@@ -200,7 +226,7 @@ def main():
         runs = ((fresh_process, ""), (this_process, "session "))
         for run, _ in runs:
             write_fixtures(Path(root) / f"fixtures-{run.__name__}")
-        for commands in (matrix, LIBRARY_FRONT):
+        for commands in (matrix, LIBRARY_FRONT, NAMED_VERIFY):
             fresh = []
             for run, label in runs:
                 fixtures = Path(root) / f"fixtures-{run.__name__}"

@@ -28,8 +28,8 @@ the grid count of each n = 3 seed-29 rotation ranks its lines
 limit set lies in a coordinate plane, so its lines stay narrow enough for
 offset keys.  The fifth line hashes `box_dimension_estimate`'s dim_est, as a hex
 float, and its method note, whose spacing note fires on every lattice
-case; it is taken first, before any check of the case builds the
-sample's KD-tree.  That makes 135 lines.  Two trees whose grid counts,
+case; it is taken first, before the case's other checks.  That makes 135
+lines.  Two trees whose grid counts,
 estimates and per-shell numbers match bit for bit print the same lines.  It
 takes no options.
 """
