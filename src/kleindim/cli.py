@@ -26,7 +26,8 @@ Every CSV table goes through one writer, `_write_table`: a header row, then
 one row template (floats "%.9g", so 9 significant digits; integers "%d";
 text "%s") applied to the rows of the table's columns, joined into one
 string and written atomically (temp file + rename) as UTF-8; `verify`'s
-group field, the one free text, is quoted per RFC 4180 (`_csv_text`).
+group field, the one free text, is quoted per RFC 4180 (`_csv_text`) and
+escaped where unprintable on stdout (`_one_line`).
 Identical inputs give byte-identical outputs.  Group words are spelled
 once per ball from its parent-pointer trie (`GroupBall.spellings`).
 
@@ -82,6 +83,11 @@ def _write_table(path, header, template, columns):
 def _csv_text(text):
     """A free-text CSV field, quoted per RFC 4180 where it holds `,`, `"`, CR or LF."""
     return '"' + text.replace('"', '""') + '"' if re.search('[,"\r\n]', text) else text
+
+
+def _one_line(text):
+    """`text` on one line: each unprintable character as its Python escape (\\n, \\x1b)."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _parse_s_grid(text):
@@ -269,7 +275,7 @@ def _cmd_verify(args):
         _write_table(args.out, header, template, [[v] for v in row])
     verdict = "PASS" if report.passed else "FAIL"
     print(
-        f"group={report.group_name or args.groupfile} depth={report.depth} "
+        f"group={_one_line(report.group_name or args.groupfile)} depth={report.depth} "
         f"delta_est={_fmt(d.delta_est)} dim_est={_fmt(b.dim_est)} "
         f"margin={_fmt(report.margin)} tolerance={_fmt(report.tolerance)} result={verdict}"
     )

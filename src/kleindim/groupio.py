@@ -47,11 +47,17 @@ def halfplane_to_disc(m):
 
 
 def atomic_write_bytes(path, data):
-    """Write `data` to a temp file beside `path`, then rename it into place."""
+    """Write `data` to a temp file beside `path`, then rename it into place;
+    a write or rename that raises removes the temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save_group(presentation, path):

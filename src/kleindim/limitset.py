@@ -25,7 +25,7 @@ cell are consecutive at every scale.  The parting level of two neighboring
 rows is the bit length of the OR over axes of their keys' XOR; after a
 shift s they lie in different cells exactly when it exceeds s.  Every grid
 count reads its occupied cells and sub-cells from the parting levels, and
-the spacing check reads the cells about each point alone in its cell.
+the under-resolution check the cells about each point alone in its cell.
 
 The containment check bounds every point of a ball from its center alone:
 a point p of the closed ball about c of Euclidean radius rho lies within
@@ -72,7 +72,7 @@ class LimitSample:
     that produced it, whose word the ball's parent pointers spell; synthetic
     samples carry label words.  One structure is built on first use and
     shared by every stage: `dyadic_index`, the one sort of the points that
-    every grid count and the spacing check read.
+    every grid count and the under-resolution check read.
     """
 
     points: np.ndarray     # (N, n) unit rows
@@ -534,29 +534,25 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
     The estimate is the least-squares slope of log cell_count against
     k*log 2, clamped to [0, n]; the local slopes between neighboring scales
     ride along, and their minimum, a liminf proxy, is quoted in the note.
-    The note flags a nearest-neighbor spacing above 2^-k_max, which may mean
-    an under-resolved sample; its spacing is that of an exact nearest-point
-    query of every point, read from the dyadic index (`_alone_spacing`).
+    The note counts the points with no other point within 2^-k_max, which
+    may mean an under-resolved sample: the count of an exact nearest-point
+    query of every point, read from the dyadic index (`_isolated_count`).
     """
     k_min, k_max = check_window(k_range)
-    spacing = _alone_spacing(sample, k_max) if len(sample) > 1 else None
-    note_bits = []
-    if spacing is not None and spacing > 2.0 ** -k_max:
-        note_bits.append(
-            f"nearest-neighbor spacing {spacing:.3g} exceeds scale 2^-{k_max}; "
-            "sample may under-resolve, enumerate deeper"
-        )
     records = [neighborhood_volume(sample, 2.0 ** -k) for k in range(k_min, k_max + 1)]
     ks = np.arange(k_min, k_max + 1, dtype=float)
     logs = np.log([rec.cell_count for rec in records])
     slope = float(_linear_fit(ks * _LN2, logs)[0])
     n = sample.model
     dim = min(max(slope, 0.0), float(n))
+    local = np.diff(logs) / _LN2
+    note_bits = [f"least-squares over k in [{k_min}, {k_max}]; min local slope {local.min():.4f}"]
+    isolated = _isolated_count(sample, k_max) if len(sample) > 1 else 0
+    if isolated:
+        note_bits.append(f"{isolated} of {len(sample)} points have no other point within "
+                         f"2^-{k_max}; sample may under-resolve, enumerate deeper")
     if dim != slope:
         note_bits.append(f"raw slope {slope:.4f} clamped to [0, {n}]")
-    local = np.diff(logs) / _LN2
-    note_bits.insert(0, f"least-squares over k in [{k_min}, {k_max}]; "
-                        f"min local slope {local.min():.4f}")
     return BoxDimensionEstimate(
         dim_est=dim,
         local_slopes=local,
@@ -566,15 +562,15 @@ def box_dimension_estimate(sample, k_range=K_RANGE):
     )
 
 
-def _alone_spacing(sample, k_max):
-    """The note's nearest-neighbor spacing, or None when it is at most 2^-k_max.
+def _isolated_count(sample, k_max):
+    """How many points lie farther than 2^-k_max from every other point.
 
-    Only a point alone in its cell of side 2^-(k_max+1) can lie farther than
-    2^-k_max from every other point.  Its distance u to its neighbors in
-    index order bounds its spacing; where u > 2^-k_max, the point is joined
-    to the 3^n cells about its own of side 2^-k_max, then, where they hold no
-    point within 2^-k_max, of the first side 2^-k > u*(1 + 1e-9), k >= -1,
-    which hold every point within u (`_cell_nearest`)."""
+    Only a point alone in its cell of side 2^-(k_max+1) can.  Where its
+    distance u to its neighbors in index order exceeds 2^-k_max, the 2^n
+    cells of side 2^-(k_max-2) nearest it decide (`_cell_nearest`).  They
+    hold every point whose coordinates differ from its own by 2^-(k_max-1)
+    or less, so every point within 2^-k_max in the distance cKDTree forms,
+    which may round a hair down to it: the count is the k = 2 tree query's."""
     index = sample.dyadic_index
     shift = _INDEX_BITS - k_max
     starts = index.parting > shift - 1  # cells of side 2^-(k_max+1)
@@ -583,37 +579,30 @@ def _alone_spacing(sample, k_max):
     # each alone row and its two neighbors, the ends' missing ones reflected inward
     at = sample.points[index.order[[alone, np.abs(alone - 1), last - np.abs(last - 1 - alone)]]]
     u = np.sqrt(np.minimum(_sum_squares(at[0] - at[1]), _sum_squares(at[0] - at[2])))
-    far = u > 2.0 ** -k_max
-    if far.any():
-        u[far] = np.minimum(u[far], np.sqrt(_cell_nearest(sample, alone[far], shift)))
-        far = u > 2.0 ** -k_max
-    if not far.any():
-        return None
-    # 2^-k = 2^e > u*(1 + 1e-9) >= 2^(e-1), frexp's exponent e, and at most 2^1
-    k = np.maximum(-np.frexp(u[far] * (1.0 + 1e-9))[1], -1)
-    return float(np.sqrt(_cell_nearest(sample, alone[far], _INDEX_BITS - k)).max())
+    far = alone[u > 2.0 ** -k_max]
+    if not far.size:
+        return 0
+    return int(np.count_nonzero(np.sqrt(_cell_nearest(sample, far, shift + 2)) > 2.0 ** -k_max))
 
 
-def _cell_nearest(sample, rows, shifts):
+def _cell_nearest(sample, rows, shift):
     """Squared distance (`_sum_squares`) from each index row to the nearest other
-    point in the 3^n cells of side 2^(s - _INDEX_BITS) about its own, s its
-    shift (one, or one per row), or inf.  A cell's key is two int64 words, its
-    shift and first index, then its other indices, each plus one in _KEY_BITS
-    + 1 bits; one lexsort of the keys joins the cells about each row to the
-    occupied cells, runs of the index."""
+    point in the 2^n cells of side 2^(shift - _INDEX_BITS) nearest it, or inf:
+    per axis, its own cell and the neighbor beside the half it lies in, which
+    hold every point within half a side of it in each coordinate.  A cell's
+    key is two int64 words, its first index, then its other indices, each
+    plus one in _KEY_BITS + 1 bits; one lexsort of the keys joins the cells
+    about each row to the occupied cells, runs of the index."""
     index = sample.dyadic_index
     n = sample.model
-    shifts = np.broadcast_to(np.asarray(shifts, dtype=np.int64), rows.shape)
-    around = np.indices((3,) * n).reshape(n, -1).T - 1  # the 3^n offsets of a cell's neighbors
-    levels = np.unique(shifts)
-    bounds = [np.append(np.flatnonzero(index.parting > s), len(index.order)) for s in levels]
-    first, end = np.concatenate([b[:-1] for b in bounds]), np.concatenate([b[1:] for b in bounds])
-    m = first.size
-    level = np.concatenate([np.repeat(levels, [b.size - 1 for b in bounds]),
-                            np.repeat(shifts, len(around))])
-    near = (index.keys[rows] >> shifts[:, None])[:, None, :] + around
-    cells = np.concatenate([index.keys[first] >> level[:m, None], near.reshape(-1, n)]) + 1
-    hi, lo = (level << (_KEY_BITS + 1)) | cells[:, 0], cells[:, 1]
+    around = np.indices((2,) * n).reshape(n, -1).T - 1  # 2^n offsets, -1 or 0 per axis
+    bounds = np.append(np.flatnonzero(index.parting > shift), len(index.order))
+    m = bounds.size - 1  # occupied cell i holds index rows bounds[i]:bounds[i + 1]
+    keys = index.keys[rows]
+    # per axis the row's cell plus its half's bit, less 1 or 0
+    near = ((keys >> shift) + ((keys >> (shift - 1)) & 1))[:, None, :] + around
+    cells = np.concatenate([index.keys[bounds[:-1]] >> shift, near.reshape(-1, n)]) + 1
+    hi, lo = cells[:, 0], cells[:, 1]
     for axis in range(2, n):
         lo = (lo << (_KEY_BITS + 1)) | cells[:, axis]
     order = np.lexsort((lo, hi))  # stable: an occupied cell precedes its queries
@@ -623,7 +612,7 @@ def _cell_nearest(sample, rows, shifts):
     cell, query = order[latest[query]], order[query]
     same = (hi[cell] == hi[query]) & (lo[cell] == lo[query])
     row, cell = (query[same] - m) // len(around), cell[same]
-    pair, other = _expand(first[cell], end[cell] - first[cell], 1)
+    pair, other = _expand(bounds[cell], bounds[cell + 1] - bounds[cell], 1)
     row = row[pair]
     keep = other != rows[row]
     row, other = row[keep], other[keep]

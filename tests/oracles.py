@@ -1,11 +1,12 @@
 """Reference implementations the fast kernels are tested against.
 
 These are the straightforward algorithms the library's pruned kernels
-replace: a full-stencil grid counter, the full nearest-neighbor spacing
-query, the pairwise dedup scan, the lexsort sample dedup, the per-level
-concatenating ball build with its full-row sign canonicalization, the
-exhaustive pairwise packing scan, and the containment bound from every
-ball center against every sample point (`nearest_distances`, no tree).
+replace: a full-stencil grid counter, the full nearest-neighbor query
+that counts the isolated points, the pairwise dedup scan, the lexsort
+sample dedup, the per-level concatenating ball build with its full-row
+sign canonicalization, the exhaustive pairwise packing scan, and the
+containment bound from every ball center against every sample point
+(`nearest_distances`, no tree).
 Apart from the containment bound, which maps its balls with the library's
 own `euclidean_balls`, and the ball build, which deduplicates with the
 library's `_fresh` (itself checked against the pairwise scan), they share
@@ -100,11 +101,11 @@ def grid_cell_count_stencil(points, radius, cell):
     return count
 
 
-def max_nn_spacing(points):
-    """Largest distance from a point to its nearest other point: k = 2 on a fresh tree."""
+def isolated_count(points, k_max):
+    """Points farther than 2^-k_max from every other point: k = 2 on a fresh tree."""
     points = np.asarray(points, dtype=float)
     dist, _ = cKDTree(points).query(points, k=2)
-    return float(dist[:, 1].max())
+    return int(np.count_nonzero(dist[:, 1] > 2.0 ** -k_max))
 
 
 def fresh_pairwise(kept, candidates):

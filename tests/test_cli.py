@@ -401,12 +401,14 @@ def test_non_utf8_group_file_is_a_usage_error(tmp_path, schottky, ball_builds, c
     ("schöttky", "plain"),
     ("a,b", "plain"),
     ('say "hi"\r\nbye', "plain"),
+    ("tab\tstop", "plain"),
     # an empty name: the field is the file's path
     ("", "odd, nämed"),
 ])
 def test_verify_table_reads_back_the_group_field(tmp_path, schottky, name, folder, capsys):
     # the group field is the table's one free text: a CSV reader gets 13
-    # fields and the name back, whatever characters it holds
+    # fields and the name back, whatever characters it holds; stdout prints
+    # one line, with CR, LF and tab escaped
     (tmp_path / folder).mkdir()
     path, out = tmp_path / folder / "group.json", tmp_path / "report.csv"
     save_group(GroupPresentation(schottky.generators, model=2, name=name), path)
@@ -415,7 +417,31 @@ def test_verify_table_reads_back_the_group_field(tmp_path, schottky, name, folde
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [13, 13]
     assert rows[0][0] == "group" and rows[1][0] == (name or str(path))
-    capsys.readouterr()
+    shown = {'say "hi"\r\nbye': 'say "hi"\\r\\nbye', "tab\tstop": "tab\\tstop"}
+    stdout = capsys.readouterr().out
+    assert stdout.count("\n") == 1 and "\r" not in stdout and "\t" not in stdout
+    assert stdout.startswith(f"group={shown.get(name, name or str(path))} depth=6 ")
+
+
+@pytest.mark.parametrize("argv, wrote", [
+    (["orbit", "{group}", "--depth", "3", "--out", "{tmp}/outdir"], ""),
+    (["limitset", "{group}", "--depth", "3", "--out", "{tmp}/points.csv",
+      "--image", "{tmp}/outdir"], "wrote "),
+], ids=["orbit", "limitset-image"])
+def test_failed_write_leaves_no_temp_file(tmp_path, schottky_file, argv, wrote, capsys):
+    # a table or raster aimed at a directory fails with one error and exit 1,
+    # and its temp file is removed
+    (tmp_path / "outdir").mkdir()
+    before = set(os.listdir(tmp_path))
+    args = [a.format(group=schottky_file, tmp=tmp_path) for a in argv]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out.startswith(wrote)
+    assert os.listdir(tmp_path / "outdir") == []
+    assert not (tmp_path / "outdir.tmp").exists()
+    assert set(os.listdir(tmp_path)) - before <= {"points.csv"}
 
 
 def test_group_name_must_be_a_string(tmp_path, schottky, ball_builds, capsys):

@@ -15,7 +15,7 @@ from oracles import (
     first_unique_lexsort,
     first_unique_np,
     grid_cell_count_stencil,
-    max_nn_spacing,
+    isolated_count,
 )
 from scipy import spatial, stats
 
@@ -209,7 +209,7 @@ def test_box_dimension_usage_errors():
         box_dimension_estimate(sample, k_range=(3, 5))
     # two antipodal points under-resolve every scale: the note says so, no error
     note = box_dimension_estimate(sample, k_range=(3, 9)).method_note
-    assert "nearest-neighbor spacing 2 exceeds scale 2^-9" in note
+    assert "2 of 2 points have no other point within 2^-9" in note
 
 
 @st.composite
@@ -797,8 +797,8 @@ def test_grid_count_band_size(request, monkeypatch, group, depth, bound):
     # decided from the points of its covering runs: 310 for the n = 3 group
     # at depth 8 and 90 for schottky_f2 at depth 9, where outer spans about
     # the representatives, padded by the key box's diagonal, held 2,068 and
-    # 435.  Neither the counts nor the spacing check build a KD-tree.  The
-    # bound may be tightened, not loosened
+    # 435.  Neither the counts nor the under-resolution check build a
+    # KD-tree.  The bound may be tightened, not loosened
     sample = _fresh_copy(front(request.getfixturevalue(group), depth).sample)
     builds = _tree_builds(monkeypatch)
     band = []
@@ -838,7 +838,7 @@ def test_spacing_note_builds_no_tree(lattice, monkeypatch):
     sample = _fresh_copy(held.sample)
     builds = _tree_builds(monkeypatch)
     note = box_dimension_estimate(sample).method_note
-    assert "nearest-neighbor spacing" in note
+    assert "points have no other point within 2^-9" in note
     assert builds == []
     ball_containment_check(held.orbit, packing_radius(held.orbit).radius, sample, k_max=CHAIN_K_MAX)
     assert builds == [len(sample)]
@@ -846,12 +846,12 @@ def test_spacing_note_builds_no_tree(lattice, monkeypatch):
 
 @pytest.mark.parametrize("k_max", [9, 12])
 def test_spacing_matches_full_query_on_the_lattice(lattice, k_max):
-    # 159 and 3,134 of the seed-0 sample's points look again at k_max, and
-    # 58 and 2,910 join their bound's scale, over 3 and 9 scales
+    # 159 and 3,134 of the seed-0 sample's points join the cells about their
+    # own, and 58 and 2,910 of them have no other point within 2^-k_max
     sample = front(lattice, 14).sample
-    spacing = max_nn_spacing(sample.points)
-    assert spacing > 2.0 ** -k_max
-    assert limitset._alone_spacing(sample, k_max) == spacing
+    count = isolated_count(sample.points, k_max)
+    assert count == {9: 58, 12: 2910}[k_max]
+    assert limitset._isolated_count(sample, k_max) == count
 
 
 @st.composite
@@ -901,6 +901,15 @@ def _straddle_pair(k_max):
     return np.array([[-h, y], [h, y]])
 
 
+def _rounding_pair(k_max):
+    """Planar points (-2^-(k_max+60), 1) and (2^-k_max, 1), two cells of side
+    2^-k_max apart, whose computed distance rounds to exactly 2^-k_max, and a
+    far pair 1e-3 radians apart that lies between them in index order."""
+    ang = np.array([0.3, 0.3 + 1e-3])
+    return np.concatenate([[[-2.0 ** -(k_max + 60), 1.0], [2.0 ** -k_max, 1.0]],
+                           np.column_stack([np.sin(ang), np.cos(ang)])])
+
+
 def _tangent_pair(p, factor, k_max):
     """p and a point about factor * 2^-k_max from it along a tangent, both unit."""
     p = np.asarray(p, dtype=float)
@@ -917,6 +926,10 @@ def _tangent_pair(p, factor, k_max):
 # a neighbor at exactly 2^-k_max, which the note does not flag
 @example((4, _straddle_pair(4)))
 @example((24, _straddle_pair(24)))
+# a pair whose coordinates differ by more than 2^-k_max, at a computed 2^-k_max,
+# which the cells of side 2^-k_max about each point would not hold
+@example((15, _rounding_pair(15)))
+@example((24, _rounding_pair(24)))
 # n = 3 pairs at k_max = 24, whose cell indices need 3 * 26 bits together
 @example((24, _tangent_pair([0.6, 0.48, 0.64], 0.9, 24)))
 @example((24, _tangent_pair([-0.6, 0.48, -0.64], 1.5, 24)))
@@ -934,22 +947,21 @@ def test_spacing_note_matches_full_query(case):
     k_max, pts = case
     sample = _synthetic(pts)
     msg = None
-    if len(pts) > 1:
-        spacing = max_nn_spacing(pts)
-        if spacing > 2.0 ** -k_max:
-            msg = (f"nearest-neighbor spacing {spacing:.3g} exceeds scale 2^-{k_max}; "
-                   "sample may under-resolve, enumerate deeper")
+    count = isolated_count(pts, k_max) if len(pts) > 1 else 0
+    if count:
+        msg = (f"{count} of {len(pts)} points have no other point within 2^-{k_max}; "
+               "sample may under-resolve, enumerate deeper")
     k_range = (k_max - 3, k_max)
     with pytest.MonkeyPatch.context() as patch:
         builds = _tree_builds(patch)
         note = box_dimension_estimate(sample, k_range=k_range).method_note
     assert builds == []
     if msg is None:
-        assert "nearest-neighbor" not in note
+        assert "no other point" not in note
     else:
-        assert f"; {msg}" in note and note.count("nearest-neighbor") == 1
-        # the spacing is the full query's bit for bit
-        assert limitset._alone_spacing(sample, k_max) == spacing
+        assert f"; {msg}" in note and note.count("no other point") == 1
+    if len(pts) > 1:
+        assert limitset._isolated_count(sample, k_max) == count
 
 
 def _seam_pair(k_max):
@@ -962,30 +974,28 @@ def _seam_pair(k_max):
     return np.concatenate([[[-h, y], [h, y]], np.column_stack([np.cos(ang), np.sin(ang)])])
 
 
-@pytest.mark.parametrize("k_max, pts, joins, spacing", [
-    # the pair's neighbors in index order lie across the sphere, so both look
-    # again at k_max, where each finds the other
-    (9, _seam_pair(9), [([0, 1], [limitset._INDEX_BITS - 9], [2.0 ** -10] * 2)], None),
-    # antipodal points: u = 2, so the second join is at the clamped k = -1,
-    # whose 3^n cells of side 2 hold the whole sphere
+@pytest.mark.parametrize("k_max, pts, joins, count", [
+    # the pair's neighbors in index order lie across the sphere, so both join
+    # the cells about their own, where each finds the other
+    (9, _seam_pair(9), [([0, 1], limitset._INDEX_BITS - 7, [2.0 ** -10] * 2)], 0),
+    # antipodal points: u = 2, and the cells about each hold no other point
     (4, np.array([[1.0, 0.0], [-1.0, 0.0]]),
-     [([1, 0], [limitset._INDEX_BITS - 4], [math.inf] * 2),
-      ([1, 0], [limitset._INDEX_BITS + 1], [2.0] * 2)], 2.0),
+     [([1, 0], limitset._INDEX_BITS - 2, [math.inf] * 2)], 2),
 ])
-def test_spacing_joins(monkeypatch, k_max, pts, joins, spacing):
-    # each join's sample rows, shifts and nearest distances
+def test_spacing_joins(monkeypatch, k_max, pts, joins, count):
+    # the one join's sample rows, shift and nearest distances, at cells of
+    # side 2^-(k_max-2)
     sample = _synthetic(pts)
     calls = []
     cell_nearest = limitset._cell_nearest
 
-    def logged(sample, rows, shifts):
-        nearest = cell_nearest(sample, rows, shifts)
-        calls.append((sample.dyadic_index.order[rows].tolist(), np.unique(shifts).tolist(),
-                      np.sqrt(nearest).tolist()))
+    def logged(sample, rows, shift):
+        nearest = cell_nearest(sample, rows, shift)
+        calls.append((sample.dyadic_index.order[rows].tolist(), shift, np.sqrt(nearest).tolist()))
         return nearest
 
     monkeypatch.setattr(limitset, "_cell_nearest", logged)
-    assert limitset._alone_spacing(sample, k_max) == spacing
+    assert limitset._isolated_count(sample, k_max) == count
     assert calls == joins
 
 

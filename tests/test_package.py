@@ -41,11 +41,11 @@ def test_scipy_spatial_loads_only_with_a_kd_tree(tmp_path):
         "import": ("", "False"),
         "orbit": (run.format(["orbit", group, "--depth", "7",
                               "--out", str(tmp_path / "orbit.csv")]), "False"),
-        # the box counts and the spacing check read the dyadic index alone
+        # the box counts and the under-resolution check read the dyadic index alone
         "boxdim": (run.format(["boxdim", group, "--depth", "7",
                                "--out", str(tmp_path / "boxdim.csv")]), "False"),
         "verify": (run.format(["verify", group, "--depth", "9"]), "False"),
-        # on the lattice at depth 14 the spacing note fires, from the index too
+        # on the lattice at depth 14 the under-resolution note fires, from the index too
         "boxdim lattice": (run.format(["boxdim", lattice, "--depth", "14",
                                        "--out", str(tmp_path / "boxdim.csv")]), "False"),
         "verify lattice": (run.format(["verify", lattice, "--depth", "14"]), "False"),

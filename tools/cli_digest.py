@@ -37,12 +37,13 @@ commands read it: on a key no earlier command used, `schottky_f2` at depth
 fresh processes, then in the session, after the matrix: 4 lines and 4
 session lines, so 216 lines.
 
-Last, `verify --out` on the n = 3 group at depth 6 from four group files
+Last, `verify --out` on the n = 3 group at depth 6 from five group files
 that differ only in the name they hold: a non-ASCII name, a name with a
 comma, an empty name in a file whose path holds a comma and a non-ASCII
-letter (the report's group field is then the path), and a name that is a
-list, which is rejected.  They run in fresh processes, then in the
-session, so 224 lines in all.  A session line that differs from its
+letter (the report's group field is then the path), a name holding a
+quote, CR, LF and a tab, which stdout prints escaped on one line, and a
+name that is a list, which is rejected.  They run in fresh processes, then
+in the session, so 226 lines in all.  A session line that differs from its
 fresh-process line is also reported on stderr, and the exit status is then
 1.  It takes no options.
 """
@@ -137,6 +138,7 @@ NAMED_FILES = {
     "schoettky.json": "schöttky",
     "comma.json": "a,b",
     "odd, nämed.json": "",
+    "crlf_tab.json": 'say "hi"\r\nbye\tnow',
     "list_name.json": ["x"],
 }
 NAMED_VERIFY = [

@@ -27,8 +27,9 @@ the grid count of each n = 3 seed-29 rotation ranks its lines
 (`limitset._line_events`), which no count at k <= 12 does; the n = 3 seed-0
 limit set lies in a coordinate plane, so its lines stay narrow enough for
 offset keys.  The fifth line hashes `box_dimension_estimate`'s dim_est, as a hex
-float, and its method note, whose spacing note fires on every lattice
-case; it is taken first, before the case's other checks.  That makes 135
+float, and its method note, whose under-resolution note, a count of the
+points with no other point within 2^-9, fires on every lattice case; it
+is taken first, before the case's other checks.  That makes 135
 lines.  Two trees whose grid counts,
 estimates and per-shell numbers match bit for bit print the same lines.  It
 takes no options.
