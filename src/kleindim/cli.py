@@ -26,8 +26,10 @@ Every CSV table goes through one writer, `_write_table`: a header row, then
 one row template (floats "%.9g", so 9 significant digits; integers "%d";
 text "%s") applied to the rows of the table's columns, joined into one
 string and written atomically (temp file + rename) as UTF-8; `verify`'s
-group field, the one free text, is quoted per RFC 4180 (`_csv_text`) and
-escaped where unprintable on stdout (`_one_line`).
+group field, the one free text, is quoted per RFC 4180 (`_csv_text`).
+Every stdout line that prints the group name or a path, and every
+`error:` line, shows each unprintable character as its Python escape
+(`_one_line`), so one message is one line.
 Identical inputs give byte-identical outputs.  Group words are spelled
 once per ball from its parent-pointer trie (`GroupBall.spellings`).
 
@@ -55,7 +57,7 @@ from .fixtures import GROUP_FIXTURES, POINT_FIXTURES, fixture_names, get_group_f
 from .geometry import InteriorPoint
 from .groupio import atomic_write_bytes, load_group, save_group
 from .limitset import box_dimension_estimate, check_window
-from .poincare import check_bin_width, exponent_estimate, truncated_series
+from .poincare import exponent_estimate, truncated_series
 from .verify import front, series_chain_report, verify_inequality
 
 S_GRID_CAP = 10_000  # most exponents one --s-grid may hold
@@ -143,7 +145,7 @@ def _cmd_orbit(args):
         orbit.shells.tolist(),
         orbit.displacements.tolist(),
     ])
-    print(f"wrote {len(orbit)} elements to {args.out}")
+    print(f"wrote {len(orbit)} elements to {_one_line(args.out)}")
     return 0
 
 
@@ -162,14 +164,13 @@ def _cmd_poincare(args):
     ])
     for s, ev in zip(grid, evals):
         print(f"s={_fmt(s)} value={_fmt(ev.value)}")
-    print(f"wrote {len(ks)} shells to {args.out}")
+    print(f"wrote {len(ks)} shells to {_one_line(args.out)}")
     return 0
 
 
 def _cmd_exponent(args):
-    check_bin_width(args.bin_width)
     orbit = _front_orbit(args)
-    est = exponent_estimate(orbit, method=args.method, bin_width=args.bin_width)
+    est = exponent_estimate(orbit, method=args.method)
     print(f"method={est.method}")
     print(f"delta_est={_fmt(est.delta_est)}")
     print(f"fit_window=[{_fmt(est.fit_window[0])}, {_fmt(est.fit_window[1])}]")
@@ -224,10 +225,10 @@ def _cmd_limitset(args):
         *sample.points.T.tolist(),
         [words[i] for i in sample.witnesses.tolist()],
     ])
-    print(f"wrote {len(sample)} sample points to {args.out} (source {sample.source})")
+    print(f"wrote {len(sample)} sample points to {_one_line(args.out)} (source {sample.source})")
     if args.image is not None:
         _write_pgm(args.image, sample, args.k)
-        print(f"wrote raster to {args.image}")
+        print(f"wrote raster to {_one_line(args.image)}")
     return 0
 
 
@@ -248,7 +249,7 @@ def _cmd_boxdim(args):
     print(f"dim_est={_fmt(est.dim_est)}")
     print(f"fit_window=[{est.fit_window[0]}, {est.fit_window[1]}]")
     print(f"note: {est.method_note}")
-    print(f"wrote {len(recs)} scales to {args.out}")
+    print(f"wrote {len(recs)} scales to {_one_line(args.out)}")
     return 0
 
 
@@ -316,7 +317,7 @@ def _cmd_fixtures(args):
     name, path = args.emit
     if name in GROUP_FIXTURES:
         save_group(get_group_fixture(name), path)
-        print(f"wrote group fixture {name} to {path}")
+        print(f"wrote group fixture {name} to {_one_line(path)}")
         return 0
     if name in POINT_FIXTURES:
         sample = POINT_FIXTURES[name]()
@@ -325,7 +326,7 @@ def _cmd_fixtures(args):
             *sample.points.T.tolist(),
             [".".join(map(str, word)) for word in sample.witnesses.tolist()],
         ])
-        print(f"wrote point fixture {name} ({len(sample)} points) to {path}")
+        print(f"wrote point fixture {name} ({len(sample)} points) to {_one_line(path)}")
         return 0
     raise UsageError(f"unknown fixture {name!r}; choices: {', '.join(fixture_names())}")
 
@@ -377,8 +378,6 @@ def build_parser():
 
     p = _add_group_command(sub, "exponent", "estimate the growth exponent")
     p.add_argument("--method", choices=poincare.METHODS, default=poincare.METHODS[0])
-    p.add_argument("--bin-width", type=float, default=poincare.BIN_WIDTH, dest="bin_width",
-                   help="counting-function bin width (counting_fit only)")
 
     p = _add_group_command(sub, "limitset", "sample the limit set")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -419,11 +418,8 @@ def main(argv=None):
         return 0 if exc.code in (None, 0) else 1
     try:
         return globals()[f"_cmd_{args.command}"](args)
-    except KleindimError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (KleindimError, OSError) as err:
+        print(f"error: {_one_line(str(err))}", file=sys.stderr)
         return 1
 
 

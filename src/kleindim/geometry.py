@@ -463,7 +463,8 @@ def hyperbolic_distance(x, y):
     """
     if x.model != y.model:
         raise ModelMismatchError("distance needs points of the same model")
-    return float(distances_from(x.coords, y.coords[None, :])[0])
+    row = y.coords[None, :]
+    return float(distances_from(x.coords, row, 1.0 - np.einsum("ij,ij->i", row, row))[0])
 
 
 def check_radius(radius):
@@ -474,19 +475,18 @@ def check_radius(radius):
     return radius
 
 
-def distances_from(point_coords, points, gaps_sq=None):
+def distances_from(point_coords, points, gaps_sq):
     """Vector of hyperbolic distances from one interior point to many.
 
     Parameters
     ----------
     point_coords : (n,) float array, inside the unit ball.
     points : (N, n) float array of interior points.
-    gaps_sq : optional (N,) array of 1 - |points|^2 values; recomputed from
-        the coordinates when absent.
+    gaps_sq : (N,) array of 1 - |points|^2, which the caller holds in stable
+        form (`interior_images`, `OrbitSet.gaps_squared`); forming it from
+        the coordinates cancels near the sphere.
     """
     points = np.asarray(points, dtype=float)
-    if gaps_sq is None:
-        gaps_sq = 1.0 - np.einsum("ij,ij->i", points, points)
     diff = points - point_coords[None, :]
     qa = 1.0 - float(np.dot(point_coords, point_coords))
     arg = 1.0 + 2.0 * np.einsum("ij,ij->i", diff, diff) / (qa * gaps_sq)

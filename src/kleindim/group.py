@@ -256,8 +256,8 @@ class GroupBall:
         elliptics = head[classify_entries(head) == MapClass.ELLIPTIC]
         z = geo.apex
         for step in range(100):
-            images, _ = interior_images(elliptics, z.coords)
-            if not np.any(distances_from(z.coords, images) < 1e-9):
+            images, gaps_sq = interior_images(elliptics, z.coords)
+            if not np.any(distances_from(z.coords, images, gaps_sq) < 1e-9):
                 return z
             z = geo.point_at(0.1 * (step + 1))
         raise InternalError("no elliptic-free point found along the axis after 100 steps")

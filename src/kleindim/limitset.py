@@ -54,7 +54,8 @@ _ROUND_TOL = 1e-9   # sample points in one rounding cell of this side are one po
 _SUBCELL_BITS = 2   # the grid count's representatives stand for sub-cells of side cell / 2^2
 _SPAN_MARGIN = 1e-9  # relative margin of the grid count's inner and outer spans
 _SPAN_ROWS = 1 << 14  # representative lines one pass of the grid count holds, roughly
-_INDEX_BITS = 24 + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-24
+K_FINEST = 24  # every dyadic grid has cells of side 2^-k with 1 <= k <= K_FINEST
+_INDEX_BITS = K_FINEST + _SUBCELL_BITS  # index keys resolve the sub-cells of scale 2^-K_FINEST
 # coordinates lie in [-1 - 1e-9, 1 + 1e-9], so the index keys
 # floor((p + 2) * 2^_INDEX_BITS) are positive and below 2^_KEY_BITS
 _KEY_BITS = _INDEX_BITS + 2
@@ -474,8 +475,8 @@ def neighborhood_volume(sample, r, radius=None):
     """
     r = float(r)
     m, e = math.frexp(r)
-    if m != 0.5 or not 1 <= 1 - e <= 24:
-        raise UsageError(f"scale must be 2^-k with 1 <= k <= 24, got {r:.6g}")
+    if m != 0.5 or not 1 <= 1 - e <= K_FINEST:
+        raise UsageError(f"scale must be 2^-k with 1 <= k <= {K_FINEST}, got {r:.6g}")
     radius = r if radius is None else float(radius)
     if not 0.0 < radius < math.inf:
         raise UsageError(f"neighborhood radius must be positive and finite, got {radius}")
@@ -521,10 +522,10 @@ class BoxDimensionEstimate:
 
 
 def check_window(k_range):
-    """The window (k_min, k_max) as ints: 1 <= k_min < k_max <= 24, k_max - k_min >= 3."""
+    """The window (k_min, k_max) as ints: 1 <= k_min < k_max <= K_FINEST, k_max - k_min >= 3."""
     k_min, k_max = int(k_range[0]), int(k_range[1])
-    if not (1 <= k_min < k_max <= 24 and k_max - k_min >= 3):
-        raise UsageError(f"need 1 <= k_min < k_max <= 24 spanning >= 3, got {k_range}")
+    if not (1 <= k_min < k_max <= K_FINEST and k_max - k_min >= 3):
+        raise UsageError(f"need 1 <= k_min < k_max <= {K_FINEST} spanning >= 3, got {k_range}")
     return k_min, k_max
 
 

@@ -4,8 +4,9 @@ The series term for an orbit point w is ((1-|w|)/(1+|w|))^s, the radial
 form of exp(-s * distance from the ball center).  Shell partial sums group
 the terms by the dyadic shell of 1-|w|.
 
-Each estimator setting has one default, METHODS[0] or BIN_WIDTH, and one
-check, `check_method` or `check_bin_width`, run before an orbit is built.
+The exponent estimator has one setting, its method, with the default
+METHODS[0] and one check, `check_method`, run before an orbit is built.
+The counting fit bins N(T) at the one width BIN_WIDTH.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .limitset import _linear_fit
 
 _LN2 = math.log(2.0)
 METHODS = ("counting_fit", "divergence_scan")  # exponent estimators, the default first
-BIN_WIDTH = 0.5  # the counting fit's default bin width
+BIN_WIDTH = 0.5  # the counting fit's bin width
 
 
 @dataclass
@@ -50,7 +51,7 @@ def truncated_series(orbit, s):
 class CountingFunction:
     """N(T) = number of enumerated g with d(z, g(z)) <= T, on a uniform grid."""
 
-    thresholds: np.ndarray  # T = i * bin width, i = 0, 1, ...
+    thresholds: np.ndarray  # T = i * BIN_WIDTH, i = 0, 1, ...
     counts: np.ndarray      # N(T) at each threshold
 
 
@@ -60,20 +61,11 @@ def check_method(method):
         raise UsageError(f"unknown exponent method {method!r}")
 
 
-def check_bin_width(bin_width):
-    """The counting-function bin width as a float, which must be positive and finite."""
-    bin_width = float(bin_width)
-    if not 0.0 < bin_width < math.inf:
-        raise UsageError(f"bin width must be positive and finite, got {bin_width}")
-    return bin_width
-
-
-def counting_function(orbit, bin_width):
-    """Orbital counting function on bins of the displacement range."""
-    bin_width = check_bin_width(bin_width)
+def counting_function(orbit):
+    """Orbital counting function on bins of width BIN_WIDTH, read at call time."""
     disp = np.sort(orbit.displacements)
-    n_bins = int(math.ceil(float(disp[-1]) / bin_width))
-    ts = np.arange(n_bins + 1) * bin_width
+    n_bins = int(math.ceil(float(disp[-1]) / BIN_WIDTH))
+    ts = np.arange(n_bins + 1) * BIN_WIDTH
     ns = np.searchsorted(disp, ts, side="right")
     return CountingFunction(thresholds=ts, counts=ns)
 
@@ -100,8 +92,8 @@ def _clamp_delta(value, model, diagnostics):
     return value
 
 
-def _counting_fit(orbit, bin_width):
-    cf = counting_function(orbit, bin_width)
+def _counting_fit(orbit):
+    cf = counting_function(orbit)
     t_max = float(orbit.displacements.max())
     lo, hi = 0.2 * t_max, 0.8 * t_max
     ts, ns = cf.thresholds, cf.counts
@@ -192,19 +184,19 @@ def _divergence_scan(orbit):
     )
 
 
-def exponent_estimate(orbit, method=METHODS[0], bin_width=BIN_WIDTH):
+def exponent_estimate(orbit, method=METHODS[0]):
     """Estimate the series' critical exponent from one enumerated orbit.
 
-    method "counting_fit": least-squares slope of log N(T) over the middle
-    of the displacement range (the top 20% is dropped as horizon-starved).
+    method "counting_fit": least-squares slope of log N(T), binned at
+    BIN_WIDTH, over the middle of the displacement range (the top 20% is
+    dropped as horizon-starved).
     method "divergence_scan": bisection on s, classifying divergence by the
     growth of shell partial sums (last third vs middle third > 1.05).
     """
     check_method(method)
-    bin_width = check_bin_width(bin_width)
     if method == "divergence_scan":
         return _divergence_scan(orbit)
-    return _counting_fit(orbit, bin_width)
+    return _counting_fit(orbit)
 
 
 @dataclass

@@ -53,6 +53,7 @@ from .group import (
     packing_radius,
 )
 from .limitset import (
+    K_FINEST,
     BoxDimensionEstimate,
     LimitSample,
     ball_containment_check,
@@ -272,9 +273,9 @@ class SeriesChainReport:
 def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     """Measure every link of the shell-by-shell convergence chain.
 
-    Requires depth >= 8, finite s > t, and k_max >= 1, all checked before
-    the group ball is built, and t > the box-dimension estimate, checked
-    before the packing stages.  The orbit, sample and box estimate are those
+    Requires depth >= 8, finite s > t, and 1 <= k_max <= K_FINEST (the
+    finest grid scale), all checked before the group ball is built, and
+    t > the box-dimension estimate, checked before the packing stages.  The orbit, sample and box estimate are those
     of `front`, held from a verify of the same group and depth; the chain
     then exhibits the truncated series as bounded by a convergent geometric
     series, which is the whole content of the inequality.
@@ -288,6 +289,8 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     k_max = int(k_max)
     if k_max < 1:
         raise UsageError(f"chain k_max must be at least 1, got {k_max}")
+    if k_max > K_FINEST:
+        raise UsageError(f"chain k_max must be at most {K_FINEST}, got {k_max}")
     held = front(presentation, depth)
     orbit, sample, dim = held.orbit, held.sample, held.dim_estimate
     if not t > dim.dim_est:

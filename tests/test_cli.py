@@ -320,8 +320,8 @@ def test_negative_first_basepoint_coordinate(tmp_path, schottky_file, command, e
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--depth", "6", "--tolerance", "nan"], "tolerance"),
     (["verify", "--depth", "6", "--tolerance", "inf"], "tolerance"),
-    (["exponent", "--depth", "5", "--bin-width", "nan"], "bin width"),
-    (["exponent", "--depth", "5", "--bin-width", "inf"], "bin width"),
+    (["chain", "--depth", "8", "--s", "1.5", "--t", "nan"], "finite"),
+    (["chain", "--depth", "8", "--s", "nan", "--t", "1.3"], "finite"),
     (["poincare", "--depth", "5", "--s-grid", "nan:1:0.5"], "s-grid"),
     (["poincare", "--depth", "5", "--s-grid", "0:nan:0.5"], "s-grid"),
     (["poincare", "--depth", "5", "--s-grid", "0:1:nan"], "s-grid"),
@@ -341,6 +341,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, schottky_file, argv, mess
 
 
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+_WELL_FORMED = {"name": "bad", "model_dimension": 2, "chart": "disc", "generators": [_IDENTITY]}
 # the second generator of a malformed group file, by the file's name
 _MALFORMED_GENERATORS = {
     "text_entry.json": [["a", 0], [0, 0], [0, 0], [1, 0]],
@@ -348,6 +349,16 @@ _MALFORMED_GENERATORS = {
     "string_generator.json": "zz",
     "object_generator.json": {},
     "nonfinite_entry.json": [[1e400, 0], [0, 0], [0, 0], [1, 0]],
+}
+# every malformed group file's document, by the file's name
+_MALFORMED_FILES = {
+    **{name: {**_WELL_FORMED, "generators": [_IDENTITY, generator]}
+       for name, generator in _MALFORMED_GENERATORS.items()},
+    "list_document.json": [_WELL_FORMED],
+    "model_four.json": {**_WELL_FORMED, "model_dimension": 4},
+    "sphere_chart.json": {**_WELL_FORMED, "chart": "sphere"},
+    "no_generators.json": {**_WELL_FORMED, "generators": []},
+    "three_pairs.json": {**_WELL_FORMED, "generators": [_IDENTITY[:3]]},
 }
 
 
@@ -357,22 +368,28 @@ _MALFORMED_GENERATORS = {
      "s-grid must hold at most"),
     (["chain", "--depth", "8", "--s", "1.5", "--t", "1.3", "--kmax", "0"], "k_max"),
     (["chain", "--depth", "8", "--s", "1.0", "--t", "1.2"], "s > t"),
-    (["exponent", "--depth", "6", "--bin-width", "0"], "bin width"),
+    (["chain", "--depth", "8", "--s", "1.5", "--t", "1.3", "--kmax", "25"], "k_max"),
     (["boxdim", "--depth", "6", "--kmin", "9", "--kmax", "3"], "k_min"),
     (["boxdim", "--depth", "6", "--kmin", "0"], "k_min"),
     *((["orbit", name, "--depth", "2"], "generator 1") for name in _MALFORMED_GENERATORS),
     (["exponent", "--depth", "0"], "depth must be at least 1, got 0"),
     (["orbit", "--depth", "-1"], "depth must be at least 1, got -1"),
+    (["orbit", "list_document.json", "--depth", "2"], "group file must hold one JSON object"),
+    (["orbit", "model_four.json", "--depth", "2"], "model_dimension must be 2 or 3, got 4"),
+    (["orbit", "sphere_chart.json", "--depth", "2"],
+     "chart must be 'disc' or 'halfspace', got 'sphere'"),
+    (["orbit", "no_generators.json", "--depth", "2"], "generators must be a nonempty list"),
+    (["orbit", "three_pairs.json", "--depth", "2"],
+     "generator 0 must be four [re, im] pairs, got shape (3, 2)"),
 ])
 def test_bad_arguments_fail_before_the_front(tmp_path, schottky_file, ball_builds, argv, message,
                                              capsys):
     out = tmp_path / "out.csv"
     command, *rest = argv
     group = schottky_file
-    if rest[0] in _MALFORMED_GENERATORS:
+    if rest[0] in _MALFORMED_FILES:
         group = tmp_path / rest.pop(0)
-        group.write_text(json.dumps({"name": "bad", "model_dimension": 2, "chart": "disc",
-                                     "generators": [_IDENTITY, _MALFORMED_GENERATORS[group.name]]}))
+        group.write_text(json.dumps(_MALFORMED_FILES[group.name]))
     if command != "exponent":  # the one command here without --out
         rest += ["--out", str(out)]
     assert main([command, str(group), *rest]) == 1
@@ -444,6 +461,75 @@ def test_failed_write_leaves_no_temp_file(tmp_path, schottky_file, argv, wrote, 
     assert set(os.listdir(tmp_path)) - before <= {"points.csv"}
 
 
+def test_table_write_keeps_the_callers_temp_file(tmp_path, schottky_file, capsys):
+    # the temp file has a name of its own: a file named <out>.tmp keeps its
+    # bytes, and the table gets the mode that open() gives a new file
+    out, theirs, probe = tmp_path / "out.csv", tmp_path / "out.csv.tmp", tmp_path / "probe"
+    theirs.write_bytes(b"keep")
+    probe.write_bytes(b"")
+    before = set(os.listdir(tmp_path))
+    assert main(["orbit", schottky_file, "--depth", "2", "--out", str(out)]) == 0
+    assert theirs.read_bytes() == b"keep"
+    assert set(os.listdir(tmp_path)) - before == {"out.csv"}
+    assert out.stat().st_mode == probe.stat().st_mode
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "{group}", "--depth", "3", "--out", "{path}"],
+    ["poincare", "{group}", "--depth", "3", "--s-grid", "0.5:1:0.5", "--out", "{path}"],
+    ["limitset", "{group}", "--depth", "3", "--out", "{path}"],
+    ["limitset", "{group}", "--depth", "3", "--out", "{tmp}/points.csv", "--image", "{path}"],
+    ["boxdim", "{group}", "--depth", "6", "--out", "{path}"],
+    ["fixtures", "--emit", "schottky_f2", "{path}"],
+    ["fixtures", "--emit", "cantor_test", "{path}"],
+], ids=["orbit", "poincare", "limitset", "limitset-image", "boxdim", "fixtures-group",
+        "fixtures-points"])
+def test_paths_print_on_one_line(tmp_path, schottky_file, argv, capsys):
+    # a path holding LF and tab prints escaped, so each message stays one
+    # line, and the file gets the bytes it gets under a plain name
+    outputs = {}
+    for name in ("plain.csv", "a\nb\tc.csv"):
+        path = tmp_path / name
+        assert main([a.format(group=schottky_file, tmp=tmp_path, path=path) for a in argv]) == 0
+        outputs[name] = capsys.readouterr().out, path.read_bytes()
+    (out, data), (plain_out, plain_data) = outputs["a\nb\tc.csv"], outputs["plain.csv"]
+    assert data == plain_data
+    assert out == plain_out.replace("plain.csv", "a\\nb\\tc.csv")
+
+
+def test_error_lines_print_a_path_on_one_line(tmp_path, capsys):
+    missing, out = tmp_path / "no\nsuch\t.json", tmp_path / "out.csv"
+    assert main(["orbit", str(missing), "--depth", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read group file ")
+    assert "no\\nsuch\\t.json: " in lines[0] and "\t" not in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
+def test_bin_width_is_an_unknown_option(schottky_file, ball_builds, capsys):
+    # the counting fit bins at poincare.BIN_WIDTH, which no option sets
+    assert main(["exponent", schottky_file, "--depth", "6", "--bin-width", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == \
+        "kleindim: error: unrecognized arguments: --bin-width 0.5"
+    assert captured.out == "" and ball_builds == []
+
+
+def test_a_nested_stage_failure_names_the_inner_stage(cyclic_file, tmp_path, capsys):
+    # the limit-set sample reads the orbit, whose stage fails first; the
+    # failure passes the sample's stage unwrapped
+    out = tmp_path / "x.csv"
+    assert main(["limitset", cyclic_file, "--depth", "15", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: stage orbit_enumeration: image point is within 1e-14 of the sphere; "
+        "reduce the depth"
+    ]
+    assert captured.out == "" and not out.exists()
+
+
 def test_group_name_must_be_a_string(tmp_path, schottky, ball_builds, capsys):
     path, out = tmp_path / "listname.json", tmp_path / "report.csv"
     save_group(schottky, path)
@@ -462,13 +548,12 @@ def test_parser_defaults_are_the_library_constants(monkeypatch):
     # each default has one owner: the library signature and the CLI read the same constant
     assert inspect.signature(verify_inequality).parameters["tolerance"].default == verify.TOLERANCE
     assert inspect.signature(series_chain_report).parameters["k_max"].default == verify.CHAIN_K_MAX
-    params = inspect.signature(exponent_estimate).parameters
-    assert params["bin_width"].default == poincare.BIN_WIDTH
-    assert params["method"].default == poincare.METHODS[0]
+    assert inspect.signature(exponent_estimate).parameters["method"].default == \
+        poincare.METHODS[0]
     assert inspect.signature(box_dimension_estimate).parameters["k_range"].default == \
         limitset.K_RANGE
     for module, name, value in [
-        (verify, "TOLERANCE", 0.25), (verify, "CHAIN_K_MAX", 7), (poincare, "BIN_WIDTH", 0.125),
+        (verify, "TOLERANCE", 0.25), (verify, "CHAIN_K_MAX", 7),
         (poincare, "METHODS", ("divergence_scan", "counting_fit")), (limitset, "K_RANGE", (2, 8)),
     ]:
         monkeypatch.setattr(module, name, value)
@@ -479,8 +564,7 @@ def test_parser_defaults_are_the_library_constants(monkeypatch):
         args = parse(["verify", *group])
         assert (args.tolerance, args.method) == (0.25, "divergence_scan")
         assert parse(["chain", *group, "--s", "1.5", "--t", "1.3"]).kmax == 7
-        args = parse(["exponent", *group])
-        assert (args.bin_width, args.method) == (0.125, "divergence_scan")
+        assert parse(["exponent", *group]).method == "divergence_scan"
         args = parse(["boxdim", *group, "--out", "b.csv"])
         assert (args.kmin, args.kmax) == (2, 8)
     finally:

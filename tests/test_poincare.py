@@ -29,7 +29,8 @@ from kleindim import (
     translation_to_origin,
     truncated_series,
 )
-from kleindim.poincare import BIN_WIDTH, _available_shells
+from kleindim import poincare
+from kleindim.poincare import _available_shells, _clamp_delta
 
 LN9 = math.log(9.0)
 
@@ -147,20 +148,16 @@ def test_divergence_scan_reads_the_shells_inside_the_horizon(name, depth):
 
 @pytest.mark.parametrize("name", sorted(SERIES_GROUPS))
 @pytest.mark.parametrize("bin_width", [0.5, 0.37, 1.0, 3.0])
-def test_counting_function_matches_brute_force(name, bin_width):
+def test_counting_function_matches_brute_force(name, bin_width, monkeypatch):
+    # counting_function reads the module's BIN_WIDTH when it is called
+    monkeypatch.setattr(poincare, "BIN_WIDTH", bin_width)
     build, basepoints = SERIES_GROUPS[name]
     orbit = enumerate_orbit(build(), InteriorPoint(basepoints[-1]), 5)
-    cf = counting_function(orbit, bin_width)
+    cf = counting_function(orbit)
     assert cf.thresholds.shape == cf.counts.shape
     brute = [np.count_nonzero(orbit.displacements <= t) for t in cf.thresholds.tolist()]
     assert cf.counts.tolist() == brute
     assert cf.counts[-1] == len(orbit)
-
-
-@pytest.mark.parametrize("bin_width", [0.0, -0.5, math.nan, math.inf])
-def test_counting_function_rejects_bad_bin_width(schottky_orbit8, bin_width):
-    with pytest.raises(UsageError):
-        counting_function(schottky_orbit8, bin_width)
 
 
 @pytest.mark.parametrize("s", [-0.5, math.nan, math.inf])
@@ -201,18 +198,18 @@ def test_series_from_shifted_basepoint_within_translation_bound():
 
 
 def test_counting_identity_only():
-    cf = counting_function(identity_only_orbit(), BIN_WIDTH)
+    cf = counting_function(identity_only_orbit())
     assert all(n == 1 for n in cf.counts)
 
 
 def test_counting_cyclic_formula(cyclic_orbit10):
-    cf = counting_function(cyclic_orbit10, BIN_WIDTH)
+    cf = counting_function(cyclic_orbit10)
     for t, n in zip(cf.thresholds.tolist(), cf.counts.tolist()):
         assert n == 1 + 2 * math.floor(t / LN9)
 
 
 def test_counting_nondecreasing(schottky_orbit8):
-    ns = counting_function(schottky_orbit8, BIN_WIDTH).counts
+    ns = counting_function(schottky_orbit8).counts
     assert np.all(np.diff(ns) >= 0)
     assert ns[0] >= 1
 
@@ -223,6 +220,20 @@ def test_counting_fit_nonnegative_and_capped(schottky_orbit8, cyclic_orbit10):
         assert 0.0 <= est.delta_est <= orbit.model - 0.5
         assert est.slope_stderr >= 0.0
         assert est.fit_window[0] < est.fit_window[1]
+
+
+@pytest.mark.parametrize("model, value, expected, note", [
+    (2, -0.25, 0.0, "below zero"),
+    (2, 1.7, 1.5, "above sanity cap 1.5"),
+    (3, 2.6, 2.5, "above sanity cap 2.5"),
+    (2, 1.5, 1.5, None),
+    (2, 0.0, 0.0, None),
+])
+def test_clamp_delta_records_the_clamp(model, value, expected, note):
+    # an estimate outside [0, n - 0.5] is clamped to the nearer end and says which
+    diagnostics = {}
+    assert _clamp_delta(value, model, diagnostics) == expected
+    assert diagnostics == ({} if note is None else {"clamped": note})
 
 
 def test_counting_fit_log_linear_on_free_group(schottky_orbit8):

@@ -257,6 +257,16 @@ def test_chain_usage_errors(schottky, cyclic, ball_builds, monkeypatch):
     for k_max in (0, -3):
         with pytest.raises(UsageError, match="^chain k_max must be at least 1"):
             series_chain_report(cyclic, 8, 0.4, 0.2, k_max=k_max)
+    # the grids stop at 2^-24, whatever shells the orbit reaches
+    with pytest.raises(UsageError, match="^chain k_max must be at most 24, got 25$"):
+        series_chain_report(cyclic, 8, 0.4, 0.2, k_max=25)
+    assert ball_builds == []
+
+
+def test_chain_runs_at_the_finest_k_max(lattice):
+    # k_max = 24 is the finest grid scale; the lattice's shells stop at 10
+    rep = series_chain_report(lattice, 10, 1.5, 1.3, k_max=24)
+    assert rep.k.tolist() == list(range(1, 11)) and rep.chain_ok
 
 
 @pytest.mark.parametrize("gap", [2e-9, 1e-9])

@@ -17,35 +17,40 @@ The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 basepoint, `exponent` by both methods, `limitset` (with `--image` on the
 planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
 plus `fixtures --list` and `fixtures --emit` of every fixture, group and
-point set alike, then five commands whose arguments must be rejected
+point set alike, then six commands whose arguments must be rejected
 before any group ball is built (an s-grid whose value count overflows,
-`chain --kmax 0`, `exponent --bin-width 0`, `boxdim --kmin 9 --kmax 3`,
-`chain --s 1.0 --t 1.2`), and last `orbit` on six malformed group files:
-five whose second generator holds a non-numeric entry, a ragged pair, a
-string, an object or a non-finite entry (JSON's Infinity), and one that is
-UTF-16 text, not UTF-8: 104 commands, so 104 lines.
+`chain --kmax 0`, `chain --kmax 25`, past the finest grid scale 2^-24,
+`exponent --bin-width 0`, an option that does not exist, `boxdim --kmin 9
+--kmax 3`, `chain --s 1.0 --t 1.2`), and last `orbit` on six malformed
+group files: five whose second generator holds a non-numeric entry, a
+ragged pair, a string, an object or a non-finite entry (JSON's Infinity),
+and one that is UTF-16 text, not UTF-8: 105 commands, so 105 lines.
 
 Then the same matrix runs again as one session: every command through
 `kleindim.cli.main` in this interpreter, in matrix order, each in its own
 new temporary directory as before, so later commands on the same group
 and depth reuse the front an earlier one built.  Its lines repeat the
-digest with "session" before the command: 104 more, so 208 lines.
+digest with "session" before the command: 105 more, so 210 lines.
 
 Then comes a case where the library builds the front and the front
 commands read it: on a key no earlier command used, `schottky_f2` at depth
 8, `chain`, then `orbit`, `limitset --image` and `boxdim`.  It runs in
 fresh processes, then in the session, after the matrix: 4 lines and 4
-session lines, so 216 lines.
+session lines, so 218 lines.
 
-Last, `verify --out` on the n = 3 group at depth 6 from five group files
+Then `verify --out` on the n = 3 group at depth 6 from five group files
 that differ only in the name they hold: a non-ASCII name, a name with a
 comma, an empty name in a file whose path holds a comma and a non-ASCII
 letter (the report's group field is then the path), a name holding a
 quote, CR, LF and a tab, which stdout prints escaped on one line, and a
 name that is a list, which is rejected.  They run in fresh processes, then
-in the session, so 226 lines in all.  A session line that differs from its
-fresh-process line is also reported on stderr, and the exit status is then
-1.  It takes no options.
+in the session, so 228 lines.
+
+Last, `orbit --out` to a path that holds LF, which stdout prints escaped on
+one line, fresh and in the session: 230 lines in all.  Each line shows its
+command with unprintable characters escaped.  A session line that differs
+from its fresh-process line is also reported on stderr, and the exit
+status is then 1.  It takes no options.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ BAD_ARGUMENTS = [
      "--out", "{tmp}/series.csv"],
     ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
      "--kmax", "0", "--out", "{tmp}/chain.csv"],
+    ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.5", "--t", "1.3",
+     "--kmax", "25", "--out", "{tmp}/chain.csv"],
     ["exponent", "{tmp}/schottky_f2.json", "--depth", "7", "--bin-width", "0"],
     ["boxdim", "{tmp}/schottky_f2.json", "--depth", "7", "--kmin", "9", "--kmax", "3",
      "--out", "{tmp}/scales.csv"],
@@ -156,6 +163,9 @@ LIBRARY_FRONT = [
      "--image", "{tmp}/points.pgm", "--k", "7"],
     ["boxdim", "{tmp}/schottky_f2.json", "--depth", "8", "--out", "{tmp}/scales.csv"],
 ]
+
+# an output path that holds LF
+ODD_PATHS = [["orbit", "{tmp}/schottky_f2.json", "--depth", "7", "--out", "{tmp}/a\nb.csv"]]
 
 
 def fresh_process(argv):
@@ -228,17 +238,18 @@ def main():
         runs = ((fresh_process, ""), (this_process, "session "))
         for run, _ in runs:
             write_fixtures(Path(root) / f"fixtures-{run.__name__}")
-        for commands in (matrix, LIBRARY_FRONT, NAMED_VERIFY):
+        for commands in (matrix, LIBRARY_FRONT, NAMED_VERIFY, ODD_PATHS):
             fresh = []
             for run, label in runs:
                 fixtures = Path(root) / f"fixtures-{run.__name__}"
                 for i, argv in enumerate(commands):
                     line = digest(argv, fixtures, run)
-                    print(line, label + " ".join(argv), flush=True)
+                    print(line, label + cli._one_line(" ".join(argv)), flush=True)
                     if run is fresh_process:
                         fresh.append(line)
                     elif line != fresh[i]:
-                        print(f"session differs from a fresh process: {' '.join(argv)}",
+                        print("session differs from a fresh process: "
+                              + cli._one_line(" ".join(argv)),
                               file=sys.stderr)
                         status = 1
     return status
