@@ -39,7 +39,6 @@ from .geometry import (
     compose,
     distances_from,
     fixed_points,
-    hyperbolic_distance,
     inverse,
     origin,
     translation_to_origin,
@@ -71,11 +70,9 @@ from .limitset import (
     sample_limit_set,
 )
 from .poincare import (
-    BasepointIndependenceReport,
     CountingFunction,
     ExponentEstimate,
     SeriesEvaluation,
-    basepoint_independence_check,
     counting_function,
     exponent_estimate,
     truncated_series,
@@ -91,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallContainmentReport",
-    "BasepointIndependenceReport",
     "BoundaryGeodesic",
     "BoundaryPoint",
     "BoxDimensionEstimate",
@@ -123,7 +119,6 @@ __all__ = [
     "apply_interior",
     "ball_containment_check",
     "ball_volumes",
-    "basepoint_independence_check",
     "box_dimension_estimate",
     "build_ball",
     "cantor_test",
@@ -143,7 +138,6 @@ __all__ = [
     "fuchsian_lattice",
     "get_group_fixture",
     "halfplane_to_disc",
-    "hyperbolic_distance",
     "inverse",
     "load_group",
     "neighborhood_volume",

@@ -365,6 +365,7 @@ def build_parser():
     """The process's one parser, built on its first call rather than at import."""
     parser = _Parser(prog="kleindim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     p = _add_group_command(sub, "orbit", "enumerate an orbit to CSV")
     p.add_argument("--basepoint", help="comma-separated interior coordinates")
@@ -412,8 +413,11 @@ def build_parser():
 
 
 def main(argv=None):
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported by the subcommand's parser, with its own usage
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 1
     try:

@@ -8,9 +8,10 @@ quaternion form of the action; one fixed Cayley transform carries points
 between the chart and the unit ball, so callers only ever see ball
 coordinates.
 
-The stages map arrays of entries; of the scalar maps, `apply_interior`
-stays for the benchmark harness's tests, and `translation_to_origin` for
-a displacement read from the matrices, which would conjugate by it.
+The stages map arrays of entries; of the scalar maps no stage calls,
+`apply_interior` stays for the benchmark harness's tests, `compose` for the
+benchmark workloads, which conjugate with it, and `translation_to_origin`
+for a displacement read from the matrices, which would conjugate by it.
 """
 
 from __future__ import annotations
@@ -250,10 +251,6 @@ class MoebiusMap:
             raise UsageError(f"expected a 2x2 matrix, got shape {m.shape}")
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1], model)
 
-    @classmethod
-    def identity(cls, model):
-        return cls(1.0, 0.0, 0.0, 1.0, model)
-
     def matrix(self):
         return np.array([[self.a, self.b], [self.c, self.d]])
 
@@ -284,7 +281,7 @@ def _check_same_model(f, g):
 
 
 def compose(f, g):
-    """The map z -> f(g(z)), i.e. the matrix product f.g."""
+    """The map z -> f(g(z)), i.e. the matrix product f.g; the benchmark workloads call it."""
     _check_same_model(f, g)
     return MoebiusMap.from_canonical(product_entries(_row(f), _row(g), f.model)[0], f.model)
 
@@ -404,7 +401,7 @@ def boundary_images(entries, point):
 
 
 def apply_interior(g, z):
-    """Evaluate the map at an interior point of the ball.
+    """Evaluate the map at an interior point of the ball; the benchmark harness's tests call it.
 
     Parameters
     ----------
@@ -456,17 +453,6 @@ def fixed_points(g):
     return [BoundaryPoint(p) for p in _chart_to_sphere(w, np.array([r is None for r in roots]))]
 
 
-def hyperbolic_distance(x, y):
-    """Hyperbolic distance between interior points of the same ball.
-
-    cosh d = 1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)).
-    """
-    if x.model != y.model:
-        raise ModelMismatchError("distance needs points of the same model")
-    row = y.coords[None, :]
-    return float(distances_from(x.coords, row, 1.0 - np.einsum("ij,ij->i", row, row))[0])
-
-
 def check_radius(radius):
     """A hyperbolic ball radius as a float, which must be finite and >= 0."""
     radius = float(radius)
@@ -494,7 +480,7 @@ def distances_from(point_coords, points, gaps_sq):
 
 
 def translation_to_origin(z):
-    """The standard isometry sending an interior point to the ball center."""
+    """The standard isometry sending an interior point to the ball center (no stage calls it yet)."""
     if z.model == 2:
         zeta = complex(z.coords[0], z.coords[1])
         s = math.sqrt(1.0 - (zeta.real ** 2 + zeta.imag ** 2))

@@ -49,16 +49,19 @@ def halfplane_to_disc(m):
 def atomic_write_bytes(path, data):
     """Write `data` to a new temp file beside `path`, then rename it into place.
 
-    The temp file has a random name and is created exclusively, so no other
-    file is touched, with the mode `open()` gives (0o666 less the umask).
-    A write or rename that raises removes the temp file.
+    The temp file has a random name and is created exclusively (no other file
+    is touched) with the mode `open()` gives, 0o666 less the umask.  A write or
+    rename that raises removes it; a failed rename's error names `path` alone.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
     except BaseException:
         os.remove(tmp)
         raise

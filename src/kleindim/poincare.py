@@ -7,6 +7,9 @@ the terms by the dyadic shell of 1-|w|.
 The exponent estimator has one setting, its method, with the default
 METHODS[0] and one check, `check_method`, run before an orbit is built.
 The counting fit bins N(T) at the one width BIN_WIDTH.
+
+Every function reads an orbit its caller built, so nothing is imported from
+`group` or `geometry`; basepoint independence is a test oracle's check.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, UsageError
-from .geometry import hyperbolic_distance
-from .group import OrbitSet, build_ball
 from .limitset import _linear_fit
 
 _LN2 = math.log(2.0)
@@ -198,51 +199,3 @@ def exponent_estimate(orbit, method=METHODS[0]):
         return _divergence_scan(orbit)
     return _counting_fit(orbit)
 
-
-@dataclass
-class BasepointIndependenceReport:
-    """Exponent estimates from two basepoints plus the termwise ratio bound.
-
-    The triangle inequality forces every term ratio
-    exp(-d(0, g z1)) / exp(-d(0, g z2)) into [exp(-d12), exp(+d12)] where
-    d12 = d(z1, z2); within_bounds records that check across all elements
-    of the group ball.
-    """
-
-    estimate_1: ExponentEstimate
-    estimate_2: ExponentEstimate
-    estimate_gap: float
-    separation: float
-    ratio_low: float
-    ratio_high: float
-    within_bounds: bool
-    n_elements: int
-
-
-def basepoint_independence_check(presentation, z1, z2, depth):
-    """Run the exponent pipeline from two basepoints and compare.
-
-    Maps one group ball to both basepoints, estimates the exponent from each
-    orbit with the default estimator, and checks the termwise
-    triangle-inequality ratio bound element by element.
-    """
-    ball = build_ball(presentation, depth)
-    orbit1, orbit2 = OrbitSet(ball, z1), OrbitSet(ball, z2)
-    est1 = exponent_estimate(orbit1)
-    est2 = exponent_estimate(orbit2)
-    # exp(-d(0, w)) = gap / (2 - gap) in the radial form
-    ratios = (orbit1.gaps / (2.0 - orbit1.gaps)) / (orbit2.gaps / (2.0 - orbit2.gaps))
-    separation = hyperbolic_distance(z1, z2)
-    bound = math.exp(separation)
-    slack = 1.0 + 1e-12
-    within = bool(np.all(ratios <= bound * slack) and np.all(ratios >= 1.0 / (bound * slack)))
-    return BasepointIndependenceReport(
-        estimate_1=est1,
-        estimate_2=est2,
-        estimate_gap=abs(est1.delta_est - est2.delta_est),
-        separation=separation,
-        ratio_low=float(ratios.min()),
-        ratio_high=float(ratios.max()),
-        within_bounds=within,
-        n_elements=len(ball),
-    )

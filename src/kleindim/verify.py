@@ -174,10 +174,6 @@ class VerificationReport:
         return len(self.orbit)
 
     @property
-    def sample_size(self):
-        return len(self.sample)
-
-    @property
     def delta_est(self):
         return self.delta_estimate.delta_est
 
@@ -273,8 +269,9 @@ class SeriesChainReport:
 def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
     """Measure every link of the shell-by-shell convergence chain.
 
-    Requires depth >= 8, finite s > t, and 1 <= k_max <= K_FINEST (the
-    finest grid scale), all checked before the group ball is built, and
+    Requires depth >= 8, finite s > t, 1 <= k_max <= K_FINEST (the finest
+    grid scale) and (k_max + 1) * s <= 1022, so that every shell term is a
+    normal float, all checked before the group ball is built, and
     t > the box-dimension estimate, checked before the packing stages.  The orbit, sample and box estimate are those
     of `front`, held from a verify of the same group and depth; the chain
     then exhibits the truncated series as bounded by a convergent geometric
@@ -291,6 +288,8 @@ def series_chain_report(presentation, depth, s, t, k_max=CHAIN_K_MAX):
         raise UsageError(f"chain k_max must be at least 1, got {k_max}")
     if k_max > K_FINEST:
         raise UsageError(f"chain k_max must be at most {K_FINEST}, got {k_max}")
+    if (k_max + 1) * s > 1022:  # gap >= 2^-k_max on the shells: terms >= 2^-(k_max+1)s
+        raise UsageError(f"chain needs (k_max + 1) * s <= 1022, got s={s}, k_max={k_max}")
     held = front(presentation, depth)
     orbit, sample, dim = held.orbit, held.sample, held.dim_estimate
     if not t > dim.dim_est:

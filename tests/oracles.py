@@ -14,8 +14,16 @@ no code with the library versions, and all must agree with them exactly.
 `containment_mesh` is the older, sampled containment definition, 32 mesh
 points per ball boundary, which the certified bound must never undercut.
 
-`apply_boundary` maps one boundary point by one map, a scalar oracle for
-the geometry tests.
+`apply_boundary` maps one boundary point by one map, and
+`hyperbolic_distance` measures the distance of two interior points, which
+the library reads from one point to many (`distances_from`): scalar
+oracles for the geometry tests.
+
+`basepoint_independence_check` measures the fact the proof takes from the
+triangle inequality, that the exponent does not depend on the basepoint: it
+maps one library ball (`build_ball`, `OrbitSet`) to two basepoints, runs the
+library's `exponent_estimate` on each, and bounds every term ratio by
+exp(+-d(z1, z2)).  No stage runs it.
 
 `jorgensen_lhs` is the left side of Jørgensen's inequality from the raw
 product A B A^-1 B^-1, which the presentation's check, read from the Fricke
@@ -34,6 +42,7 @@ time, and `csv_bytes` formats a table cell by cell.  None imports from
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,11 +50,16 @@ from scipy.spatial import cKDTree
 from kleindim import (
     BallContainmentReport,
     BoundaryPoint,
+    ExponentEstimate,
     GroupBall,
     LimitSample,
+    OrbitSet,
     PackingCheck,
     UsageError,
+    build_ball,
+    distances_from,
     euclidean_balls,
+    exponent_estimate,
     inverse,
 )
 from kleindim.errors import ModelMismatchError
@@ -169,6 +183,17 @@ def apply_boundary(g, x):
     if x.model != g.model:
         raise ModelMismatchError(f"point model {x.model} does not match map model {g.model}")
     return BoundaryPoint(boundary_images(g.matrix().reshape(1, 4), x.coords)[0])
+
+
+def hyperbolic_distance(x, y):
+    """Hyperbolic distance between interior points of the same ball.
+
+    cosh d = 1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)).
+    """
+    if x.model != y.model:
+        raise ModelMismatchError("distance needs points of the same model")
+    row = y.coords[None, :]
+    return float(distances_from(x.coords, row, 1.0 - np.einsum("ij,ij->i", row, row))[0])
 
 
 def jorgensen_lhs(ga, gb):
@@ -348,6 +373,54 @@ def deep_orbit_sample(orbit):
     pts.setflags(write=False)
     return LimitSample(points=pts, witnesses=start + keep, source=SOURCE_DEEP_ORBIT)
 
+
+@dataclass
+class BasepointIndependenceReport:
+    """Exponent estimates from two basepoints plus the termwise ratio bound.
+
+    The triangle inequality forces every term ratio
+    exp(-d(0, g z1)) / exp(-d(0, g z2)) into [exp(-d12), exp(+d12)] where
+    d12 = d(z1, z2); within_bounds records that check across all elements
+    of the group ball.
+    """
+
+    estimate_1: ExponentEstimate
+    estimate_2: ExponentEstimate
+    estimate_gap: float
+    separation: float
+    ratio_low: float
+    ratio_high: float
+    within_bounds: bool
+    n_elements: int
+
+
+def basepoint_independence_check(presentation, z1, z2, depth):
+    """Run the exponent pipeline from two basepoints and compare.
+
+    Maps one group ball to both basepoints, estimates the exponent from each
+    orbit with the default estimator, and checks the termwise
+    triangle-inequality ratio bound element by element.
+    """
+    ball = build_ball(presentation, depth)
+    orbit1, orbit2 = OrbitSet(ball, z1), OrbitSet(ball, z2)
+    est1 = exponent_estimate(orbit1)
+    est2 = exponent_estimate(orbit2)
+    # exp(-d(0, w)) = gap / (2 - gap) in the radial form
+    ratios = (orbit1.gaps / (2.0 - orbit1.gaps)) / (orbit2.gaps / (2.0 - orbit2.gaps))
+    separation = hyperbolic_distance(z1, z2)
+    bound = math.exp(separation)
+    slack = 1.0 + 1e-12
+    within = bool(np.all(ratios <= bound * slack) and np.all(ratios >= 1.0 / (bound * slack)))
+    return BasepointIndependenceReport(
+        estimate_1=est1,
+        estimate_2=est2,
+        estimate_gap=abs(est1.delta_est - est2.delta_est),
+        separation=separation,
+        ratio_low=float(ratios.min()),
+        ratio_high=float(ratios.max()),
+        within_bounds=within,
+        n_elements=len(ball),
+    )
 
 
 def ball_words(parents, letters):

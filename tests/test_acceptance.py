@@ -13,6 +13,7 @@ import cmath
 import math
 
 import numpy as np
+from oracles import basepoint_independence_check, hyperbolic_distance
 from scipy import stats
 
 from kleindim import (
@@ -22,7 +23,6 @@ from kleindim import (
     apply_interior,
     ball_containment_check,
     ball_volumes,
-    basepoint_independence_check,
     box_dimension_estimate,
     cantor_test,
     check_packing_disjoint,
@@ -32,7 +32,6 @@ from kleindim import (
     euclidean_balls,
     find_loxodromic,
     fuchsian_lattice,
-    hyperbolic_distance,
     origin,
     packing_radius,
     schottky_f2,

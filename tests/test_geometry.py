@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import apply_boundary
+from oracles import apply_boundary, hyperbolic_distance
 
 from kleindim import (
     BoundaryGeodesic,
@@ -20,7 +20,7 @@ from kleindim import (
     classify,
     compose,
     fixed_points,
-    hyperbolic_distance,
+    halfplane_to_disc,
     inverse,
     origin,
     translation_to_origin,
@@ -95,7 +95,7 @@ def test_compose_identity_and_inverse():
     for model in (2, 3):
         for _ in range(20):
             g = _random_map(rng, model)
-            ident = MoebiusMap.identity(model)
+            ident = MoebiusMap(1.0, 0.0, 0.0, 1.0, model)
             assert compose(g, ident).entry_distance(g) < 1e-12
             assert compose(g, inverse(g)).is_identity()
             assert inverse(inverse(g)).entry_distance(g) < 1e-9
@@ -112,7 +112,7 @@ def test_compose_diagonal_translations():
 
 def test_compose_model_mismatch():
     with pytest.raises(ModelMismatchError):
-        compose(MoebiusMap.identity(2), MoebiusMap.identity(3))
+        compose(MoebiusMap(1.0, 0.0, 0.0, 1.0, 2), MoebiusMap(1.0, 0.0, 0.0, 1.0, 3))
 
 
 def test_inverse_parabolic_shift():
@@ -134,7 +134,7 @@ def test_composition_associative():
 
 def test_apply_interior_identity_and_example():
     z = InteriorPoint([0.3, -0.2])
-    assert np.allclose(apply_interior(MoebiusMap.identity(2), z).coords, z.coords)
+    assert np.allclose(apply_interior(MoebiusMap(1.0, 0.0, 0.0, 1.0, 2), z).coords, z.coords)
     g = MoebiusMap(math.cosh(LN3), math.sinh(LN3), math.sinh(LN3), math.cosh(LN3), model=2)
     w = apply_interior(g, origin(2))
     assert np.allclose(w.coords, [0.8, 0.0], atol=1e-12)
@@ -153,7 +153,7 @@ def test_apply_interior_inverse_round_trip():
 
 def test_apply_boundary_identity_and_fixed_point():
     x = BoundaryPoint([0.6, 0.8])
-    assert np.allclose(apply_boundary(MoebiusMap.identity(2), x).coords, x.coords)
+    assert np.allclose(apply_boundary(MoebiusMap(1.0, 0.0, 0.0, 1.0, 2), x).coords, x.coords)
     g = MoebiusMap(math.cosh(0.5), math.sinh(0.5), math.sinh(0.5), math.cosh(0.5), model=2)
     assert np.allclose(apply_boundary(g, BoundaryPoint([1.0, 0.0])).coords, [1.0, 0.0])
 
@@ -185,7 +185,7 @@ def test_classify_examples():
     assert classify(MoebiusMap(3.0, 0.0, 0.0, 1.0 / 3.0, model=3)) is MapClass.LOXODROMIC
     rot = MoebiusMap(cmath.exp(1j * np.pi / 4), 0.0, 0.0, cmath.exp(-1j * np.pi / 4), model=2)
     assert classify(rot) is MapClass.ELLIPTIC
-    assert classify(MoebiusMap.identity(2)) is MapClass.IDENTITY
+    assert classify(MoebiusMap(1.0, 0.0, 0.0, 1.0, 2)) is MapClass.IDENTITY
 
 
 def test_classify_conjugation_invariant():
@@ -215,6 +215,20 @@ def test_fixed_points_parabolic_infinity():
     assert len(pts) == 1
     # infinity in the half-space chart is the top of the sphere
     assert np.allclose(pts[0].coords, [0.0, 0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("g, expected", [
+    # z -> z + 1 on the half-plane fixes infinity, which is 1 on the disc: a
+    # disc parabolic with c != 0
+    (halfplane_to_disc([[1, 1], [0, 1]]), [[1.0, 0.0]]),
+    # a spatial loxodromic that fixes infinity, the north pole, and 0, the south pole
+    (MoebiusMap(2.0, 0.0, 0.0, 0.5, model=3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+], ids=["disc-parabolic", "spatial-loxodromic-fixing-infinity"])
+def test_fixed_points_are_fixed_by_their_map(g, expected):
+    pts = fixed_points(g)
+    assert np.allclose([p.coords for p in pts], expected, atol=1e-12)
+    for p in pts:
+        assert np.allclose(apply_boundary(g, p).coords, p.coords, atol=1e-12)
 
 
 def test_fixed_points_rejects_elliptic():

@@ -21,6 +21,7 @@ from oracles import (
     containment_exhaustive,
     containment_mesh,
     fresh_pairwise,
+    hyperbolic_distance,
     nearest_distances,
     jorgensen_lhs,
     packing_brute_force,
@@ -49,7 +50,6 @@ from kleindim import (
     find_loxodromic,
     fixed_points,
     fuchsian_lattice,
-    hyperbolic_distance,
     inverse,
     origin,
     packing_radius,
@@ -92,7 +92,7 @@ def test_presentation_validation():
     with pytest.raises(UsageError):
         GroupPresentation([], model=2)
     with pytest.raises(UsageError):
-        GroupPresentation([MoebiusMap.identity(2)], model=2)
+        GroupPresentation([MoebiusMap(1.0, 0.0, 0.0, 1.0, 2)], model=2)
     with pytest.raises(UsageError):
         GroupPresentation([_boost(0.5, model=3)], model=2)
     with pytest.raises(UsageError):
@@ -167,7 +167,7 @@ def test_word_matrix_consistency():
     gens = {1: G.generators[0], 2: G.generators[1],
             -1: inverse(G.generators[0]), -2: inverse(G.generators[1])}
     for i, word in enumerate(ball_words(orbit.ball.parents, orbit.ball.letters)):
-        m = MoebiusMap.identity(2)
+        m = MoebiusMap(1.0, 0.0, 0.0, 1.0, 2)
         for letter in word:
             m = compose(m, gens[letter])
         assert m.entry_distance(orbit.ball.map(i)) < 1e-9
@@ -248,7 +248,7 @@ def _sequential_reference(G, depth):
     for i, g in enumerate(G.generators, start=1):
         alphabet += [(i, g), (-i, inverse(g))]
     words = [()]
-    maps = [MoebiusMap.identity(G.model)]
+    maps = [MoebiusMap(1.0, 0.0, 0.0, 1.0, G.model)]
     frontier = [0]
     for _ in range(depth):
         next_frontier = []

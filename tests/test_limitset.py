@@ -70,6 +70,9 @@ def test_sample_validation():
     for points in ([[math.nan, 0.0]], [[1.0, 0.0], [0.0, math.nan]], [[math.inf, 0.0]]):
         with pytest.raises(UsageError, match="finite"):
             _synthetic(points)
+    for depth in (0, 21):
+        with pytest.raises(UsageError, match=r"^cantor depth must be in \[1, 20\]$"):
+            cantor_test(depth)
 
 
 def test_cyclic_sample_is_fixed_pair(cyclic_orbit10, cyclic_h):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +16,27 @@ def test_public_names_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(kleindim, name), name
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is one that a module of the package, other than
+    # __init__, references (a stage, a command), bar the six kept for the
+    # benchmark harness and workloads or for a planned caller, each with its
+    # reason in its docstring; a name only tests call belongs in the tests
+    package = Path(kleindim.__file__).parent
+    referenced = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert set(kleindim.__all__) - referenced == {
+        "apply_interior", "compose", "translation_to_origin",
+        "enumerate_orbit", "find_loxodromic", "choose_basepoint",
+    }
 
 
 def _fresh_python(*args):

@@ -9,6 +9,7 @@ import pytest
 from conftest import identity_only_orbit
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import basepoint_independence_check, hyperbolic_distance
 
 from kleindim import (
     GroupPresentation,
@@ -17,13 +18,11 @@ from kleindim import (
     MoebiusMap,
     UsageError,
     apply_interior,
-    basepoint_independence_check,
     counting_function,
     cyclic_loxodromic,
     enumerate_orbit,
     exponent_estimate,
     fuchsian_lattice,
-    hyperbolic_distance,
     origin,
     schottky_f2,
     translation_to_origin,

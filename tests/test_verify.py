@@ -43,7 +43,7 @@ def test_verify_cyclic_divergence_scan(cyclic):
     assert report.delta_est <= 0.05
     assert report.dim_est <= 0.05
     assert report.passed
-    assert report.sample_size == 2
+    assert len(report.sample) == 2
 
 
 def test_verify_cyclic_counting_fit(verify_cyclic10, cyclic):
@@ -260,7 +260,21 @@ def test_chain_usage_errors(schottky, cyclic, ball_builds, monkeypatch):
     # the grids stop at 2^-24, whatever shells the orbit reaches
     with pytest.raises(UsageError, match="^chain k_max must be at most 24, got 25$"):
         series_chain_report(cyclic, 8, 0.4, 0.2, k_max=25)
+    # past (k_max + 1) s = 1022 a shell term may be subnormal, and 2^s may overflow
+    for s, k_max in ((79.0, 12), (90.0, 12), (1100.0, 12), (512.0, 1), (41.0, 24)):
+        with pytest.raises(UsageError, match=r"^chain needs \(k_max \+ 1\) \* s <= 1022"):
+            series_chain_report(cyclic, 8, s, 0.2, k_max=k_max)
     assert ball_builds == []
+
+
+def test_chain_runs_at_the_largest_s(schottky):
+    # (k_max + 1) s = 1014 <= 1022: every term is a normal float, every constant finite
+    rep = series_chain_report(schottky, 8, 78.0, 1.0)
+    assert rep.chain_ok and rep.radial_ok and rep.volume_ok
+    assert all(math.isfinite(c) for c in (rep.c1, rep.c2, rep.c3))
+    tiny = np.finfo(float).tiny
+    for column in (rep.series_partial, rep.lhs, rep.mid, rep.rhs, rep.tail):
+        assert np.all(column >= tiny)
 
 
 def test_chain_runs_at_the_finest_k_max(lattice):

@@ -17,26 +17,27 @@ The matrix runs every subcommand on `schottky_f2`, `fuchsian_lattice`,
 basepoint, `exponent` by both methods, `limitset` (with `--image` on the
 planar groups), `boxdim`, `verify --out` by both methods and `chain --out`,
 plus `fixtures --list` and `fixtures --emit` of every fixture, group and
-point set alike, then six commands whose arguments must be rejected
+point set alike, then seven commands whose arguments must be rejected
 before any group ball is built (an s-grid whose value count overflows,
 `chain --kmax 0`, `chain --kmax 25`, past the finest grid scale 2^-24,
-`exponent --bin-width 0`, an option that does not exist, `boxdim --kmin 9
---kmax 3`, `chain --s 1.0 --t 1.2`), and last `orbit` on six malformed
-group files: five whose second generator holds a non-numeric entry, a
-ragged pair, a string, an object or a non-finite entry (JSON's Infinity),
-and one that is UTF-16 text, not UTF-8: 105 commands, so 105 lines.
+`exponent --bin-width 0` (an option that does not exist), `boxdim --kmin 9
+--kmax 3`, `chain --s 1.0 --t 1.2`, and `chain --s 1100`, past
+(k_max + 1) s = 1022), and last `orbit` on six malformed group files: five
+whose second generator holds a non-numeric entry, a ragged pair, a string,
+an object or a non-finite entry (JSON's Infinity), and one that is UTF-16
+text, not UTF-8: 106 commands, so 106 lines.
 
 Then the same matrix runs again as one session: every command through
 `kleindim.cli.main` in this interpreter, in matrix order, each in its own
 new temporary directory as before, so later commands on the same group
 and depth reuse the front an earlier one built.  Its lines repeat the
-digest with "session" before the command: 105 more, so 210 lines.
+digest with "session" before the command: 106 more, so 212 lines.
 
 Then comes a case where the library builds the front and the front
 commands read it: on a key no earlier command used, `schottky_f2` at depth
 8, `chain`, then `orbit`, `limitset --image` and `boxdim`.  It runs in
 fresh processes, then in the session, after the matrix: 4 lines and 4
-session lines, so 218 lines.
+session lines, so 220 lines.
 
 Then `verify --out` on the n = 3 group at depth 6 from five group files
 that differ only in the name they hold: a non-ASCII name, a name with a
@@ -44,10 +45,10 @@ comma, an empty name in a file whose path holds a comma and a non-ASCII
 letter (the report's group field is then the path), a name holding a
 quote, CR, LF and a tab, which stdout prints escaped on one line, and a
 name that is a list, which is rejected.  They run in fresh processes, then
-in the session, so 228 lines.
+in the session, so 230 lines.
 
 Last, `orbit --out` to a path that holds LF, which stdout prints escaped on
-one line, fresh and in the session: 230 lines in all.  Each line shows its
+one line, fresh and in the session: 232 lines in all.  Each line shows its
 command with unprintable characters escaped.  A session line that differs
 from its fresh-process line is also reported on stderr, and the exit
 status is then 1.  It takes no options.
@@ -132,6 +133,8 @@ BAD_ARGUMENTS = [
     ["boxdim", "{tmp}/schottky_f2.json", "--depth", "7", "--kmin", "9", "--kmax", "3",
      "--out", "{tmp}/scales.csv"],
     ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1.0", "--t", "1.2",
+     "--out", "{tmp}/chain.csv"],
+    ["chain", "{tmp}/schottky_f2.json", "--depth", "8", "--s", "1100", "--t", "1.3",
      "--out", "{tmp}/chain.csv"],
 ] + [
     ["orbit", f"{{tmp}}/{name}", "--depth", "2", "--out", "{tmp}/orbit.csv"]
